@@ -15,8 +15,9 @@ verified exactly at w = 22.
 
 Run:  python scripts/convention_search.py
 Expected output: the newest-first / final-output combination anchors on
-rules 54 and 201 (the same machine under its two state labelings);
-oldest-first reads anchor on nothing.  That fixes the shipped
+rules 54 and 201 (the same machine under its two state labelings) from
+both inits, and on rules 99 and 156 from the alternating init only;
+every other combination anchors on nothing.  That fixes the shipped
 convention.
 """
 

@@ -7,14 +7,13 @@ from .ifa import Move, IfaRule, decode_rule, encode_rule, enumerate_rules, proce
 from .market import (
     CycleReport,
     TickSeries,
-    UnsupportedConfigError,
     WindowState,
     find_cycle,
     initial_window,
     next_move,
     simulate,
 )
-from .regulation import RegulationPolicy, TrailingRun, apply_policy, trailing_run
+from .regulation import RegulationPolicy, apply_policy
 from .analytics import (
     DayReturns,
     RegimeSummary,
@@ -43,14 +42,11 @@ __all__ = [
     "WindowState",
     "TickSeries",
     "CycleReport",
-    "UnsupportedConfigError",
     "initial_window",
     "next_move",
     "simulate",
     "find_cycle",
     "RegulationPolicy",
-    "TrailingRun",
-    "trailing_run",
     "apply_policy",
     "DayReturns",
     "RollingMoments",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ifa import IfaRule
-from .regulation import RegulationPolicy
+from .regulation import RegulationPolicy, apply_policy
 
 # Where tick-by-tick walks stop paying (2-core x86 host, numpy 2.4, w = 22):
 # a direct emit costs ~0.3 us per tick against ~0.18 s for the hop path, so
@@ -64,27 +64,13 @@ def step_table(
 ) -> np.ndarray:
     """Next-window map over all 2**w states, regulation applied.
 
-    Valid only when the policy is 'none' or its trend length n <= w: the
-    trailing realized run (capped at n, which is all the trigger needs)
-    is then a function of the window's newest n bits.
+    For a trend length n > w this is the machine clamped to n = w (see
+    :func:`~ifamarket.regulation.apply_policy`).
     """
     n_states = 1 << w
     mask = np.uint32(n_states - 1)
     values = np.arange(n_states, dtype=np.uint32)
-    realized = decisions.astype(np.uint8).copy()
-    if policy.regime != "none":
-        n = policy.trend_length
-        if n > w:
-            raise ValueError(
-                f"trend length {n} exceeds window width {w}; the window no "
-                "longer determines the trailing run"
-            )
-        run_mask = np.uint32((1 << n) - 1)
-        newest = values & run_mask
-        if policy.pricks:
-            realized[newest == run_mask] = 0
-        if policy.props:
-            realized[newest == 0] = 1
+    realized = apply_policy(policy, values, w, decisions)
     return ((values << np.uint32(1)) & mask) | realized.astype(np.uint32)
 
 

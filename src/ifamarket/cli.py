@@ -120,8 +120,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if fmt_name == "bits":
             buffer = io.BytesIO()
             tickio.write_bits(series, buffer)
-            with open(args.ticks_out, "wb") as handle:
-                handle.write(buffer.getvalue())
+            if args.ticks_out == "-":
+                sys.stdout.buffer.write(buffer.getvalue())
+            else:
+                with open(args.ticks_out, "wb") as handle:
+                    handle.write(buffer.getvalue())
         else:
             text = io.StringIO()
             tickio.write_rle(series, text)
@@ -186,7 +189,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_survey(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.sweep_w:
-        lo, _, hi = args.sweep_w.partition(":")
+        lo, sep, hi = args.sweep_w.partition(":")
+        if not (sep and lo.isdigit() and hi.isdigit()):
+            raise ValueError(f"bad --sweep-w {args.sweep_w!r}; expected LO:HI")
         w_range = range(int(lo), int(hi) + 1)
         rows = sweep_window(
             decode_rule(config.rule),
@@ -345,8 +350,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"ifamarket: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"ifamarket: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -20,17 +20,17 @@ from .analytics import (
 from .market import MAX_WINDOW_WIDTH, WindowState, window_from_literal
 from .regulation import RegulationPolicy
 
-_FIELDS = (
-    "rule",
-    "w",
-    "init",
-    "policy",
-    "ticks",
-    "ticks_per_day",
-    "scale",
-    "window_days",
-    "days_per_year",
-)
+_FIELDS = {
+    "rule": int,
+    "w": int,
+    "init": str,
+    "policy": str,
+    "ticks": (int, type(None)),
+    "ticks_per_day": int,
+    "scale": (int, float),
+    "window_days": int,
+    "days_per_year": int,
+}
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,9 @@ class RunConfig:
         unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, _FIELDS[key]):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         return cls(**data)
 
     @classmethod

@@ -16,16 +16,13 @@ import numpy as np
 
 from . import _engine
 from .ifa import IfaRule, Move, process_window
-from .regulation import RegulationPolicy, TrailingRun, apply_policy, trailing_run
+from .regulation import RegulationPolicy, apply_policy
 
 MAX_WINDOW_WIDTH = 30  # dense 2**w uint32 tables must fit in memory
 
-# below this many ticks the per-tick path beats building a 2**w table
+# below this many ticks the per-tick path beats building a 2**w table;
+# run size alone decides, since tables for short runs raise peak memory
 _TABLE_PATH_MIN_TICKS_FACTOR = 8
-
-
-class UnsupportedConfigError(ValueError):
-    """Configuration outside what exact orbit analysis supports."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,6 @@ class WindowState:
         return WindowState(
             bits=((self.bits << 1) & mask) | int(realized), width=self.width
         )
-
-    def trailing_run_capped(self) -> TrailingRun:
-        """Trailing run of the moves inside the window (capped at width)."""
-        return trailing_run(self.to_moves())
 
 
 @dataclass(frozen=True)
@@ -142,10 +135,6 @@ def next_move(rule: IfaRule, window: WindowState) -> Move:
     return process_window(rule, window.to_moves())
 
 
-def _policy_state_fits_window(policy: RegulationPolicy, w: int) -> bool:
-    return policy.regime == "none" or policy.trend_length <= w
-
-
 def _simulate_per_tick(
     rule: IfaRule,
     window: WindowState,
@@ -153,22 +142,45 @@ def _simulate_per_tick(
     num_ticks: int,
 ) -> np.ndarray:
     moves = np.empty(num_ticks, dtype=np.uint8)
-    run = window.trailing_run_capped()
-    run_dir = run.direction
-    run_len = run.length
     for i in range(num_ticks):
         intended = next_move(rule, window)
-        realized = apply_policy(
-            policy, TrailingRun(run_dir, run_len), intended
-        )
-        moves[i] = int(realized)
+        realized = apply_policy(policy, window.bits, window.width, intended)
+        moves[i] = realized
         window = window.slide(realized)
-        if realized is run_dir:
-            run_len += 1
-        else:
-            run_dir = realized
-            run_len = 1
     return moves
+
+
+def _held_moves(rule: IfaRule, w: int, policy: RegulationPolicy) -> list[int]:
+    """Moves m whose all-m window a trend length n > w holds n - w ticks longer.
+
+    A run of n > w UPs can only pass through the all-UP window, which
+    every run enters exactly w long.  Where the rule decides UP there
+    and the policy pricks, the machine realizes n - w more UPs before it
+    leaves the window as the machine clamped to n = w does at once;
+    likewise for DOWN.  Elsewhere the two machines agree.
+    """
+    if policy.regime == "none" or policy.trend_length <= w:
+        return []
+    mask = (1 << w) - 1
+    return [
+        move
+        for move, regulated in ((1, policy.pricks), (0, policy.props))
+        if regulated and next_move(rule, WindowState(move * mask, w)) == move
+    ]
+
+
+def _stretch(
+    init: WindowState, moves: np.ndarray, held: list[int], extra: int
+) -> np.ndarray:
+    """``extra`` for each tick of a clamped run that leaves a held window, else 0."""
+    w = init.width
+    history = np.concatenate((np.array(init.to_moves(), dtype=np.uint8), moves))
+    added = np.zeros(moves.size, dtype=np.int64)
+    for move in held:
+        # seen[i + w] - seen[i] counts the move in the window before tick i
+        seen = np.concatenate(([0], np.cumsum(history == move)))
+        added[seen[w:-1] - seen[: moves.size] == w] = extra
+    return added
 
 
 def simulate(
@@ -183,7 +195,8 @@ def simulate(
     Realized (post-intervention) moves feed back into the window: the
     investor observes the market as regulated.  Trailing runs are
     counted over the whole realized history including the initial
-    window.
+    window.  Runs short against 2**w build no table.  A trend length
+    n > w runs the machine clamped to n = w, then adds its holds.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
@@ -198,16 +211,22 @@ def simulate(
     if num_ticks == 0:
         return TickSeries(moves=np.empty(0, dtype=np.uint8), **meta)
 
-    use_table = (
-        _policy_state_fits_window(policy, w)
-        and num_ticks * _TABLE_PATH_MIN_TICKS_FACTOR * max(w, 1) >= (1 << w)
-    )
-    if use_table:
+    if num_ticks * _TABLE_PATH_MIN_TICKS_FACTOR * w >= (1 << w):
         decisions = _engine.decision_table(rule, w)
         step = _engine.step_table(decisions, w, policy)
         moves = _engine.walk_emit(step, init.bits, num_ticks)
     else:
         moves = _simulate_per_tick(rule, init, policy, num_ticks)
+    held = _held_moves(rule, w, policy)
+    if held:
+        # a hold repeats the move before the tick it delays; holds are
+        # capped at num_ticks, and only the ticks kept are expanded
+        extra = min(policy.trend_length - w, num_ticks)
+        counts = np.append(_stretch(init, moves, held, extra), 0)
+        counts[1:] += 1
+        keep = int(np.searchsorted(np.cumsum(counts), num_ticks)) + 1
+        history = np.append(np.uint8(init.bits & 1), moves)[:keep]
+        moves = np.repeat(history, counts[:keep])[:num_ticks]
     return TickSeries(moves=moves, **meta)
 
 
@@ -217,24 +236,27 @@ def find_cycle(
     init: WindowState,
     policy: RegulationPolicy,
 ) -> CycleReport:
-    """Exact transient and cycle length of the window-state orbit.
+    """Exact transient and cycle length of the closed-loop orbit.
 
     Builds the step table over all 2**w window states (16 MiB of
     32-bit entries at w = 22); orbits longer than 2**w / 64 ticks hold
-    up to two more tables of that size at a time.  With regulation the dynamics
-    is a function of the window alone only when n <= w; larger n raises
-    :class:`UnsupportedConfigError`.
+    up to two more tables of that size at a time.  A trend length n > w
+    walks the machine clamped to n = w, then emits that orbit once to
+    add its holds.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
-    if not _policy_state_fits_window(policy, w):
-        raise UnsupportedConfigError(
-            f"trend length {policy.trend_length} exceeds w={w}: the trailing "
-            "run is no longer determined by the window state"
-        )
     decisions = _engine.decision_table(rule, w)
     step = _engine.step_table(decisions, w, policy)
     transient, cycle = _engine.walk_visit(step, init.bits)
+    held = _held_moves(rule, w, policy)
+    if held:
+        orbit = _engine.walk_emit(step, init.bits, transient + cycle)
+        added = _stretch(init, orbit, held, policy.trend_length - w)
+        transient, cycle = (
+            transient + int(added[:transient].sum()),
+            cycle + int(added[transient:].sum()),
+        )
     return CycleReport(transient_length=transient, cycle_length=cycle)
 
 

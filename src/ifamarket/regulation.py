@@ -10,9 +10,7 @@ initial windows already containing longer runs are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from .ifa import Move
+from typing import Optional
 
 _REGIMES = ("none", "prick", "prop", "both")
 
@@ -72,41 +70,23 @@ class RegulationPolicy:
         return cls(regime, n)
 
 
-@dataclass(frozen=True)
-class TrailingRun:
-    """Direction and length of the maximal constant suffix of a history.
+def apply_policy(policy: RegulationPolicy, window, w: int, intended):
+    """Realized move(s) for w-bit window(s) and the intended move(s).
 
-    ``direction`` is None only for an empty history (length 0).
+    The newest min(n, w) window bits stand for the trailing run: the
+    trigger fires when they are all UP (prick) or all DOWN (prop).  For
+    n > w this is the machine clamped to n = w; ``market`` stretches its
+    orbit back to the true one.  The override sets the move opposite to
+    the run, a no-op when the investor already intended that.  Only
+    operators that a Python int and a numpy array (uint32 windows, uint8
+    moves) share are used, so one function serves a tick and a table.
     """
-
-    direction: Optional[Move]
-    length: int
-
-
-def trailing_run(history: Sequence[Move | int]) -> TrailingRun:
-    """Trailing run of a realized-move history (oldest first)."""
-    if len(history) == 0:
-        return TrailingRun(direction=None, length=0)
-    last = Move(int(history[-1]))
-    length = 0
-    for move in reversed(history):
-        if Move(int(move)) is not last:
-            break
-        length += 1
-    return TrailingRun(direction=last, length=length)
-
-
-def apply_policy(
-    policy: RegulationPolicy, run: TrailingRun, intended: Move
-) -> Move:
-    """Realized move for one tick, given the trailing realized run.
-
-    The override sets the move to the opposite of the run direction; if
-    the investor already intended that direction the reversal is a no-op.
-    """
-    n = policy.trend_length
-    if policy.pricks and run.direction is Move.UP and run.length >= n:
-        return Move.DOWN
-    if policy.props and run.direction is Move.DOWN and run.length >= n:
-        return Move.UP
+    if policy.regime == "none":
+        return intended
+    run_mask = (1 << min(policy.trend_length, w)) - 1
+    newest = window & run_mask
+    if policy.pricks:
+        intended = intended & (newest != run_mask)
+    if policy.props:
+        intended = intended | (newest == 0)
     return intended

@@ -24,18 +24,24 @@ def decide(rule: IfaRule, window: Sequence[int], initial_state: int = 0) -> int:
     return out
 
 
-def apply_regulation(
-    policy: RegulationPolicy, history: Sequence[int], intended: int
-) -> int:
-    """Reference override from the full realized history (oldest first)."""
-    if policy.regime == "none" or not history:
-        return intended
+def last_run(history: Sequence[int]) -> tuple[int, int]:
+    """(direction, length) of the maximal constant suffix of a history."""
     last = history[-1]
     run = 0
     for move in reversed(history):
         if move != last:
             break
         run += 1
+    return last, run
+
+
+def apply_regulation(
+    policy: RegulationPolicy, history: Sequence[int], intended: int
+) -> int:
+    """Reference override from the full realized history (oldest first)."""
+    if policy.regime == "none" or not history:
+        return intended
+    last, run = last_run(history)
     if policy.pricks and last == 1 and run >= policy.trend_length:
         return 0
     if policy.props and last == 0 and run >= policy.trend_length:
@@ -64,24 +70,34 @@ def simulate(
 def orbit(
     rule: IfaRule, init_moves: Sequence[int], policy: RegulationPolicy
 ) -> tuple[int, int]:
-    """Reference (transient, cycle) over window tuples.
+    """Reference (transient, cycle) over the minimal closed-loop state.
 
-    Valid when the policy state fits the window (none, or n <= w), which
-    is the same regime find_cycle supports.
+    The state is the window plus the trailing run capped at n when the
+    policy regulates its direction; nothing else of the history affects
+    a later move.  For n <= w the window alone determines that run, so
+    the orbit is the orbit of window tuples.
     """
     w = len(init_moves)
     history = [int(m) for m in init_moves]
+
+    def state() -> tuple:
+        direction, run = last_run(history)
+        regulated = (policy.pricks and direction == 1) or (
+            policy.props and direction == 0
+        )
+        capped = min(run, policy.trend_length) if regulated else None
+        return tuple(history[-w:]), capped
+
     seen: dict[tuple, int] = {}
     t = 0
-    window = tuple(history[-w:])
-    while window not in seen:
-        seen[window] = t
+    key = state()
+    while key not in seen:
+        seen[key] = t
         intended = decide(rule, history[-w:])
-        realized = apply_regulation(policy, history, intended)
-        history.append(realized)
-        window = tuple(history[-w:])
+        history.append(apply_regulation(policy, history, intended))
+        key = state()
         t += 1
-    first = seen[window]
+    first = seen[key]
     return first, t - first
 
 

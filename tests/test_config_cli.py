@@ -209,3 +209,55 @@ def test_compare_with_prices(tmp_path, capsys):
     assert code == 0
     assert "idx" in capsys.readouterr().out
     assert csv_out.read_text().count("idx,") == 4  # one row per moment
+
+
+def test_simulate_bits_to_stdout(tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--w", "10", "--ticks", "100", "--ticks-format", "bits"]
+    assert run_cli(argv + ["--ticks-out", "t.bits"]) == 0
+    assert run_cli(argv + ["--ticks-out", "-"]) == 0
+    assert capsysbinary.readouterr().out == (tmp_path / "t.bits").read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
+def test_config_wrong_type_exits_cleanly(tmp_path, capsys):
+    with pytest.raises(ValueError, match="'rule'"):
+        RunConfig.from_json('{"rule": "54"}')
+    with pytest.raises(ValueError, match="'ticks_per_day'"):
+        RunConfig.from_json('{"ticks_per_day": true}')
+    assert RunConfig.from_json('{"ticks": null, "scale": 1}').scale == 1
+    bad = tmp_path / "typed.json"
+    bad.write_text('{"rule": "54"}')
+    assert run_cli(["cycle", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("ifamarket: error: ")
+
+
+def test_sweep_w_malformed_exits_cleanly(capsys):
+    assert run_cli(["survey", "--rule", "54", "--sweep-w", "2-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ifamarket: error: ") and "expected LO:HI" in err
+
+
+def test_memory_error_exits_cleanly(monkeypatch, capsys):
+    from ifamarket import _engine
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.00 GiB")
+
+    monkeypatch.setattr(_engine, "step_table", out_of_memory)
+    assert run_cli(["cycle", "--w", "12"]) == 2
+    assert capsys.readouterr().err == "ifamarket: error: Unable to allocate 4.00 GiB\n"
+    def bare(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(_engine, "step_table", bare)
+    assert run_cli(["cycle", "--w", "12"]) == 2
+    assert capsys.readouterr().err == "ifamarket: error: MemoryError\n"
+
+
+def test_cycle_trend_longer_than_window(capsys):
+    # n > w used to exit 2; the orbit now includes the run held past w
+    assert run_cli(["cycle", "--rule", "85", "--w", "3", "--init", "all_up",
+                    "--policy", "prick:5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["transient_length"], payload["cycle_length"]) == (0, 6)

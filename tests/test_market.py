@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ifamarket.ifa import Move, decode_rule
 from ifamarket.market import (
     CycleReport,
-    UnsupportedConfigError,
     WindowState,
     find_cycle,
     initial_window,
@@ -119,18 +120,59 @@ def test_simulate_matches_reference(k, w, init_bits, regime, n, ticks):
     w=st.integers(min_value=2, max_value=8),
     init_bits=st.integers(min_value=0, max_value=(1 << 8) - 1),
     regime=st.sampled_from(["none", "prick", "prop", "both"]),
-    n=st.integers(min_value=1, max_value=8),
+    data=st.data(),
 )
-def test_find_cycle_matches_reference(k, w, init_bits, regime, n):
+def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
-    policy = NONE if regime == "none" else RegulationPolicy(regime, min(n, w))
+    n = data.draw(st.integers(min_value=1, max_value=3 * w), label="n")
+    policy = NONE if regime == "none" else RegulationPolicy(regime, n)
     report = find_cycle(decode_rule(k), w, init, policy)
     transient, cycle = oracles.orbit(
         decode_rule(k), [int(m) for m in init.to_moves()], policy
     )
     assert (report.transient_length, report.cycle_length) == (transient, cycle)
-    assert 1 <= report.cycle_length <= 1 << w
-    assert report.transient_length + report.cycle_length <= 1 << w
+    # a trend length n > w adds at most n - w states per all-UP / all-DOWN window
+    states = (1 << w) + 2 * max(n - w, 0)
+    assert 1 <= report.cycle_length <= states
+    assert report.transient_length + report.cycle_length <= states
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=255),
+    w=st.integers(min_value=1, max_value=9),
+    init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
+    regime=st.sampled_from(["prick", "prop", "both"]),
+    path=st.sampled_from(["auto", "table", "per-tick", "hop"]),
+    ticks=st.integers(min_value=0, max_value=120),
+    data=st.data(),
+)
+def test_trend_longer_than_window_matches_reference(
+    k, w, init_bits, regime, path, ticks, data
+):
+    # n > w: the clamped machine stretched at its held windows, on every
+    # engine path, against the oracles that track the whole history
+    from ifamarket import _engine, market
+
+    init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
+    n = data.draw(st.integers(min_value=w + 1, max_value=3 * w), label="n")
+    policy = RegulationPolicy(regime, n)
+    init_moves = [int(m) for m in init.to_moves()]
+    with pytest.MonkeyPatch.context() as mp:
+        if path != "auto":
+            factor = 0 if path == "per-tick" else 1 << 40
+            mp.setattr(market, "_TABLE_PATH_MIN_TICKS_FACTOR", factor)
+        if path == "hop":
+            mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
+            mp.setattr(_engine, "_DIRECT_EMIT_SHIFT", 64)
+        series = simulate(decode_rule(k), w, init, policy, ticks)
+        report = find_cycle(decode_rule(k), w, init, policy)
+    assert series.moves.tolist() == oracles.simulate(
+        decode_rule(k), init_moves, policy, ticks
+    )
+    assert (report.transient_length, report.cycle_length) == oracles.orbit(
+        decode_rule(k), init_moves, policy
+    )
 
 
 def test_find_cycle_constant_rule_fixed_point():
@@ -138,24 +180,40 @@ def test_find_cycle_constant_rule_fixed_point():
     assert report == CycleReport(transient_length=0, cycle_length=1)
 
 
-def test_find_cycle_rejects_run_state_wider_than_window():
-    with pytest.raises(UnsupportedConfigError):
-        find_cycle(
-            decode_rule(54),
-            4,
-            initial_window("all_up", 4),
-            RegulationPolicy("prick", 5),
-        )
+def test_find_cycle_supports_run_state_wider_than_window():
+    rule = decode_rule(54)
+    init = initial_window("all_up", 4)
+    policy = RegulationPolicy("prick", 5)
+    report = find_cycle(rule, 4, init, policy)
+    assert (report.transient_length, report.cycle_length) == oracles.orbit(
+        rule, [1, 1, 1, 1], policy
+    )
+    # constant UP holds all-UP for n - w = 2 ticks past the clamped machine
+    report = find_cycle(decode_rule(85), 3, initial_window("all_up", 3), policy)
+    assert report == CycleReport(transient_length=0, cycle_length=6)
+    assert oracles.orbit(decode_rule(85), [1, 1, 1], policy) == (0, 6)
 
 
 def test_simulate_supports_run_state_wider_than_window():
-    # trend length beyond w forces the per-tick path with a true run counter
+    # trend length beyond w: all-UP is held n - w ticks past the clamped machine
     rule = decode_rule(85)  # constant UP
     series = simulate(
         rule, 3, initial_window("all_up", 3), RegulationPolicy("prick", 5), 8
     )
     # history starts with 3 UPs; runs reach 5 then get pricked
     assert series.moves.tolist() == [1, 1, 0, 1, 1, 1, 1, 1]
+
+
+def test_simulate_huge_trend_length_returns_quickly():
+    # the hold before the first prick is capped at the ticks asked for
+    for n in (10**9, 10**18):
+        start = time.perf_counter()
+        series = simulate(
+            decode_rule(85), 3, initial_window("all_up", 3),
+            RegulationPolicy("prick", n), 50,
+        )
+        assert series.moves.tolist() == [1] * 50
+        assert time.perf_counter() - start < 1.0
 
 
 def test_determinism_same_inputs_same_series():
@@ -211,17 +269,26 @@ def test_pure_python_walk_fallback(monkeypatch):
     # path that hops w ticks at a time through step**w
     from ifamarket import _engine
 
-    rule = decode_rule(54)
     w = 10
-    policy = RegulationPolicy("prick", 3)
-    # from all-UP the orbit has transient 101 and cycle 27; neither the
-    # cycle nor 3001 ticks is a multiple of w
-    cases = [("alternating_up_first", 3000), ("all_up", 3001), ("all_up", 100)]
+    prick3 = RegulationPolicy("prick", 3)
+    prick13 = RegulationPolicy("prick", 13)
+    # rule 54 from all-UP under prick:3 has transient 101 and cycle 27;
+    # neither the cycle nor 3001 ticks is a multiple of w.  prick:13 runs
+    # past the window: rule 54 decides DOWN at all-UP, so nothing is held,
+    # while rule 156 decides UP there and holds it 3 ticks (transient 4)
+    cases = [
+        (54, "alternating_up_first", 3000, prick3),
+        (54, "all_up", 3001, prick3),
+        (54, "all_up", 100, prick3),
+        (54, "all_up", 3001, prick13),
+        (156, "all_up", 3001, prick13),
+    ]
     for shift in (None, 0, 64):
         if shift is not None:
             monkeypatch.setattr(_engine, "_DIRECT_VISIT_SHIFT", shift)
             monkeypatch.setattr(_engine, "_DIRECT_EMIT_SHIFT", shift)
-        for kind, ticks in cases:
+        for k, kind, ticks, policy in cases:
+            rule = decode_rule(k)
             init = initial_window(kind, w)
             init_moves = [int(m) for m in init.to_moves()]
             report = find_cycle(rule, w, init, policy)
@@ -232,8 +299,11 @@ def test_pure_python_walk_fallback(monkeypatch):
             assert series.moves.tolist() == oracles.simulate(
                 rule, init_moves, policy, ticks
             )
-    long_orbit = find_cycle(rule, w, initial_window("all_up", w), policy)
+    rule = decode_rule(54)
+    long_orbit = find_cycle(rule, w, initial_window("all_up", w), prick3)
     assert long_orbit.transient_length > 0 and long_orbit.cycle_length % w != 0
+    held = find_cycle(decode_rule(156), w, initial_window("all_up", w), prick13)
+    assert held == CycleReport(transient_length=4, cycle_length=889)
 
 
 def test_cycle_validity_window_recurrence():

@@ -1,103 +1,107 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ifamarket.ifa import Move
-from ifamarket.regulation import (
-    RegulationPolicy,
-    TrailingRun,
-    apply_policy,
-    trailing_run,
-)
+from ifamarket.regulation import RegulationPolicy, apply_policy
 
 
-def test_trailing_run_examples():
-    up, down = Move.UP, Move.DOWN
-    assert trailing_run([up, up, down, down, down]) == TrailingRun(down, 3)
-    assert trailing_run([up]) == TrailingRun(up, 1)
-    assert trailing_run([]) == TrailingRun(None, 0)
+def _window(oldest_first: str) -> int:
+    """Window bits from a U/D string, newest move in bit 0."""
+    return int(oldest_first.replace("U", "1").replace("D", "0"), 2)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1), max_size=60))
-def test_trailing_run_matches_suffix_scan(history):
-    run = trailing_run(history)
-    assert run.length <= len(history)
-    if history:
-        suffix = history[-run.length :]
-        assert all(m == int(run.direction) for m in suffix)
-        if run.length < len(history):
-            assert history[-run.length - 1] != int(run.direction)
-    else:
-        assert run.length == 0
+def _up_run(window: int) -> int:
+    """Trailing UP run seen in the window (bit 0 = newest)."""
+    return (window ^ (window + 1)).bit_length() - 1
 
 
 def test_apply_prick_fires_at_threshold():
     policy = RegulationPolicy("prick", 3)
-    assert apply_policy(policy, TrailingRun(Move.UP, 3), Move.UP) is Move.DOWN
-    assert apply_policy(policy, TrailingRun(Move.UP, 2), Move.UP) is Move.UP
+    assert apply_policy(policy, _window("DDUUU"), 5, Move.UP) == Move.DOWN
+    assert apply_policy(policy, _window("UDDUU"), 5, Move.UP) == Move.UP
     # above threshold also fires (robust to long initial runs)
-    assert apply_policy(policy, TrailingRun(Move.UP, 7), Move.UP) is Move.DOWN
+    assert apply_policy(policy, _window("UUUUUUU"), 7, Move.UP) == Move.DOWN
     # no-op reversal when the investor already reverses
-    assert apply_policy(policy, TrailingRun(Move.UP, 3), Move.DOWN) is Move.DOWN
+    assert apply_policy(policy, _window("DDUUU"), 5, Move.DOWN) == Move.DOWN
+    # n > w reads the whole window: the clamped machine fires at all-UP only
+    wide = RegulationPolicy("prick", 9)
+    assert apply_policy(wide, _window("UUUU"), 4, Move.UP) == Move.DOWN
+    assert apply_policy(wide, _window("DUUU"), 4, Move.UP) == Move.UP
 
 
 def test_apply_prop_fires_at_threshold():
     policy = RegulationPolicy("prop", 3)
-    assert apply_policy(policy, TrailingRun(Move.DOWN, 3), Move.DOWN) is Move.UP
-    assert apply_policy(policy, TrailingRun(Move.DOWN, 2), Move.DOWN) is Move.DOWN
+    assert apply_policy(policy, _window("UUDDD"), 5, Move.DOWN) == Move.UP
+    assert apply_policy(policy, _window("DUUDD"), 5, Move.DOWN) == Move.DOWN
 
 
 def test_apply_none_is_identity():
     policy = RegulationPolicy("none")
-    for direction in (Move.UP, Move.DOWN, None):
-        for length in (0, 1, 9):
-            if direction is None and length:
-                continue
+    for w in (1, 4, 9):
+        for window in range(1 << w):
             for intended in (Move.UP, Move.DOWN):
-                run = TrailingRun(direction, length)
-                assert apply_policy(policy, run, intended) is intended
+                assert apply_policy(policy, window, w, intended) is intended
+
+
+def test_apply_policy_tables_match_single_windows():
+    # one function decides a tick (Python ints) and a table (numpy arrays)
+    w = 7
+    windows = np.arange(1 << w, dtype=np.uint32)
+    decisions = ((windows * 2654435761) >> 5 & 1).astype(np.uint8)
+    for regime in ("none", "prick", "prop", "both"):
+        for n in range(1, w + 3):
+            policy = RegulationPolicy(regime, None if regime == "none" else n)
+            table = apply_policy(policy, windows, w, decisions)
+            ticks = [
+                int(apply_policy(policy, int(x), w, int(d)))
+                for x, d in zip(windows, decisions)
+            ]
+            assert table.tolist() == ticks
+            if regime == "none":
+                break
 
 
 @given(
     regime=st.sampled_from(["prick", "prop", "both"]),
-    n=st.integers(min_value=1, max_value=25),
-    direction=st.sampled_from([Move.UP, Move.DOWN]),
-    length=st.integers(min_value=0, max_value=50),
+    n=st.integers(min_value=1, max_value=40),
+    w=st.integers(min_value=1, max_value=30),
+    bits=st.integers(min_value=0, max_value=(1 << 30) - 1),
     intended=st.sampled_from([Move.UP, Move.DOWN]),
 )
-def test_mirror_symmetry_of_mechanism(regime, n, direction, length, intended):
+def test_mirror_symmetry_of_mechanism(regime, n, w, bits, intended):
+    mask = (1 << w) - 1
+    window = bits & mask
     mirrored_regime = {"prick": "prop", "prop": "prick", "both": "both"}[regime]
     lhs = apply_policy(
-        RegulationPolicy(mirrored_regime, n),
-        TrailingRun(direction.mirror(), length),
-        intended.mirror(),
+        RegulationPolicy(mirrored_regime, n), window ^ mask, w, intended.mirror()
     )
-    rhs = apply_policy(
-        RegulationPolicy(regime, n), TrailingRun(direction, length), intended
-    ).mirror()
-    assert lhs is rhs
+    rhs = 1 - apply_policy(RegulationPolicy(regime, n), window, w, intended)
+    assert lhs == rhs
 
 
 @given(
-    n=st.integers(min_value=1, max_value=10),
-    direction=st.sampled_from([Move.UP, Move.DOWN]),
-    length=st.integers(min_value=0, max_value=30),
+    n=st.integers(min_value=1, max_value=12),
+    w=st.integers(min_value=1, max_value=30),
+    bits=st.integers(min_value=0, max_value=(1 << 30) - 1),
     intended=st.sampled_from([Move.UP, Move.DOWN]),
 )
-def test_both_agrees_with_whichever_single_regime_fires(n, direction, length, intended):
-    run = TrailingRun(direction, length)
-    both = apply_policy(RegulationPolicy("both", n), run, intended)
-    prick = apply_policy(RegulationPolicy("prick", n), run, intended)
-    prop = apply_policy(RegulationPolicy("prop", n), run, intended)
+def test_both_agrees_with_whichever_single_regime_fires(n, w, bits, intended):
+    window = bits & ((1 << w) - 1)
+    both = apply_policy(RegulationPolicy("both", n), window, w, intended)
+    prick = apply_policy(RegulationPolicy("prick", n), window, w, intended)
+    prop = apply_policy(RegulationPolicy("prop", n), window, w, intended)
     # a trailing run has one direction, so at most one trigger fires
-    assert both is (prick if prick is not intended else prop)
+    assert both == (prick if prick != intended else prop)
 
 
 def test_prick_caps_new_run_length():
     policy = RegulationPolicy("prick", 4)
-    for length in range(12):
-        realized = apply_policy(policy, TrailingRun(Move.UP, length), Move.UP)
-        new_run = length + 1 if realized is Move.UP else 1
-        assert new_run <= 4 or realized is Move.DOWN
+    for w in range(1, 13):
+        for window in range(1 << w):
+            realized = apply_policy(policy, window, w, Move.UP)
+            new_run = _up_run(window) + 1 if realized == Move.UP else 0
+            assert new_run <= 4 or realized == Move.DOWN
 
 
 def test_policy_literals_round_trip():
