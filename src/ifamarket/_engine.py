@@ -7,8 +7,11 @@ ticks ago (bit 0 = newest).  The closed-loop dynamics is a map over the
 that agree on their newest bits), which costs about 2 * 2**w cheap array
 operations instead of w * 2**w.
 
-Orbit walks use numpy alone.  Short orbits and short runs are walked
-tick by tick.  Long ones hop w ticks at a time through step**w (built by
+Most orbits close long before 2**w ticks, so a scalar machine walks
+them first: it decides one window at a time from the rule's 2x2 tables
+and builds nothing of size 2**w.  Orbits that outlast its budget, and
+long runs, use the tables.  Table walks use numpy alone: short runs go
+tick by tick, long ones hop w ticks at a time through step**w (built by
 repeated squaring), so Python runs one step per w ticks; each tick's
 window is rebuilt from two consecutive hop states with shifts.  All
 state arrays are uint32, which holds every window for w <= 30.
@@ -16,18 +19,99 @@ state arrays are uint32, which holds every window for w <= 30.
 
 from __future__ import annotations
 
+import os
+from typing import Callable, Optional
+
 import numpy as np
 
 from .ifa import IfaRule
 from .regulation import RegulationPolicy, apply_policy
 
-# Where tick-by-tick walks stop paying (2-core x86 host, numpy 2.4, w = 22):
-# a direct emit costs ~0.3 us per tick against ~0.18 s for the hop path, so
-# runs of 2**w / 8 ticks or more hop.  A direct orbit search (~0.5 us per
-# tick with its dict) that finds no repeat is wasted, so it gives up after
-# 2**w / 64 ticks, about a tenth of what the hop path then costs.
-_DIRECT_VISIT_SHIFT = 6
+# Where a tick-by-tick table walk stops paying (2-core x86 host, numpy 2.4,
+# w = 22): a direct emit costs ~0.3 us per tick against ~0.18 s for the hop
+# path, so runs of 2**w / 8 ticks or more hop.
 _DIRECT_EMIT_SHIFT = 3
+
+# bytes per window that the table path may hold at once: the decision
+# table (1), the step table (4) and two step**w temporaries (4 each)
+_TABLE_BYTES_PER_WINDOW = 1 + 4 + 2 * 4
+
+
+def scalar_decision(rule: IfaRule, w: int) -> Callable[[int], int]:
+    """``decide(window)``: the intended move for one w-bit window.
+
+    Reads the window newest-first from automaton state 0 through the
+    rule's 2x2 next-state and output tables, exactly as the trie of
+    :func:`decision_table` does, and builds nothing of size 2**w.  The
+    next-state table is first composed into one that reads four window
+    bits per lookup.
+    """
+    nxt = tuple(tuple(rule.next_state(s, b) for b in (0, 1)) for s in (0, 1))
+    out = tuple(tuple(rule.output(s, b) for b in (0, 1)) for s in (0, 1))
+    nibble = nxt
+    for width in (1, 2):  # read 2, then 4 bits: low half first
+        nibble = tuple(
+            tuple(
+                nibble[nibble[s][bits & ((1 << width) - 1)]][bits >> width]
+                for bits in range(1 << 2 * width)
+            )
+            for s in (0, 1)
+        )
+    nibbles, bits = divmod(w - 1, 4)
+
+    def decide(window: int) -> int:
+        state = 0
+        for _ in range(nibbles):
+            state = nibble[state][window & 15]
+            window >>= 4
+        for _ in range(bits):
+            state = nxt[state][window & 1]
+            window >>= 1
+        return out[state][window & 1]
+
+    return decide
+
+
+def walk_scalar(
+    rule: IfaRule, w: int, policy: RegulationPolicy, start: int, limit: int
+) -> tuple[list[int], Optional[int]]:
+    """Windows of the orbit of ``start``, walked for at most ``limit`` ticks.
+
+    Returns ``(windows, first)`` with ``windows[t]`` the window after t
+    ticks.  The walk stops at the first repeat, so that ``windows[-1] ==
+    windows[first]``; if none comes within ``limit`` ticks, ``first`` is
+    None and ``windows`` holds ``limit + 1`` windows.  Moves pass through
+    :func:`~ifamarket.regulation.apply_policy` as in :func:`step_table`.
+    """
+    decide = scalar_decision(rule, w)
+    mask = (1 << w) - 1
+    seen: dict[int, int] = {}  # window -> tick; keeps the windows in order
+    x = int(start)
+    for t in range(limit + 1):
+        if x in seen:
+            return [*seen, x], seen[x]
+        seen[x] = t
+        x = ((x << 1) & mask) | apply_policy(policy, x, w, decide(x))
+    return list(seen), None
+
+
+def available_memory() -> Optional[int]:
+    """Bytes that new allocations can take now, or None where unknown."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _mib(size: int) -> str:
+    return f"{size / (1 << 20):,.0f} MiB"
 
 
 def decision_table(rule: IfaRule, w: int, initial_state: int = 0) -> np.ndarray:
@@ -37,7 +121,19 @@ def decision_table(rule: IfaRule, w: int, initial_state: int = 0) -> np.ndarray:
     keyed on the j newest bits: entry p of the j-th level holds the
     automaton state after reading bits 0..j-1 of any window whose low j
     bits equal p.
+
+    Every table path starts here, so this is where it checks, before
+    allocating anything, that the tables it may hold at once fit in the
+    memory available; if not it raises :class:`MemoryError`.
     """
+    available = available_memory()
+    if available is not None and _TABLE_BYTES_PER_WINDOW << w > available:
+        raise MemoryError(
+            f"the tables for w = {w} need up to "
+            f"{_mib(_TABLE_BYTES_PER_WINDOW << w)} (decision {_mib(1 << w)}, "
+            f"step {_mib(4 << w)}, two step**w temporaries of {_mib(4 << w)}), "
+            f"but only {_mib(available)} is available"
+        )
     # int16 keeps the t0b + s * (t1b - t0b) trick free of uint8 underflow
     nxt = np.array(
         [[rule.next_state(s, b) for b in (0, 1)] for s in (0, 1)], dtype=np.int16
@@ -72,22 +168,6 @@ def step_table(
     values = np.arange(n_states, dtype=np.uint32)
     realized = apply_policy(policy, values, w, decisions)
     return ((values << np.uint32(1)) & mask) | realized.astype(np.uint32)
-
-
-def _direct_visit(step: np.ndarray, start: int, limit: int):
-    """(transient, cycle) if the orbit closes within ``limit`` ticks, else None."""
-    nxt = memoryview(step)
-    seen = {}
-    x = start
-    t = 0
-    while x not in seen:
-        if t == limit:
-            return None
-        seen[x] = t
-        x = nxt[x]
-        t += 1
-    first = seen[x]
-    return first, t - first
 
 
 def _power(step: np.ndarray, exponent: int) -> np.ndarray:
@@ -140,25 +220,27 @@ def _orbit_states(step: np.ndarray, start: int, count: int) -> np.ndarray:
     return states.reshape(-1)[:count]
 
 
-def walk_visit(step: np.ndarray, start: int) -> tuple[int, int]:
-    """(transient, cycle length) of the orbit of ``start`` under ``step``.
+def walk_orbit(step: np.ndarray, start: int) -> tuple[int, int, np.ndarray]:
+    """(transient, cycle length, states) of the orbit of ``start`` under ``step``.
 
     ``step`` is a uint32 next-window table as built by :func:`step_table`:
     every state shifts one bit left and takes its realized move as bit 0.
-    Orbits closing within 2**w >> _DIRECT_VISIT_SHIFT ticks are found by
-    a direct walk.  Longer ones take the hop path over all 2**w + 1
-    first states, which must contain a repeat: the last of them lies on
-    the cycle, its previous occurrence gives the cycle length, and the
-    first state equal to the one a cycle later ends the transient.
+    The hop path gives the 2**w + 1 first states, which must contain a
+    repeat: the last of them lies on the cycle, its previous occurrence
+    gives the cycle length, and the first state equal to the one a cycle
+    later ends the transient.  ``states[t]`` is the window after t ticks,
+    so ``states[1:] & 1`` are the realized moves.
     """
-    n_states = step.size
-    found = _direct_visit(step, int(start), n_states >> _DIRECT_VISIT_SHIFT)
-    if found is not None:
-        return found
-    states = _orbit_states(step, int(start), n_states + 1)
+    states = _orbit_states(step, int(start), step.size + 1)
     previous = states[:-1] == states[-1]
     cycle = 1 + int(np.argmax(previous[::-1]))
     transient = int(np.argmax(states[:-cycle] == states[cycle:]))
+    return transient, cycle, states
+
+
+def walk_visit(step: np.ndarray, start: int) -> tuple[int, int]:
+    """(transient, cycle length) of the orbit of ``start``; see :func:`walk_orbit`."""
+    transient, cycle, _ = walk_orbit(step, start)
     return transient, cycle
 
 

@@ -23,8 +23,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _engine
 from .ifa import IfaRule, decode_rule
-from .market import TickSeries, WindowState, find_cycle, simulate
+from .market import TickSeries, WindowState, _scalar_budget, find_cycle, simulate
 from .regulation import RegulationPolicy
 
 DEFAULT_TICKS_PER_DAY = 2048
@@ -186,11 +187,14 @@ def summarize_regime(
     scale: float = DEFAULT_SCALE,
     window_days: int = DEFAULT_WINDOW_DAYS,
     days_per_year: int = DEFAULT_DAYS_PER_YEAR,
+    *,
+    decisions: Optional[np.ndarray] = None,
 ) -> RegimeSummary:
     """Simulate, aggregate, roll, annualize, and reduce to one table row.
 
     ``ticks=None`` simulates transient + one full cycle of the policy's
     own orbit, floored at enough ticks for one rolling window.
+    ``decisions`` is passed on to :func:`~ifamarket.market.simulate`.
     """
     if isinstance(rule, int):
         rule = decode_rule(rule)
@@ -200,7 +204,7 @@ def summarize_regime(
             report.transient_length + report.cycle_length,
             window_days * ticks_per_day,
         )
-    series = simulate(rule, w, init, policy, ticks)
+    series = simulate(rule, w, init, policy, ticks, decisions=decisions)
     days = aggregate_days(series, ticks_per_day=ticks_per_day, scale=scale)
     rolled = annualize(
         rolling_moments(days, window_days=window_days), days_per_year
@@ -215,7 +219,7 @@ def summarize_regime(
     )
 
 
-def _summarize_one(args) -> RegimeSummary:
+def _summarize_one(args, decisions: Optional[np.ndarray] = None) -> RegimeSummary:
     rule_number, w, init_bits, policy_literal, kwargs = args
     return summarize_regime(
         decode_rule(rule_number),
@@ -223,6 +227,7 @@ def _summarize_one(args) -> RegimeSummary:
         WindowState(bits=init_bits, width=w),
         RegulationPolicy.parse(policy_literal),
         **kwargs,
+        decisions=decisions,
     )
 
 
@@ -245,7 +250,8 @@ def table1(
     comparable: by default, transient + one full cycle of the
     *unregulated* process (regulated orbits are typically much shorter
     than one rolling window).  Rows come back sorted: none first, then
-    by regime name and n.
+    by regime name and n.  With one worker, rows that walk the tables
+    share one decision table.
     """
     if isinstance(rule, int):
         rule = decode_rule(rule)
@@ -271,7 +277,10 @@ def table1(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_summarize_one, jobs))
     else:
-        rows = [_summarize_one(job) for job in jobs]
+        decisions = (
+            _engine.decision_table(rule, w) if ticks >= _scalar_budget(w) else None
+        )
+        rows = [_summarize_one(job, decisions) for job in jobs]
     return sorted(rows, key=_row_order)
 
 

@@ -16,12 +16,13 @@ import numpy as np
 
 from . import _engine
 from .ifa import IfaRule, Move, process_window
-from .regulation import RegulationPolicy, apply_policy
+from .regulation import RegulationPolicy
 
 MAX_WINDOW_WIDTH = 30  # dense 2**w uint32 tables must fit in memory
 
-# below this many ticks the per-tick path beats building a 2**w table;
-# run size alone decides, since tables for short runs raise peak memory
+# on a 2-core x86 host a scalar tick costs 1.3-2 us at w = 22, growing with
+# w, and the decision and step tables 25-60 ms, growing with 2**w: the
+# 2**w / (8w) = 23,832 scalar ticks at w = 22 cost about what the tables do
 _TABLE_PATH_MIN_TICKS_FACTOR = 8
 
 
@@ -135,19 +136,42 @@ def next_move(rule: IfaRule, window: WindowState) -> Move:
     return process_window(rule, window.to_moves())
 
 
-def _simulate_per_tick(
+def _scalar_budget(w: int) -> int:
+    """Ticks a table-free walk may take: about the cost of the tables."""
+    return -(-(1 << w) // (_TABLE_PATH_MIN_TICKS_FACTOR * w))
+
+
+def _orbit(
     rule: IfaRule,
-    window: WindowState,
+    w: int,
+    init: WindowState,
     policy: RegulationPolicy,
-    num_ticks: int,
-) -> np.ndarray:
-    moves = np.empty(num_ticks, dtype=np.uint8)
-    for i in range(num_ticks):
-        intended = next_move(rule, window)
-        realized = apply_policy(policy, window.bits, window.width, intended)
-        moves[i] = realized
-        window = window.slide(realized)
-    return moves
+    with_moves: bool = False,
+) -> tuple[int, int, Optional[np.ndarray]]:
+    """(transient, cycle, moves) of the machine clamped to n = w.
+
+    The scalar walk goes first; only an orbit that outlasts its budget
+    builds the tables and takes the hop path.  ``moves`` are the realized
+    moves of the first transient + cycle ticks, from whichever walk found
+    the orbit, if ``with_moves``; else None.
+    """
+    windows, transient = _engine.walk_scalar(
+        rule, w, policy, init.bits, _scalar_budget(w)
+    )
+    if transient is not None:
+        cycle = len(windows) - 1 - transient
+    else:
+        step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
+        if not with_moves:
+            return (*_engine.walk_visit(step, init.bits), None)
+        transient, cycle, windows = _engine.walk_orbit(step, init.bits)
+    moves = _moves(windows[1 : transient + cycle + 1]) if with_moves else None
+    return transient, cycle, moves
+
+
+def _moves(windows: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The realized moves that produced ``windows``: their newest bits."""
+    return (np.asarray(windows, dtype=np.uint32) & 1).astype(np.uint8)
 
 
 def _held_moves(rule: IfaRule, w: int, policy: RegulationPolicy) -> list[int]:
@@ -189,14 +213,20 @@ def simulate(
     init: WindowState,
     policy: RegulationPolicy,
     num_ticks: int,
+    *,
+    decisions: Optional[np.ndarray] = None,
 ) -> TickSeries:
     """Generate the realized tick series.
 
     Realized (post-intervention) moves feed back into the window: the
     investor observes the market as regulated.  Trailing runs are
     counted over the whole realized history including the initial
-    window.  Runs short against 2**w build no table.  A trend length
-    n > w runs the machine clamped to n = w, then adds its holds.
+    window.  Runs shorter than the scalar budget build no table: they are
+    walked window by window, and once a window repeats the rest is the
+    cycle tiled.  Longer runs walk the step table, built from
+    ``decisions`` when given (the rule's :func:`_engine.decision_table`
+    for this w, to share across calls).  A trend length n > w runs the
+    machine clamped to n = w, then adds its holds.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
@@ -211,12 +241,18 @@ def simulate(
     if num_ticks == 0:
         return TickSeries(moves=np.empty(0, dtype=np.uint8), **meta)
 
-    if num_ticks * _TABLE_PATH_MIN_TICKS_FACTOR * w >= (1 << w):
-        decisions = _engine.decision_table(rule, w)
+    if num_ticks < _scalar_budget(w):
+        windows, first = _engine.walk_scalar(rule, w, policy, init.bits, num_ticks)
+        moves = _moves(windows[1:])
+        if first is not None:
+            moves = np.concatenate(
+                (moves[:first], np.resize(moves[first:], num_ticks - first))
+            )
+    else:
+        if decisions is None:
+            decisions = _engine.decision_table(rule, w)
         step = _engine.step_table(decisions, w, policy)
         moves = _engine.walk_emit(step, init.bits, num_ticks)
-    else:
-        moves = _simulate_per_tick(rule, init, policy, num_ticks)
     held = _held_moves(rule, w, policy)
     if held:
         # a hold repeats the move before the tick it delays; holds are
@@ -238,20 +274,18 @@ def find_cycle(
 ) -> CycleReport:
     """Exact transient and cycle length of the closed-loop orbit.
 
-    Builds the step table over all 2**w window states (16 MiB of
-    32-bit entries at w = 22); orbits longer than 2**w / 64 ticks hold
-    up to two more tables of that size at a time.  A trend length n > w
-    walks the machine clamped to n = w, then emits that orbit once to
-    add its holds.
+    Walks the orbit without tables for up to about 2**w / (8w) ticks.
+    An orbit that lasts longer builds the step table over all 2**w
+    window states (16 MiB of 32-bit entries at w = 22) and hops through
+    step**w, holding up to two more tables of that size at a time.  A
+    trend length n > w walks the machine clamped to n = w, then adds its
+    holds to the moves of that walk.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
-    decisions = _engine.decision_table(rule, w)
-    step = _engine.step_table(decisions, w, policy)
-    transient, cycle = _engine.walk_visit(step, init.bits)
     held = _held_moves(rule, w, policy)
+    transient, cycle, orbit = _orbit(rule, w, init, policy, with_moves=bool(held))
     if held:
-        orbit = _engine.walk_emit(step, init.bits, transient + cycle)
         added = _stretch(init, orbit, held, policy.trend_length - w)
         transient, cycle = (
             transient + int(added[:transient].sum()),

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .ifa import IfaRule, decode_rule, encode_rule
-from .market import WindowState, find_cycle, simulate
+from .market import WindowState, _orbit
 from .regulation import RegulationPolicy
 
 DEFAULT_LONG_CYCLE_FRACTION = 0.25
@@ -60,27 +60,24 @@ def classify_rule(
     """Classify one rule from its unregulated orbit out of ``init``."""
     if isinstance(rule, int):
         rule = decode_rule(rule)
-    policy = RegulationPolicy("none")
-    report = find_cycle(rule, w, init, policy)
-    series = simulate(
-        rule, w, init, policy, report.transient_length + report.cycle_length
+    if init.width != w:
+        raise ValueError(f"initial window width {init.width} != w {w}")
+    # one walk gives the orbit and its moves
+    transient, cycle, moves = _orbit(
+        rule, w, init, RegulationPolicy("none"), with_moves=True
     )
-    cycle_moves = series.moves[report.transient_length :]
-    ratio = compression_ratio(cycle_moves)
-    if report.cycle_length == 1:
+    ratio = compression_ratio(moves[transient:])
+    if cycle == 1:
         rule_class = "fixed"
-    elif (
-        report.cycle_length >= long_cycle_fraction * (1 << w)
-        and ratio > compression_threshold
-    ):
+    elif cycle >= long_cycle_fraction * (1 << w) and ratio > compression_threshold:
         rule_class = "complex"
     else:
         rule_class = "short_period"
     return RuleClassification(
         rule_number=rule.rule_number,
         w=w,
-        transient_length=report.transient_length,
-        cycle_length=report.cycle_length,
+        transient_length=transient,
+        cycle_length=cycle,
         compression_ratio=ratio,
         rule_class=rule_class,
     )

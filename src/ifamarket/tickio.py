@@ -40,25 +40,28 @@ def _header_lines(series: TickSeries, magic: str) -> list[str]:
     ]
 
 
-def _run_lengths(moves: np.ndarray) -> list[tuple[int, int]]:
-    if moves.size == 0:
-        return []
-    boundaries = np.flatnonzero(np.diff(moves.astype(np.int8))) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [moves.size]))
-    return [(int(moves[s]), int(e - s)) for s, e in zip(starts, ends)]
-
-
 def write_rle(series: TickSeries, stream: io.TextIOBase) -> None:
     for line in _header_lines(series, _MAGIC_RLE):
         stream.write(line + "\n")
     stream.write("\n")
-    tokens = [
-        f"{length}{'U' if value else 'D'}"
-        for value, length in _run_lengths(series.moves)
-    ]
-    for i in range(0, len(tokens), _RLE_TOKENS_PER_LINE):
-        stream.write(" ".join(tokens[i : i + _RLE_TOKENS_PER_LINE]) + "\n")
+    moves = series.moves
+    if moves.size == 0:
+        return
+    boundaries = np.flatnonzero(moves[1:] != moves[:-1]) + 1
+    lengths = np.diff(boundaries, prepend=0, append=moves.size)
+    # runs alternate and a full line holds an even number of them, so
+    # every line starts with the letter of the first run
+    letters = "UD" if moves[0] else "DU"
+    tokens = [f"%d{letters[i % 2]}" for i in range(_RLE_TOKENS_PER_LINE)]
+    line = " ".join(tokens) + "\n"
+    chunk = 4096 * _RLE_TOKENS_PER_LINE  # runs formatted per write
+    for lo in range(0, lengths.size, chunk):
+        runs = lengths[lo : lo + chunk].tolist()
+        full, rest = divmod(len(runs), _RLE_TOKENS_PER_LINE)
+        text = line * full
+        if rest:
+            text += " ".join(tokens[:rest]) + "\n"
+        stream.write(text % tuple(runs))
 
 
 def read_rle(stream: io.TextIOBase) -> TickSeries:

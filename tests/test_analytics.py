@@ -11,7 +11,12 @@ from ifamarket.analytics import (
     max_deviation,
     quantile_summary,
     rolling_moments,
+    summarize_regime,
+    table1,
 )
+from ifamarket.ifa import decode_rule
+from ifamarket.market import initial_window
+from ifamarket.regulation import RegulationPolicy
 
 import oracles
 
@@ -172,3 +177,39 @@ def test_day_return_bound_invariant():
         DayReturns(
             returns=np.array([0.6]), ticks_per_day=2048, scale=0.00025
         )
+
+
+def test_table1_builds_one_decision_table(monkeypatch):
+    # with one worker every row walks the tables of one shared decision
+    # table, and the rows equal rows summarized one at a time
+    from ifamarket import _engine
+
+    init = initial_window("alternating_up_first", 12)
+    small = dict(ticks_per_day=64, window_days=8)
+    calls = []
+    decision_table = _engine.decision_table
+
+    def counting(*args):
+        calls.append(args)
+        return decision_table(*args)
+
+    monkeypatch.setattr(_engine, "decision_table", counting)
+    table1(54, 12, init, n_range=range(2, 5), workers=1, **small)
+    # one for the unregulated orbit of find_cycle, one for all 7 rows
+    assert len(calls) == 2
+    calls.clear()
+    # rule 30 decides differently from automaton state 1, so a table
+    # built from the wrong state would show in the rows
+    short_days = dict(ticks_per_day=5, window_days=8)
+    rows = table1(
+        30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
+    )
+    assert len(calls) == 1
+    monkeypatch.undo()
+    expected = [
+        summarize_regime(
+            decode_rule(30), 12, init, RegulationPolicy.parse(p), 600, **short_days
+        )
+        for p in ["none", "prick:2", "prick:3", "prick:4", "prop:2", "prop:3", "prop:4"]
+    ]
+    assert rows == expected

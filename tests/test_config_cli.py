@@ -4,6 +4,7 @@ import pytest
 
 from ifamarket.cli import main
 from ifamarket.config import RunConfig
+from ifamarket.ifa import decode_rule
 
 
 def run_cli(args):
@@ -253,6 +254,37 @@ def test_memory_error_exits_cleanly(monkeypatch, capsys):
     monkeypatch.setattr(_engine, "step_table", bare)
     assert run_cli(["cycle", "--w", "12"]) == 2
     assert capsys.readouterr().err == "ifamarket: error: MemoryError\n"
+
+
+def test_table_memory_checked_before_allocating(monkeypatch, capsys):
+    # rule 54's w = 22 orbit outlasts the scalar walk, and its tables do
+    # not fit in the 50 MiB the probe reports: exit 2 before any table
+    from ifamarket import _engine
+
+    def no_step_table(*args, **kwargs):
+        pytest.fail("step_table was reached")
+
+    monkeypatch.setattr(_engine, "available_memory", lambda: 50 << 20)
+    monkeypatch.setattr(_engine, "step_table", no_step_table)
+    assert run_cli(["cycle", "--w", "22"]) == 2
+    assert capsys.readouterr().err == (
+        "ifamarket: error: the tables for w = 22 need up to 52 MiB "
+        "(decision 4 MiB, step 16 MiB, two step**w temporaries of 16 MiB), "
+        "but only 50 MiB is available\n"
+    )
+    # an unknown amount of memory is not checked
+    monkeypatch.setattr(_engine, "available_memory", lambda: None)
+    assert _engine.decision_table(decode_rule(54), 12).size == 1 << 12
+
+
+def test_scalar_orbit_needs_no_table_memory(monkeypatch, capsys):
+    # the constant-UP rule closes its w = 30 orbit in the scalar walk
+    from ifamarket import _engine
+
+    monkeypatch.setattr(_engine, "available_memory", lambda: 0)
+    assert run_cli(["cycle", "--w", "30", "--rule", "85"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["transient_length"], payload["cycle_length"]) == (30, 1)
 
 
 def test_cycle_trend_longer_than_window(capsys):

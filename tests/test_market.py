@@ -1,10 +1,11 @@
+import random
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifamarket.ifa import Move, decode_rule
+from ifamarket.ifa import Move, decode_rule, process_window
 from ifamarket.market import (
     CycleReport,
     WindowState,
@@ -143,7 +144,7 @@ def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     w=st.integers(min_value=1, max_value=9),
     init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
     regime=st.sampled_from(["prick", "prop", "both"]),
-    path=st.sampled_from(["auto", "table", "per-tick", "hop"]),
+    path=st.sampled_from(["auto", "scalar", "table", "hop"]),
     ticks=st.integers(min_value=0, max_value=120),
     data=st.data(),
 )
@@ -160,10 +161,9 @@ def test_trend_longer_than_window_matches_reference(
     init_moves = [int(m) for m in init.to_moves()]
     with pytest.MonkeyPatch.context() as mp:
         if path != "auto":
-            factor = 0 if path == "per-tick" else 1 << 40
-            mp.setattr(market, "_TABLE_PATH_MIN_TICKS_FACTOR", factor)
+            budget = 1 << 62 if path == "scalar" else 0
+            mp.setattr(market, "_scalar_budget", lambda w: budget)
         if path == "hop":
-            mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
             mp.setattr(_engine, "_DIRECT_EMIT_SHIFT", 64)
         series = simulate(decode_rule(k), w, init, policy, ticks)
         report = find_cycle(decode_rule(k), w, init, policy)
@@ -263,11 +263,12 @@ def _run_lengths(moves: np.ndarray, value: int) -> np.ndarray:
 
 
 def test_pure_python_walk_fallback(monkeypatch):
-    # the numpy orbit engine against the brute-force oracles, first with
-    # its own direct-walk limits, then with them opened to 2**w ticks
-    # (shift 0) and closed (shift 64), which sends every walk down the
-    # path that hops w ticks at a time through step**w
-    from ifamarket import _engine
+    # the orbit engine against the brute-force oracles, first with its own
+    # limits, then forced onto each path: the scalar walk alone (an
+    # unbounded budget), the tables walked tick by tick up to 2**w ticks
+    # (budget 0, emit shift 0), and the tables with every walk hopping w
+    # ticks at a time through step**w (budget 0, emit shift 64)
+    from ifamarket import _engine, market
 
     w = 10
     prick3 = RegulationPolicy("prick", 3)
@@ -283,9 +284,10 @@ def test_pure_python_walk_fallback(monkeypatch):
         (54, "all_up", 3001, prick13),
         (156, "all_up", 3001, prick13),
     ]
-    for shift in (None, 0, 64):
+    for budget, shift in ((None, None), (1 << 62, None), (0, 0), (0, 64)):
+        if budget is not None:
+            monkeypatch.setattr(market, "_scalar_budget", lambda w: budget)
         if shift is not None:
-            monkeypatch.setattr(_engine, "_DIRECT_VISIT_SHIFT", shift)
             monkeypatch.setattr(_engine, "_DIRECT_EMIT_SHIFT", shift)
         for k, kind, ticks, policy in cases:
             rule = decode_rule(k)
@@ -322,3 +324,86 @@ def test_cycle_validity_window_recurrence():
     for smaller in range(1, c):
         if tuple(history[t + smaller : t + smaller + w]) == state_t:
             pytest.fail(f"cycle {c} not minimal, repeats at {smaller}")
+
+
+def _oldest_first(window, w):
+    return [(window >> age) & 1 for age in range(w - 1, -1, -1)]
+
+
+def test_scalar_decision_matches_decision_table_and_process_window():
+    # every window of every rule at w = 1..10
+    from ifamarket import _engine
+
+    for k in range(256):
+        rule = decode_rule(k)
+        for w in range(1, 11):
+            decide = _engine.scalar_decision(rule, w)
+            scalar = [decide(x) for x in range(1 << w)]
+            assert scalar == _engine.decision_table(rule, w).tolist(), (k, w)
+            assert scalar == [
+                int(process_window(rule, _oldest_first(x, w))) for x in range(1 << w)
+            ], (k, w)
+
+
+def test_scalar_decision_matches_on_random_wide_windows():
+    # 2,000 random (rule, window) draws at w = 22 and at w = 30, and the
+    # full w = 22 decision tables of four rules at random windows
+    from ifamarket import _engine
+
+    rng = random.Random(20100)
+    for w in (22, 30):
+        for _ in range(2000):
+            rule = decode_rule(rng.randrange(256))
+            window = rng.getrandbits(w)
+            assert _engine.scalar_decision(rule, w)(window) == int(
+                process_window(rule, _oldest_first(window, w))
+            ), (rule, w, window)
+    for k in (54, 99, 156, 201):
+        rule = decode_rule(k)
+        decide = _engine.scalar_decision(rule, 22)
+        table = _engine.decision_table(rule, 22)
+        windows = [rng.getrandbits(22) for _ in range(2000)]
+        assert [decide(x) for x in windows] == table[windows].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=255),
+    w=st.integers(min_value=1, max_value=9),
+    init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
+    regime=st.sampled_from(["none", "prick", "prop", "both"]),
+    ticks=st.integers(min_value=0, max_value=1200),
+    data=st.data(),
+)
+def test_scalar_walk_matches_reference(k, w, init_bits, regime, ticks, data):
+    # the scalar walk alone, orbit and tiled series, for every policy
+    from ifamarket import market
+
+    init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
+    n = data.draw(st.integers(min_value=1, max_value=3 * w), label="n")
+    policy = NONE if regime == "none" else RegulationPolicy(regime, n)
+    init_moves = [int(m) for m in init.to_moves()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market, "_scalar_budget", lambda w: 1 << 62)
+        series = simulate(decode_rule(k), w, init, policy, ticks)
+        report = find_cycle(decode_rule(k), w, init, policy)
+    assert series.moves.tolist() == oracles.simulate(
+        decode_rule(k), init_moves, policy, ticks
+    )
+    assert (report.transient_length, report.cycle_length) == oracles.orbit(
+        decode_rule(k), init_moves, policy
+    )
+
+
+def test_scalar_walk_stops_at_budget_or_first_repeat():
+    from ifamarket import _engine
+
+    rule = decode_rule(54)
+    start = initial_window("alternating_up_first", 10).bits
+    windows, first = _engine.walk_scalar(rule, 10, NONE, start, 5)
+    assert first is None and len(windows) == 6 and windows[0] == start
+    transient, cycle = oracles.orbit(rule, _oldest_first(start, 10), NONE)
+    windows, first = _engine.walk_scalar(rule, 10, NONE, start, transient + cycle)
+    assert (first, len(windows)) == (transient, transient + cycle + 1)
+    assert windows[-1] == windows[first]
+    assert len(set(windows)) == transient + cycle

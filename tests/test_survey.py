@@ -91,3 +91,59 @@ def test_compression_ratio_regular_vs_noisy():
     noisy = rng.integers(0, 2, size=40000).astype(np.uint8)
     assert compression_ratio(noisy) > 0.9
     assert compression_ratio(np.empty(0, dtype=np.uint8)) == 0.0
+
+
+def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
+    # from all-UP at w = 22, every orbit but those of rules 54 and 201
+    # closes within the scalar budget, so only they build tables, once each
+    from ifamarket import _engine
+    from ifamarket.market import _scalar_budget
+
+    built = []
+    decision_table, step_table = _engine.decision_table, _engine.step_table
+
+    def counting_decision_table(rule, w, *args):
+        built.append(rule.rule_number)
+        return decision_table(rule, w, *args)
+
+    def counting_step_table(*args):
+        built.append("step")
+        return step_table(*args)
+
+    monkeypatch.setattr(_engine, "decision_table", counting_decision_table)
+    monkeypatch.setattr(_engine, "step_table", counting_step_table)
+    rows = survey_rules(22, initial_window("all_up", 22))
+    assert built == [54, "step", 201, "step"]
+    long_orbits = [
+        row.rule_number
+        for row in rows
+        if row.transient_length + row.cycle_length >= _scalar_budget(22)
+    ]
+    assert long_orbits == [54, 201]
+    assert [rows[54].cycle_length, rows[201].cycle_length] == [(1 << 22) - 1] * 2
+
+
+@pytest.mark.parametrize("path", ["auto", "scalar", "table"])
+def test_classify_rule_ratio_from_the_cycle_moves(monkeypatch, path):
+    # the orbit and the compression ratio of exactly one cycle's moves,
+    # against the brute-force oracles, whichever walk found the orbit
+    from ifamarket import market
+    from ifamarket.regulation import RegulationPolicy
+
+    import oracles
+
+    if path != "auto":
+        budget = 1 << 62 if path == "scalar" else 0
+        monkeypatch.setattr(market, "_scalar_budget", lambda w: budget)
+    none = RegulationPolicy("none")
+    for k in (27, 30, 54, 99, 110, 156):
+        rule = decode_rule(k)
+        init = initial_window("alternating_up_first", 9)
+        init_moves = [int(m) for m in init.to_moves()]
+        transient, cycle = oracles.orbit(rule, init_moves, none)
+        moves = oracles.simulate(rule, init_moves, none, transient + cycle)
+        row = classify_rule(rule, 9, init)
+        assert (row.transient_length, row.cycle_length) == (transient, cycle)
+        assert row.compression_ratio == compression_ratio(
+            np.array(moves[transient:], dtype=np.uint8)
+        )

@@ -86,3 +86,27 @@ def test_rejects_wrong_magic_and_corrupt_bodies():
     mangled = text.getvalue().replace("num_ticks: 10", "num_ticks: 11")
     with pytest.raises(ValueError):
         tickio.read_rle(io.StringIO(mangled))
+
+
+def _token_rle(moves):
+    # reference body: one token per run, sixteen tokens per line
+    tokens = []
+    for move in moves:
+        letter = "U" if move else "D"
+        if tokens and tokens[-1][1] == letter:
+            tokens[-1][0] += 1
+        else:
+            tokens.append([1, letter])
+    words = [f"{count}{letter}" for count, letter in tokens]
+    return "".join(" ".join(words[i : i + 16]) + "\n" for i in range(0, len(words), 16))
+
+
+def test_rle_body_matches_token_reference_across_chunks():
+    # line-boundary lengths, and a series of more runs than one chunk
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 2, 15, 16, 17, 31, 32, 33, 150_001):
+        for moves in (rng.integers(0, 2, n), np.ones(n), np.arange(n) % 2):
+            buf = io.StringIO()
+            tickio.write_rle(_series(moves), buf)
+            body = buf.getvalue().split("\n\n", 1)[1]
+            assert body == _token_rle(np.asarray(moves, dtype=np.uint8).tolist())
