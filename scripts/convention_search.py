@@ -23,7 +23,7 @@ convention.
 
 import numpy as np
 
-from ifamarket._engine import walk_visit
+from ifamarket._engine import _power, walk_visit
 from ifamarket.ifa import decode_rule
 from ifamarket.market import initial_window
 
@@ -61,9 +61,10 @@ def orbit_cycles(rule_number, w, read_newest_first, decide_by_output):
     )
     values = np.arange(1 << w, dtype=np.uint32)
     step = ((values << np.uint32(1)) & np.uint32((1 << w) - 1)) | d.astype(np.uint32)
+    power = _power(step, w)
     alt = initial_window("alternating_up_first", w).bits
     all_up = initial_window("all_up", w).bits
-    return walk_visit(step, alt)[1], walk_visit(step, all_up)[1]
+    return walk_visit(power, alt)[1], walk_visit(power, all_up)[1]
 
 
 def main():

@@ -7,12 +7,21 @@ ticks ago (bit 0 = newest).  The closed-loop dynamics is a map over the
 that agree on their newest bits), which costs about 2 * 2**w cheap array
 operations instead of w * 2**w.
 
-Most orbits close long before 2**w ticks, so a scalar machine walks
-them first: it decides one window at a time from the rule's 2x2 tables
-and builds nothing of size 2**w.  Orbits that outlast its budget, and
-long runs, use the tables.  Table walks use numpy alone: short runs go
-tick by tick, long ones hop w ticks at a time through step**w (built by
-repeated squaring), so Python runs one step per w ticks; each tick's
+Orbits are searched on a ladder of walks, each one taken only when the
+one before has cost about what the next costs to set up (ski rental):
+a scalar machine decides one window at a time from the rule's 2x2 tables
+and builds nothing of size 2**w; then a direct walk on the step table
+with a 2**w-bit seen bitmap; then hops of w ticks through step**w.
+Runs take the scalar walk, the direct walk or the hops by their length.
+
+A :class:`Machine` holds one rule's tables at one w: the decision table
+and the unregulated step**w, and nothing else of size 2**w.  A regulated
+policy changes the step table only on windows that end in a run, so
+its step**w is the unregulated one patched in place over the windows
+that reach such a window within w - 1 ticks; a policy that reaches too
+many squares its own step table.  At most a regulated step table and
+two step**w temporaries are held besides the machine's two tables.
+Hop walks use numpy alone, one Python step per w ticks; each tick's
 window is rebuilt from two consecutive hop states with shifts.  All
 state arrays are uint32, which holds every window for w <= 30.
 """
@@ -20,21 +29,40 @@ state arrays are uint32, which holds every window for w <= 30.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .ifa import IfaRule
-from .regulation import RegulationPolicy, apply_policy
+from .regulation import RegulationPolicy, apply_policy, regulator
 
 # Where a tick-by-tick table walk stops paying (2-core x86 host, numpy 2.4,
 # w = 22): a direct emit costs ~0.3 us per tick against ~0.18 s for the hop
 # path, so runs of 2**w / 8 ticks or more hop.
 _DIRECT_EMIT_SHIFT = 3
 
+# How far an orbit search walks the step table directly before it turns to
+# step**w: 2**w / 64 ticks (65,536 at w = 22) at ~0.38 us a tick with the
+# seen bitmap cost about what building the step table did (20-50 ms), as the
+# scalar walk's budget costs about what the tables do.
+_DIRECT_VISIT_SHIFT = 6
+
+# A policy whose step**w differs from the unregulated one on more than this
+# share of the windows squares its own step table instead of patching: a
+# patch steps each window it rewrites w times, a full build gathers every
+# window about 1.5 * log2(w) times.  Rule 54 at w = 22 on a 2-core x86 host:
+# prick:6 rewrites 8.8% in 0.08 s and prick:5 17% in 0.15 s, against 0.13 s
+# for a full build.
+_PATCH_MAX_SHARE = 1 / 8
+
+# entries per gather chunk; see _gather
+_GATHER_CHUNK = 1 << 18
+
 # bytes per window that the table path may hold at once: the decision
-# table (1), the step table (4) and two step**w temporaries (4 each)
-_TABLE_BYTES_PER_WINDOW = 1 + 4 + 2 * 4
+# table (1) and the unregulated step**w (4) of a machine, and a regulated
+# step table (4) with the two temporaries of its step**w (4 each)
+_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4
 
 
 def scalar_decision(rule: IfaRule, w: int) -> Callable[[int], int]:
@@ -81,9 +109,11 @@ def walk_scalar(
     ticks.  The walk stops at the first repeat, so that ``windows[-1] ==
     windows[first]``; if none comes within ``limit`` ticks, ``first`` is
     None and ``windows`` holds ``limit + 1`` windows.  Moves pass through
-    :func:`~ifamarket.regulation.apply_policy` as in :func:`step_table`.
+    :func:`~ifamarket.regulation.apply_policy` as in :func:`step_table`,
+    with the policy bound once by :func:`~ifamarket.regulation.regulator`.
     """
     decide = scalar_decision(rule, w)
+    regulate = regulator(policy, w)
     mask = (1 << w) - 1
     seen: dict[int, int] = {}  # window -> tick; keeps the windows in order
     x = int(start)
@@ -91,7 +121,7 @@ def walk_scalar(
         if x in seen:
             return [*seen, x], seen[x]
         seen[x] = t
-        x = ((x << 1) & mask) | apply_policy(policy, x, w, decide(x))
+        x = ((x << 1) & mask) | regulate(x, decide(x))
     return list(seen), None
 
 
@@ -131,7 +161,8 @@ def decision_table(rule: IfaRule, w: int, initial_state: int = 0) -> np.ndarray:
         raise MemoryError(
             f"the tables for w = {w} need up to "
             f"{_mib(_TABLE_BYTES_PER_WINDOW << w)} (decision {_mib(1 << w)}, "
-            f"step {_mib(4 << w)}, two step**w temporaries of {_mib(4 << w)}), "
+            f"unregulated step**w {_mib(4 << w)}, step {_mib(4 << w)}, "
+            f"two step**w temporaries of {_mib(4 << w)}), "
             f"but only {_mib(available)} is available"
         )
     # int16 keeps the t0b + s * (t1b - t0b) trick free of uint8 underflow
@@ -155,19 +186,59 @@ def decision_table(rule: IfaRule, w: int, initial_state: int = 0) -> np.ndarray:
     return decisions
 
 
+def _run_slices(policy: RegulationPolicy, w: int) -> list[slice]:
+    """Slices of the 2**w window values where ``policy`` may override the rule.
+
+    Those whose newest min(n, w) bits are all UP if it pricks, all DOWN
+    if it props: see :func:`~ifamarket.regulation.apply_policy`, which
+    leaves every other window's move as the rule intends it.
+    """
+    if policy.regime == "none":
+        return []
+    period = 1 << min(policy.trend_length, w)
+    return ([slice(period - 1, None, period)] if policy.pricks else []) + (
+        [slice(0, None, period)] if policy.props else []
+    )
+
+
 def step_table(
     decisions: np.ndarray, w: int, policy: RegulationPolicy
 ) -> np.ndarray:
     """Next-window map over all 2**w states, regulation applied.
 
     For a trend length n > w this is the machine clamped to n = w (see
-    :func:`~ifamarket.regulation.apply_policy`).
+    :func:`~ifamarket.regulation.apply_policy`).  The policy is applied
+    on the run windows alone, the only ones where it can act.
     """
-    n_states = 1 << w
-    mask = np.uint32(n_states - 1)
-    values = np.arange(n_states, dtype=np.uint32)
-    realized = apply_policy(policy, values, w, decisions)
-    return ((values << np.uint32(1)) & mask) | realized.astype(np.uint32)
+    step = np.arange(1 << w, dtype=np.uint32)
+    # in place, so that no more uint32 tables are alive than ``step``
+    step <<= np.uint32(1)
+    step &= np.uint32((1 << w) - 1)
+    step |= decisions
+    for runs in _run_slices(policy, w):
+        intended = decisions[runs]
+        # the windows of ``runs`` share the newest bits of ``runs.start``,
+        # the only bits that apply_policy reads, so it stands for them all
+        step[runs] ^= intended ^ apply_policy(policy, runs.start, w, intended)
+    return step
+
+
+def _gather(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``table[indices]``, a chunk at a time.
+
+    numpy copies the indices of a gather to intp first; chunks keep that
+    copy small (a whole uint32 table would take two tables' worth more),
+    and on a 2-core x86 host with numpy 2.4 they also gather about a
+    third faster.  ``clip`` skips the bounds check, which no table here
+    can fail.  A table of one chunk is gathered in one call.
+    """
+    if indices.size <= _GATHER_CHUNK:
+        return np.take(table, indices, mode="clip")
+    out = np.empty_like(indices)
+    for lo in range(0, indices.size, _GATHER_CHUNK):
+        hi = lo + _GATHER_CHUNK
+        np.take(table, indices[lo:hi], out=out[lo:hi], mode="clip")
+    return out
 
 
 def _power(step: np.ndarray, exponent: int) -> np.ndarray:
@@ -181,21 +252,20 @@ def _power(step: np.ndarray, exponent: int) -> np.ndarray:
     """
     result = step
     for bit in bin(exponent)[3:]:
-        result = np.take(result, result)
+        result = _gather(result, result)
         if bit == "1":
-            result = np.take(result, step)
+            result = _gather(result, step)
     return result
 
 
-def _hops(step: np.ndarray, start: int, count: int) -> np.ndarray:
-    """States after 0, w, 2w, ..., count * w ticks (w = log2 of table size).
+def _hops(power: np.ndarray, start: int, count: int) -> np.ndarray:
+    """States after 0, w, 2w, ..., count * w ticks, ``power`` being step**w.
 
-    One pass through step**w per hop: after w ticks the window holds
-    only moves realized during the hop, so each hop state is also the
-    hop's w moves, oldest in the top bit.
+    One lookup per hop: after w ticks the window holds only moves
+    realized during the hop, so each hop state is also the hop's w
+    moves, oldest in the top bit.
     """
-    w = step.size.bit_length() - 1
-    nxt = memoryview(_power(step, w))
+    nxt = memoryview(power)
     hops = np.empty(count + 1, dtype=np.uint32)
     out = memoryview(hops)
     x = out[0] = start
@@ -204,65 +274,259 @@ def _hops(step: np.ndarray, start: int, count: int) -> np.ndarray:
     return hops
 
 
-def _orbit_states(step: np.ndarray, start: int, count: int) -> np.ndarray:
+def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
     """The first ``count`` window states of the orbit, start included.
 
     Tick kw + j sees the j newest moves of hop k + 1 behind the w - j
     newest of hop k.
     """
-    w = step.size.bit_length() - 1
-    hops = _hops(step, start, -(-count // w))
+    w = power.size.bit_length() - 1
+    hops = _hops(power, start, -(-count // w))
     older, newer = hops[:-1], hops[1:]
     states = np.empty((older.size, w), dtype=np.uint32)
     for j in range(w):
         np.bitwise_or(older << j, newer >> (w - j), out=states[:, j])
-    states &= np.uint32(step.size - 1)
+    states &= np.uint32(power.size - 1)
     return states.reshape(-1)[:count]
 
 
-def walk_orbit(step: np.ndarray, start: int) -> tuple[int, int, np.ndarray]:
-    """(transient, cycle length, states) of the orbit of ``start`` under ``step``.
+def walk_direct(
+    step: np.ndarray, walked: Sequence[int], limit: int
+) -> Optional[tuple[int, int, np.ndarray]]:
+    """(transient, cycle, states) of an orbit closed within ``limit`` ticks.
 
-    ``step`` is a uint32 next-window table as built by :func:`step_table`:
-    every state shifts one bit left and takes its realized move as bit 0.
-    The hop path gives the 2**w + 1 first states, which must contain a
-    repeat: the last of them lies on the cycle, its previous occurrence
-    gives the cycle length, and the first state equal to the one a cycle
-    later ends the transient.  ``states[t]`` is the window after t ticks,
-    so ``states[1:] & 1`` are the realized moves.
+    ``walked`` holds the first windows of the orbit, all distinct, as
+    :func:`walk_scalar` leaves them when its budget runs out; the walk
+    goes on from the last one through the step table, one lookup a tick,
+    and marks each window in a 2**w-bit seen bitmap until a window
+    repeats.  ``states[t]`` is the window after t ticks, ending with the
+    first repeat as in :func:`walk_orbit`.  None if no window repeats
+    within ``limit`` ticks.
     """
-    states = _orbit_states(step, int(start), step.size + 1)
+    known = len(walked)
+    if limit < known:
+        return None
+    states = np.empty(limit + 1, dtype=np.uint32)
+    states[:known] = walked
+    seen = np.zeros(-(-step.size // 8), dtype=np.uint8)
+    done = states[: known - 1]
+    np.bitwise_or.at(seen, done >> 3, (1 << (done & 7)).astype(np.uint8))
+    bits, out, nxt = memoryview(seen), memoryview(states), memoryview(step)
+    x = out[known - 1]
+    for t in range(known - 1, limit + 1):
+        byte, bit = x >> 3, 1 << (x & 7)
+        if bits[byte] & bit:
+            first = int(np.flatnonzero(states[:t] == x)[0])
+            out[t] = x
+            return first, t - first, states[: t + 1]
+        bits[byte] |= bit
+        out[t] = x
+        x = nxt[x]
+    return None
+
+
+def walk_orbit(power: np.ndarray, start: int) -> tuple[int, int, np.ndarray]:
+    """(transient, cycle length, states) of the orbit of ``start``.
+
+    ``power`` is step**w for a uint32 next-window table as built by
+    :func:`step_table`: every state shifts one bit left and takes its
+    realized move as bit 0.  The hop path gives the 2**w + 1 first
+    states, which must contain a repeat: the last of them lies on the
+    cycle, its previous occurrence gives the cycle length, and the first
+    state equal to the one a cycle later ends the transient.
+    ``states[t]`` is the window after t ticks, so ``states[1:] & 1`` are
+    the realized moves.
+    """
+    states = _orbit_states(power, int(start), power.size + 1)
     previous = states[:-1] == states[-1]
     cycle = 1 + int(np.argmax(previous[::-1]))
     transient = int(np.argmax(states[:-cycle] == states[cycle:]))
     return transient, cycle, states
 
 
-def walk_visit(step: np.ndarray, start: int) -> tuple[int, int]:
+def walk_visit(power: np.ndarray, start: int) -> tuple[int, int]:
     """(transient, cycle length) of the orbit of ``start``; see :func:`walk_orbit`."""
-    transient, cycle, _ = walk_orbit(step, start)
+    transient, cycle, _ = walk_orbit(power, start)
     return transient, cycle
 
 
-def walk_emit(step: np.ndarray, start: int, num_ticks: int) -> np.ndarray:
+def walk_emit(
+    table: np.ndarray, start: int, num_ticks: int, hop: bool = False
+) -> np.ndarray:
     """Realized moves (newest window bit) along the orbit of ``start``.
 
-    ``step`` is a next-window table as for :func:`walk_visit`.
-    Fewer than 2**w >> _DIRECT_EMIT_SHIFT ticks are walked directly;
-    longer runs unpack hop states, which costs a few passes over the
-    table to build step**w but then only one Python step per w ticks.
+    ``table`` is a step table as for :func:`step_table`, walked one tick
+    per lookup, or with ``hop`` its power step**w, walked w ticks per
+    lookup: each hop state unpacks into the hop's w moves.
     """
-    n_states = step.size
-    if num_ticks < n_states >> _DIRECT_EMIT_SHIFT:
+    if not hop:
         moves = np.empty(num_ticks, dtype=np.uint8)
         out = memoryview(moves)
-        nxt = memoryview(step)
+        nxt = memoryview(table)
         x = int(start)
         for i in range(num_ticks):
             x = nxt[x]
             out[i] = x & 1
         return moves
-    w = n_states.bit_length() - 1
-    hops = _hops(step, int(start), -(-num_ticks // w))[1:]
+    w = table.size.bit_length() - 1
+    hops = _hops(table, int(start), -(-num_ticks // w))[1:]
     bits = np.unpackbits(hops.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
     return bits[:, 32 - w :].reshape(-1)[:num_ticks]
+
+
+class Machine:
+    """One rule's tables at one window width, each built when first needed.
+
+    It holds the decision table and the unregulated step**w, and nothing
+    else of size 2**w, so that every policy walked on it shares them: see
+    :meth:`power`.  A machine that only serves scalar walks builds
+    nothing.
+    """
+
+    def __init__(self, rule: IfaRule, w: int) -> None:
+        self.rule = rule
+        self.w = w
+        self._decisions: Optional[np.ndarray] = None
+        self._base: Optional[np.ndarray] = None  # unregulated step**w
+
+    @property
+    def decisions(self) -> np.ndarray:
+        if self._decisions is None:
+            self._decisions = decision_table(self.rule, self.w)
+        return self._decisions
+
+    def step(self, policy: RegulationPolicy) -> np.ndarray:
+        """The policy's step table, built anew: the machine keeps none."""
+        return step_table(self.decisions, self.w, policy)
+
+    def _base_power(self, step: Optional[np.ndarray] = None) -> np.ndarray:
+        """The unregulated step**w, squared from ``step`` if it must be built."""
+        if self._base is None:
+            if step is None:
+                step = self.step(RegulationPolicy("none"))
+            self._base = _power(step, self.w)
+        return self._base
+
+    def _affected(self, policy: RegulationPolicy) -> Optional[np.ndarray]:
+        """Windows whose step**w the policy may change, or None if too many.
+
+        The policy overrides the rule only on windows whose newest
+        min(n, w) bits are a run.  A window's step**w can change only if
+        its unregulated path meets one of those within w - 1 ticks, so a
+        breadth-first search back from them over the unregulated step,
+        w - 1 levels deep, finds every such window once.  A window z has
+        the predecessors z >> 1 and z >> 1 | 1 << (w - 1), those whose
+        decision is z's newest bit.  The search stops with None once it
+        passes ``_PATCH_MAX_SHARE`` of the windows.
+        """
+        w, decisions = self.w, self.decisions
+        runs = np.concatenate(
+            [
+                np.arange(r.start, 1 << w, r.step, dtype=np.uint32)
+                for r in _run_slices(policy, w)
+            ]
+        )
+        intended = decisions[runs]
+        level = runs[apply_policy(policy, runs, w, intended) != intended]
+        limit = _PATCH_MAX_SHARE * (1 << w)
+        visited = np.zeros(1 << w, dtype=bool)
+        levels = [level]
+        total = level.size
+        top, one = np.uint32(1 << (w - 1)), np.uint32(1)
+        for _ in range(w - 1):
+            if total > limit:
+                return None
+            visited[level] = True
+            half = level >> one
+            preds = np.concatenate((half, half | top))
+            newest = np.concatenate((level, level)) & one
+            level = preds[(decisions[preds] == newest) & ~visited[preds]]
+            levels.append(level)
+            total += level.size
+        return np.concatenate(levels) if total <= limit else None
+
+    @contextmanager
+    def power(
+        self, policy: RegulationPolicy, step: Optional[np.ndarray] = None
+    ) -> Iterator[np.ndarray]:
+        """step**w for ``policy``, valid inside the ``with`` block.
+
+        ``none`` gets the unregulated table, built if the machine does
+        not hold it yet.  Once it does, a policy that changes it on few
+        windows (see :meth:`_affected`) gets it patched in place: w
+        vectorized steps of the regulated map over those windows give
+        their entries, and the saved entries go back when the block
+        exits, also by an exception.  Any other policy, and any policy
+        before the unregulated table exists (building it would cost what
+        squaring the policy's own table does), squares its own step
+        table: ``step`` if the caller has built it.
+        """
+        # ``step`` is dropped as soon as it is not needed: the walk that
+        # runs inside the block should not hold it
+        if policy.regime == "none":
+            base = self._base_power(step)
+            del step
+            yield base
+            return
+        base = self._base
+        affected = None if base is None else self._affected(policy)
+        if affected is None:
+            squared = _power(self.step(policy) if step is None else step, self.w)
+            del step
+            yield squared
+            return
+        del step
+        w, decisions = self.w, self.decisions
+        mask, one = np.uint32(base.size - 1), np.uint32(1)
+        ends = affected
+        for _ in range(w):
+            ends = ((ends << one) & mask) | apply_policy(
+                policy, ends, w, decisions[ends]
+            )
+        saved = base[affected]
+        try:
+            base[affected] = ends
+            del ends
+            yield base
+        finally:
+            base[affected] = saved
+
+    def orbit(
+        self,
+        policy: RegulationPolicy,
+        walked: Sequence[int],
+        with_states: bool = True,
+    ) -> tuple[int, int, Optional[np.ndarray]]:
+        """(transient, cycle, states) of the orbit that ``walked`` begins.
+
+        ``walked`` holds the orbit's first windows, all distinct, as the
+        scalar walk leaves them.  The step table is walked directly up to
+        2**w >> ``_DIRECT_VISIT_SHIFT`` ticks; only then the hops through
+        step**w search the orbit.  ``states`` as for :func:`walk_orbit`,
+        or None unless ``with_states``.
+        """
+        step = self.step(policy)
+        found = walk_direct(step, walked, step.size >> _DIRECT_VISIT_SHIFT)
+        if found is not None:
+            return found
+        tables = self.power(policy, step)
+        del step  # the tables keep it only while they need it
+        with tables as power:
+            if with_states:
+                return walk_orbit(power, walked[0])
+            return (*walk_visit(power, walked[0]), None)
+
+    def emit(
+        self, policy: RegulationPolicy, start: int, num_ticks: int
+    ) -> np.ndarray:
+        """Realized moves of ``num_ticks`` ticks from ``start``.
+
+        Fewer than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks walk the step
+        table directly; longer runs hop through step**w, which costs a
+        few passes over the table, or a patch, but then only one Python
+        step per w ticks.
+        """
+        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
+            return walk_emit(self.step(policy), start, num_ticks)
+        with self.power(policy) as power:
+            return walk_emit(power, start, num_ticks, hop=True)

@@ -17,15 +17,15 @@ entry bit-identical (and scales means and vols exactly).
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import _engine
 from .ifa import IfaRule, decode_rule
-from .market import TickSeries, WindowState, _scalar_budget, find_cycle, simulate
+from .market import Machine, TickSeries, WindowState, find_cycle, simulate
 from .regulation import RegulationPolicy
 
 DEFAULT_TICKS_PER_DAY = 2048
@@ -188,23 +188,26 @@ def summarize_regime(
     window_days: int = DEFAULT_WINDOW_DAYS,
     days_per_year: int = DEFAULT_DAYS_PER_YEAR,
     *,
-    decisions: Optional[np.ndarray] = None,
+    machine: Optional[Machine] = None,
 ) -> RegimeSummary:
     """Simulate, aggregate, roll, annualize, and reduce to one table row.
 
     ``ticks=None`` simulates transient + one full cycle of the policy's
-    own orbit, floored at enough ticks for one rolling window.
-    ``decisions`` is passed on to :func:`~ifamarket.market.simulate`.
+    own orbit, floored at enough ticks for one rolling window.  The
+    orbit search and the simulation share ``machine``, the rule's
+    tables at this w (a new one if None).
     """
     if isinstance(rule, int):
         rule = decode_rule(rule)
+    if machine is None:
+        machine = Machine(rule, w)
     if ticks is None:
-        report = find_cycle(rule, w, init, policy)
+        report = find_cycle(rule, w, init, policy, machine=machine)
         ticks = max(
             report.transient_length + report.cycle_length,
             window_days * ticks_per_day,
         )
-    series = simulate(rule, w, init, policy, ticks, decisions=decisions)
+    series = simulate(rule, w, init, policy, ticks, machine=machine)
     days = aggregate_days(series, ticks_per_day=ticks_per_day, scale=scale)
     rolled = annualize(
         rolling_moments(days, window_days=window_days), days_per_year
@@ -219,15 +222,23 @@ def summarize_regime(
     )
 
 
-def _summarize_one(args, decisions: Optional[np.ndarray] = None) -> RegimeSummary:
-    rule_number, w, init_bits, policy_literal, kwargs = args
+# what every table1 row of a worker process shares, set by _start_worker
+_worker_rows: dict = {}
+
+
+def _start_worker(machine: Machine, init: WindowState, kwargs: dict) -> None:
+    _worker_rows.update(machine=machine, init=init, kwargs=kwargs)
+
+
+def _worker_row(policy: RegulationPolicy) -> RegimeSummary:
+    machine = _worker_rows["machine"]
     return summarize_regime(
-        decode_rule(rule_number),
-        w,
-        WindowState(bits=init_bits, width=w),
-        RegulationPolicy.parse(policy_literal),
-        **kwargs,
-        decisions=decisions,
+        machine.rule,
+        machine.w,
+        _worker_rows["init"],
+        policy,
+        machine=machine,
+        **_worker_rows["kwargs"],
     )
 
 
@@ -250,13 +261,17 @@ def table1(
     comparable: by default, transient + one full cycle of the
     *unregulated* process (regulated orbits are typically much shorter
     than one rolling window).  Rows come back sorted: none first, then
-    by regime name and n.  With one worker, rows that walk the tables
-    share one decision table.
+    by regime name and n.  All rows, and the orbit search for the span,
+    share one :class:`~ifamarket._engine.Machine`; with ``workers`` > 1
+    each worker process starts from a copy of it.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if isinstance(rule, int):
         rule = decode_rule(rule)
+    machine = Machine(rule, w)
     if ticks is None:
-        report = find_cycle(rule, w, init, RegulationPolicy("none"))
+        report = find_cycle(rule, w, init, RegulationPolicy("none"), machine=machine)
         ticks = max(
             report.transient_length + report.cycle_length,
             window_days * ticks_per_day,
@@ -268,19 +283,30 @@ def table1(
         window_days=window_days,
         days_per_year=days_per_year,
     )
-    regimes = ["prick", "prop"] + (["both"] if include_both else [])
-    jobs = [(rule.rule_number, w, init.bits, "none", kwargs)]
-    for n in n_range:
-        for regime in regimes:
-            jobs.append((rule.rule_number, w, init.bits, f"{regime}:{n}", kwargs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_summarize_one, jobs))
-    else:
-        decisions = (
-            _engine.decision_table(rule, w) if ticks >= _scalar_budget(w) else None
+    # the unregulated row goes first, so that the machine holds its
+    # tables, if the span needs any, before the regulated rows patch them
+    rows = [
+        summarize_regime(
+            rule, w, init, RegulationPolicy("none"), machine=machine, **kwargs
         )
-        rows = [_summarize_one(job, decisions) for job in jobs]
+    ]
+    regimes = ["prick", "prop"] + (["both"] if include_both else [])
+    policies = [
+        RegulationPolicy.parse(f"{regime}:{n}") for n in n_range for regime in regimes
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_start_worker,
+            initargs=(machine, init, kwargs),
+        ) as pool:
+            rows += pool.map(_worker_row, policies)
+    else:
+        rows += (
+            summarize_regime(rule, w, init, policy, machine=machine, **kwargs)
+            for policy in policies
+        )
     return sorted(rows, key=_row_order)
 
 

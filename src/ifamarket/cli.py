@@ -25,7 +25,7 @@ from .analytics import (
 from .config import RunConfig
 from .empirical import compare_report, load_price_csv, to_returns
 from .ifa import decode_rule
-from .market import find_cycle, simulate
+from .market import Machine, TickSeries, find_cycle, simulate
 from .regulation import RegulationPolicy
 from .reports import (
     fmt,
@@ -73,26 +73,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ).validate()
 
 
-def _resolve_ticks(
+def _simulate_config(
     config: RunConfig, need_rolling_window: bool = False
-) -> tuple[RunConfig, int]:
-    """Fill in ticks = transient + one full cycle when unset.
+) -> tuple[RunConfig, TickSeries]:
+    """The config with its ticks resolved, and the series it describes.
 
+    Unset ticks become transient + one full cycle; the orbit search and
+    the simulation share one machine, so tables are built once.
     Commands that feed the rolling pipeline floor the span at one full
     rolling window of days (regulated orbits can be much shorter).
     """
-    if config.ticks is not None:
-        return config, config.ticks
-    report = find_cycle(
-        decode_rule(config.rule),
-        config.w,
-        config.initial_window(),
-        config.regulation_policy(),
-    )
-    ticks = report.transient_length + report.cycle_length
-    if need_rolling_window:
-        ticks = max(ticks, config.window_days * config.ticks_per_day)
-    return config.with_overrides(ticks=ticks), ticks
+    machine = Machine(decode_rule(config.rule), config.w)
+    init, policy = config.initial_window(), config.regulation_policy()
+    ticks = config.ticks
+    if ticks is None:
+        report = find_cycle(machine.rule, config.w, init, policy, machine=machine)
+        ticks = report.transient_length + report.cycle_length
+        if need_rolling_window:
+            ticks = max(ticks, config.window_days * config.ticks_per_day)
+        config = config.with_overrides(ticks=ticks)
+    series = simulate(machine.rule, config.w, init, policy, ticks, machine=machine)
+    return config, series
 
 
 def _write_output(path: Optional[str], text: str) -> None:
@@ -104,14 +105,7 @@ def _write_output(path: Optional[str], text: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config, ticks = _resolve_ticks(_config_from_args(args))
-    series = simulate(
-        decode_rule(config.rule),
-        config.w,
-        config.initial_window(),
-        config.regulation_policy(),
-        ticks,
-    )
+    config, series = _simulate_config(_config_from_args(args))
     wrote = False
     if args.ticks_out is not None:
         fmt_name = args.ticks_format or (
@@ -217,13 +211,8 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    config, ticks = _resolve_ticks(_config_from_args(args), need_rolling_window=True)
-    series = simulate(
-        decode_rule(config.rule),
-        config.w,
-        config.initial_window(),
-        config.regulation_policy(),
-        ticks,
+    config, series = _simulate_config(
+        _config_from_args(args), need_rolling_window=True
     )
     days = aggregate_days(series, config.ticks_per_day, config.scale)
     rolled = rolling_moments(days, config.window_days)
@@ -234,13 +223,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config, ticks = _resolve_ticks(_config_from_args(args), need_rolling_window=True)
-    series = simulate(
-        decode_rule(config.rule),
-        config.w,
-        config.initial_window(),
-        config.regulation_policy(),
-        ticks,
+    config, series = _simulate_config(
+        _config_from_args(args), need_rolling_window=True
     )
     days = aggregate_days(series, config.ticks_per_day, config.scale)
     model = rolling_moments(days, config.window_days)

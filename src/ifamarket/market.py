@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _engine
+from ._engine import Machine
 from .ifa import IfaRule, Move, process_window
 from .regulation import RegulationPolicy
 
@@ -147,13 +148,15 @@ def _orbit(
     init: WindowState,
     policy: RegulationPolicy,
     with_moves: bool = False,
+    machine: Optional[Machine] = None,
 ) -> tuple[int, int, Optional[np.ndarray]]:
     """(transient, cycle, moves) of the machine clamped to n = w.
 
     The scalar walk goes first; only an orbit that outlasts its budget
-    builds the tables and takes the hop path.  ``moves`` are the realized
-    moves of the first transient + cycle ticks, from whichever walk found
-    the orbit, if ``with_moves``; else None.
+    goes on to the tables of ``machine`` (a new one if None), where it is
+    walked directly and then hopped.  ``moves`` are the realized moves of
+    the first transient + cycle ticks, from whichever walk found the
+    orbit, if ``with_moves``; else None.
     """
     windows, transient = _engine.walk_scalar(
         rule, w, policy, init.bits, _scalar_budget(w)
@@ -161,12 +164,22 @@ def _orbit(
     if transient is not None:
         cycle = len(windows) - 1 - transient
     else:
-        step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
-        if not with_moves:
-            return (*_engine.walk_visit(step, init.bits), None)
-        transient, cycle, windows = _engine.walk_orbit(step, init.bits)
+        machine = _machine_for(rule, w, machine)
+        transient, cycle, windows = machine.orbit(policy, windows, with_moves)
     moves = _moves(windows[1 : transient + cycle + 1]) if with_moves else None
     return transient, cycle, moves
+
+
+def _machine_for(rule: IfaRule, w: int, machine: Optional[Machine]) -> Machine:
+    """``machine``, checked against the rule and w, or a new one if None."""
+    if machine is None:
+        return Machine(rule, w)
+    if machine.rule != rule or machine.w != w:
+        raise ValueError(
+            f"machine of rule {machine.rule.rule_number} at w {machine.w} "
+            f"given for rule {rule.rule_number} at w {w}"
+        )
+    return machine
 
 
 def _moves(windows: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -214,7 +227,7 @@ def simulate(
     policy: RegulationPolicy,
     num_ticks: int,
     *,
-    decisions: Optional[np.ndarray] = None,
+    machine: Optional[Machine] = None,
 ) -> TickSeries:
     """Generate the realized tick series.
 
@@ -223,9 +236,9 @@ def simulate(
     counted over the whole realized history including the initial
     window.  Runs shorter than the scalar budget build no table: they are
     walked window by window, and once a window repeats the rest is the
-    cycle tiled.  Longer runs walk the step table, built from
-    ``decisions`` when given (the rule's :func:`_engine.decision_table`
-    for this w, to share across calls).  A trend length n > w runs the
+    cycle tiled.  Longer runs walk the tables of ``machine``, a
+    :class:`~ifamarket._engine.Machine` of this rule and w that calls
+    may share (a new one if None).  A trend length n > w runs the
     machine clamped to n = w, then adds its holds.
     """
     if init.width != w:
@@ -249,10 +262,7 @@ def simulate(
                 (moves[:first], np.resize(moves[first:], num_ticks - first))
             )
     else:
-        if decisions is None:
-            decisions = _engine.decision_table(rule, w)
-        step = _engine.step_table(decisions, w, policy)
-        moves = _engine.walk_emit(step, init.bits, num_ticks)
+        moves = _machine_for(rule, w, machine).emit(policy, init.bits, num_ticks)
     held = _held_moves(rule, w, policy)
     if held:
         # a hold repeats the move before the tick it delays; holds are
@@ -271,20 +281,25 @@ def find_cycle(
     w: int,
     init: WindowState,
     policy: RegulationPolicy,
+    *,
+    machine: Optional[Machine] = None,
 ) -> CycleReport:
     """Exact transient and cycle length of the closed-loop orbit.
 
     Walks the orbit without tables for up to about 2**w / (8w) ticks.
     An orbit that lasts longer builds the step table over all 2**w
-    window states (16 MiB of 32-bit entries at w = 22) and hops through
-    step**w, holding up to two more tables of that size at a time.  A
-    trend length n > w walks the machine clamped to n = w, then adds its
-    holds to the moves of that walk.
+    window states (16 MiB of 32-bit entries at w = 22) in ``machine``
+    (a new one if None; see :class:`~ifamarket._engine.Machine`), walks
+    it directly for up to 2**w / 64 ticks, and then hops through
+    step**w.  A trend length n > w walks the machine clamped to n = w,
+    then adds its holds to the moves of that walk.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
     held = _held_moves(rule, w, policy)
-    transient, cycle, orbit = _orbit(rule, w, init, policy, with_moves=bool(held))
+    transient, cycle, orbit = _orbit(
+        rule, w, init, policy, with_moves=bool(held), machine=machine
+    )
     if held:
         added = _stretch(init, orbit, held, policy.trend_length - w)
         transient, cycle = (

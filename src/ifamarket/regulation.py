@@ -10,7 +10,7 @@ initial windows already containing longer runs are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 _REGIMES = ("none", "prick", "prop", "both")
 
@@ -81,12 +81,26 @@ def apply_policy(policy: RegulationPolicy, window, w: int, intended):
     operators that a Python int and a numpy array (uint32 windows, uint8
     moves) share are used, so one function serves a tick and a table.
     """
+    return regulator(policy, w)(window, intended)
+
+
+def regulator(policy: RegulationPolicy, w: int) -> Callable:
+    """``regulate(window, intended)``: :func:`apply_policy` for ``policy`` at ``w``.
+
+    Binding the policy once keeps a walk that regulates one window at a
+    time from looking it up again on every tick.
+    """
     if policy.regime == "none":
-        return intended
+        return lambda window, intended: intended
     run_mask = (1 << min(policy.trend_length, w)) - 1
-    newest = window & run_mask
-    if policy.pricks:
-        intended = intended & (newest != run_mask)
-    if policy.props:
-        intended = intended | (newest == 0)
-    return intended
+    pricks, props = policy.pricks, policy.props
+
+    def regulate(window, intended):
+        newest = window & run_mask
+        if pricks:
+            intended = intended & (newest != run_mask)
+        if props:
+            intended = intended | (newest == 0)
+        return intended
+
+    return regulate

@@ -98,6 +98,8 @@ def survey_rules(
     workers: int = 1,
 ) -> list[RuleClassification]:
     """Classify all 256 rules, sorted by rule number."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     kwargs = dict(
         long_cycle_fraction=long_cycle_fraction,
         compression_threshold=compression_threshold,

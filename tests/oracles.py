@@ -121,3 +121,42 @@ def day_returns(moves: Sequence[int], ticks_per_day: int, scale: float) -> list[
         day = moves[start : start + ticks_per_day]
         out.append(scale * (sum(1 for m in day if m == 1) - sum(1 for m in day if m == 0)))
     return out
+
+
+def gf2_mul(a: int, b: int, modulus: int) -> int:
+    """Product of two GF(2) polynomials (bit i = coefficient of x^i) mod ``modulus``."""
+    degree = modulus.bit_length() - 1
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a >> degree & 1:
+            a ^= modulus
+    return product
+
+
+def gf2_pow(base: int, exponent: int, modulus: int) -> int:
+    """``base`` to the ``exponent`` mod ``modulus``, by square and multiply."""
+    result = 1
+    for bit in bin(exponent)[2:]:
+        result = gf2_mul(result, result, modulus)
+        if bit == "1":
+            result = gf2_mul(result, base, modulus)
+    return result
+
+
+def order_of_x(w: int) -> int:
+    """Multiplicative order of x modulo x^w + x + 1 over GF(2).
+
+    x is a unit because the constant term is 1, so the powers of x
+    return to 1; they are stepped one multiplication at a time, which
+    assumes nothing about how the trinomial factors.
+    """
+    modulus = (1 << w) | 0b11
+    power, order = 2, 1
+    while power != 1:
+        power = gf2_mul(power, 2, modulus)
+        order += 1
+    return order

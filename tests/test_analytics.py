@@ -180,8 +180,9 @@ def test_day_return_bound_invariant():
 
 
 def test_table1_builds_one_decision_table(monkeypatch):
-    # with one worker every row walks the tables of one shared decision
-    # table, and the rows equal rows summarized one at a time
+    # with one worker the orbit search for the span and every row walk
+    # the tables of one shared machine, and the rows equal rows
+    # summarized one at a time
     from ifamarket import _engine
 
     init = initial_window("alternating_up_first", 12)
@@ -195,8 +196,8 @@ def test_table1_builds_one_decision_table(monkeypatch):
 
     monkeypatch.setattr(_engine, "decision_table", counting)
     table1(54, 12, init, n_range=range(2, 5), workers=1, **small)
-    # one for the unregulated orbit of find_cycle, one for all 7 rows
-    assert len(calls) == 2
+    # one for the unregulated orbit of find_cycle and all 7 rows
+    assert len(calls) == 1
     calls.clear()
     # rule 30 decides differently from automaton state 1, so a table
     # built from the wrong state would show in the rows
@@ -213,3 +214,51 @@ def test_table1_builds_one_decision_table(monkeypatch):
         for p in ["none", "prick:2", "prick:3", "prick:4", "prop:2", "prop:3", "prop:4"]
     ]
     assert rows == expected
+
+
+def test_table1_rows_do_not_depend_on_workers():
+    # one machine per worker process gives the rows of one shared machine
+    init = initial_window("alternating_up_first", 12)
+    small = dict(ticks_per_day=64, window_days=8, include_both=True)
+    serial = table1(54, 12, init, n_range=range(2, 14), workers=1, **small)
+    parallel = table1(54, 12, init, n_range=range(2, 14), workers=2, **small)
+    assert len(serial) == 1 + 3 * 12
+    assert parallel == serial
+
+
+def test_rows_leave_the_machine_unregulated(monkeypatch):
+    # after every row's walk, patched or squared, the machine's
+    # unregulated step**w is the one it held before, also when a walk
+    # raises
+    from ifamarket import _engine
+    from ifamarket.market import Machine, simulate
+
+    w = 12
+    rule = decode_rule(54)
+    init = initial_window("alternating_up_first", w)
+    machine = Machine(rule, w)
+    with machine.power(RegulationPolicy("none")) as power:
+        base = power.copy()
+    for n in range(1, w + 3):
+        for regime in ("prick", "prop", "both"):
+            policy = RegulationPolicy(regime, n)
+            series = simulate(rule, w, init, policy, 1 << w, machine=machine)
+            assert series == simulate(rule, w, init, policy, 1 << w), policy
+            assert np.array_equal(machine._base, base), policy
+
+    def failing_walk(*args, **kwargs):
+        raise RuntimeError("walk failed")
+
+    monkeypatch.setattr(_engine, "walk_emit", failing_walk)
+    with pytest.raises(RuntimeError, match="walk failed"):
+        simulate(rule, w, init, RegulationPolicy("prick", 9), 1 << w, machine=machine)
+    assert np.array_equal(machine._base, base)
+
+
+def test_machine_must_match_rule_and_width():
+    from ifamarket.market import Machine
+
+    init = initial_window("alternating_up_first", 12)
+    with pytest.raises(ValueError, match="machine of rule 30 at w 12"):
+        summarize_regime(54, 12, init, RegulationPolicy("none"),
+                         machine=Machine(decode_rule(30), 12))

@@ -268,9 +268,9 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(_engine, "step_table", no_step_table)
     assert run_cli(["cycle", "--w", "22"]) == 2
     assert capsys.readouterr().err == (
-        "ifamarket: error: the tables for w = 22 need up to 52 MiB "
-        "(decision 4 MiB, step 16 MiB, two step**w temporaries of 16 MiB), "
-        "but only 50 MiB is available\n"
+        "ifamarket: error: the tables for w = 22 need up to 68 MiB "
+        "(decision 4 MiB, unregulated step**w 16 MiB, step 16 MiB, "
+        "two step**w temporaries of 16 MiB), but only 50 MiB is available\n"
     )
     # an unknown amount of memory is not checked
     monkeypatch.setattr(_engine, "available_memory", lambda: None)
@@ -293,3 +293,12 @@ def test_cycle_trend_longer_than_window(capsys):
                     "--policy", "prick:5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["transient_length"], payload["cycle_length"]) == (0, 6)
+
+
+@pytest.mark.parametrize("command", ["table1", "survey"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_cleanly(capsys, command, workers):
+    assert run_cli([command, "--w", "8", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ifamarket: error: workers must be >= 1, got {workers}\n"

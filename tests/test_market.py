@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -144,15 +145,19 @@ def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     w=st.integers(min_value=1, max_value=9),
     init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
     regime=st.sampled_from(["prick", "prop", "both"]),
-    path=st.sampled_from(["auto", "scalar", "table", "hop"]),
+    path=st.sampled_from(["auto", "scalar", "direct", "table", "hop"]),
+    route=st.sampled_from(["auto", "patch", "full"]),
     ticks=st.integers(min_value=0, max_value=120),
     data=st.data(),
 )
 def test_trend_longer_than_window_matches_reference(
-    k, w, init_bits, regime, path, ticks, data
+    k, w, init_bits, regime, path, route, ticks, data
 ):
     # n > w: the clamped machine stretched at its held windows, on every
-    # engine path, against the oracles that track the whole history
+    # engine path, against the oracles that track the whole history.
+    # "direct" finds every orbit by the direct walk on the step table,
+    # "table" and "hop" search every orbit through step**w, which
+    # "route" gets by a patch of the unregulated one or by squaring
     from ifamarket import _engine, market
 
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
@@ -163,8 +168,15 @@ def test_trend_longer_than_window_matches_reference(
         if path != "auto":
             budget = 1 << 62 if path == "scalar" else 0
             mp.setattr(market, "_scalar_budget", lambda w: budget)
+        if path == "direct":
+            mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 0)
+        if path in ("table", "hop"):
+            mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
         if path == "hop":
             mp.setattr(_engine, "_DIRECT_EMIT_SHIFT", 64)
+        if route != "auto":
+            share = math.inf if route == "patch" else -1
+            mp.setattr(_engine, "_PATCH_MAX_SHARE", share)
         series = simulate(decode_rule(k), w, init, policy, ticks)
         report = find_cycle(decode_rule(k), w, init, policy)
     assert series.moves.tolist() == oracles.simulate(
@@ -407,3 +419,181 @@ def test_scalar_walk_stops_at_budget_or_first_repeat():
     assert (first, len(windows)) == (transient, transient + cycle + 1)
     assert windows[-1] == windows[first]
     assert len(set(windows)) == transient + cycle
+
+
+def _forced_route(monkeypatch, route):
+    from ifamarket import _engine
+
+    share = math.inf if route == "patch" else -1
+    monkeypatch.setattr(_engine, "_PATCH_MAX_SHARE", share)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=255),
+    w=st.integers(min_value=2, max_value=12),
+    regime=st.sampled_from(["prick", "prop", "both"]),
+    route=st.sampled_from(["patch", "full"]),
+    data=st.data(),
+)
+def test_machine_power_matches_full_build(k, w, regime, route, data):
+    # every policy's step**w from the machine, patched or squared, equals
+    # the square of its own step table, and the unregulated step**w the
+    # machine holds is the same before and after
+    from ifamarket import _engine
+
+    n = data.draw(st.integers(min_value=1, max_value=w + 3), label="n")
+    policy = RegulationPolicy(regime, n)
+    machine = _engine.Machine(decode_rule(k), w)
+    decisions = _engine.decision_table(decode_rule(k), w)
+    base = _engine._power(_engine.step_table(decisions, w, NONE), w)
+    expected = _engine._power(_engine.step_table(decisions, w, policy), w)
+    with pytest.MonkeyPatch.context() as mp:
+        _forced_route(mp, route)
+        with machine.power(NONE) as power:
+            assert np.array_equal(power, base)
+        with machine.power(policy) as power:
+            assert np.array_equal(power, expected)
+            assert (power is machine._base) == (route == "patch")
+    assert np.array_equal(machine._base, base)
+
+
+def test_machine_patch_is_undone_when_the_walk_raises(monkeypatch):
+    # an exception inside the with block still puts every saved entry back
+    from ifamarket import _engine
+
+    w = 12
+    machine = _engine.Machine(decode_rule(54), w)
+    with machine.power(NONE) as power:
+        base = power.copy()
+    _forced_route(monkeypatch, "patch")
+
+    def failing_walk(*args, **kwargs):
+        raise RuntimeError("walk failed")
+
+    monkeypatch.setattr(_engine, "walk_emit", failing_walk)
+    for policy in (RegulationPolicy("prick", 3), RegulationPolicy("both", 12)):
+        with pytest.raises(RuntimeError, match="walk failed"):
+            machine.emit(policy, 5, 1 << w)
+        assert np.array_equal(machine._base, base)
+    with pytest.raises(KeyError):
+        with machine.power(RegulationPolicy("prop", 2)) as power:
+            assert not np.array_equal(power, base)
+            raise KeyError
+    assert np.array_equal(machine._base, base)
+
+
+def test_machine_patch_rewrites_only_windows_that_reach_a_run():
+    # rule 54 at w = 22: prick:14 changes step**w on about 0.04% of the
+    # windows, and the search stops early for prick:3 (over an eighth)
+    from ifamarket import _engine
+
+    machine = _engine.Machine(decode_rule(54), 22)
+    affected = machine._affected(RegulationPolicy("prick", 14))
+    assert 0 < affected.size < (1 << 22) // 2000
+    assert np.unique(affected).size == affected.size
+    assert machine._affected(RegulationPolicy("prick", 3)) is None
+    assert machine._base is None  # the search needs the decisions alone
+
+
+def test_machine_patches_only_a_table_it_holds(monkeypatch):
+    # before the unregulated step**w exists a policy squares its own
+    # table rather than build that one too; afterwards it patches it
+    from ifamarket import _engine
+
+    w = 12
+    machine = _engine.Machine(decode_rule(54), w)
+    policy = RegulationPolicy("prick", 8)
+    squared = []
+    power = _engine._power
+    monkeypatch.setattr(
+        _engine, "_power", lambda *args: squared.append(args) or power(*args)
+    )
+    with machine.power(policy) as table:
+        assert machine._base is None and table is not None
+    assert len(squared) == 1
+    # an orbit search past the direct walk (prop:8 from alternating has
+    # cycle 2,441 > 2**12 / 64) leaves no table behind either
+    init = initial_window("alternating_up_first", w)
+    report = find_cycle(
+        decode_rule(54), w, init, RegulationPolicy("prop", 8), machine=machine
+    )
+    assert report == CycleReport(transient_length=0, cycle_length=2441)
+    assert machine._base is None and len(squared) == 2
+    with machine.power(NONE):
+        pass
+    with machine.power(policy) as table:
+        assert table is machine._base
+    assert len(squared) == 3
+    series = simulate(decode_rule(54), w, init, NONE, 1 << w, machine=machine)
+    assert series == simulate(decode_rule(54), w, init, NONE, 1 << w)
+
+
+def test_direct_walk_continues_the_scalar_walk():
+    # the direct walk picks up where the scalar walk's budget ran out and
+    # stops at the first repeat, or returns None past its limit
+    from ifamarket import _engine
+
+    w = 10
+    rule = decode_rule(54)
+    policy = RegulationPolicy("prick", 3)
+    start = initial_window("all_up", w).bits
+    transient, cycle = oracles.orbit(rule, _oldest_first(start, w), policy)
+    step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
+    for known in (1, 7, transient + cycle):
+        walked, first = _engine.walk_scalar(rule, w, policy, start, known - 1)
+        assert first is None and len(walked) == known
+        found = _engine.walk_direct(step, walked, transient + cycle)
+        assert found[:2] == (transient, cycle)
+        assert found[2].tolist() == _engine.walk_scalar(
+            rule, w, policy, start, transient + cycle
+        )[0]
+        assert _engine.walk_direct(step, walked, transient + cycle - 1) is None
+
+
+def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
+    # rule 54 at w = 22 under prick:7..10 closes in 43,818 to 61,499
+    # ticks: past the scalar budget, within the direct walk, so no step**w
+    from ifamarket import _engine
+
+    def no_power(*args):
+        pytest.fail("step**w was built")
+
+    monkeypatch.setattr(_engine, "_power", no_power)
+    init = initial_window("alternating_up_first", 22)
+    lengths = [
+        find_cycle(decode_rule(54), 22, init, RegulationPolicy("prick", n))
+        for n in (7, 8, 9, 10)
+    ]
+    assert [(r.transient_length, r.cycle_length) for r in lengths] == [
+        (37236, 6701), (1100, 44476), (41311, 2507), (716, 60783)
+    ]
+
+
+def _prime_factors(n: int) -> list[int]:
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return factors + ([n] if n > 1 else [])
+
+
+def test_rule54_cycles_are_the_order_of_x_mod_the_trinomial():
+    # unregulated rule 54 realizes m_t = m_(t-w) xor m_(t-w+1), a shift
+    # register with characteristic polynomial x^w + x + 1: its step is a
+    # bijection (no transient), and from both standard starts the cycle
+    # is the order of x, short where the trinomial factors (w = 8, 9,
+    # 16, 17 give 63, 73, 255, 273)
+    for w in range(3, 21):
+        order = oracles.order_of_x(w)
+        modulus = (1 << w) | 0b11
+        assert oracles.gf2_pow(0b10, order, modulus) == 1
+        for p in _prime_factors(order):
+            assert oracles.gf2_pow(0b10, order // p, modulus) != 1
+        for kind in ("alternating_up_first", "all_up"):
+            report = find_cycle(decode_rule(54), w, initial_window(kind, w), NONE)
+            assert (report.transient_length, report.cycle_length) == (0, order)
+    assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
