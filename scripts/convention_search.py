@@ -23,7 +23,7 @@ convention.
 
 import numpy as np
 
-from ifamarket._engine import _power, walk_visit
+from ifamarket._engine import _power, walk_orbit
 from ifamarket.ifa import decode_rule
 from ifamarket.market import initial_window
 
@@ -62,9 +62,11 @@ def orbit_cycles(rule_number, w, read_newest_first, decide_by_output):
     values = np.arange(1 << w, dtype=np.uint32)
     step = ((values << np.uint32(1)) & np.uint32((1 << w) - 1)) | d.astype(np.uint32)
     power = _power(step, w)
-    alt = initial_window("alternating_up_first", w).bits
-    all_up = initial_window("all_up", w).bits
-    return walk_visit(power, alt)[1], walk_visit(power, all_up)[1]
+    cycles = []
+    for kind in ("alternating_up_first", "all_up"):
+        first, windows = walk_orbit(power, initial_window(kind, w).bits)
+        cycles.append(len(windows) - 1 - first)
+    return tuple(cycles)
 
 
 def main():

@@ -7,12 +7,20 @@ ticks ago (bit 0 = newest).  The closed-loop dynamics is a map over the
 that agree on their newest bits), which costs about 2 * 2**w cheap array
 operations instead of w * 2**w.
 
-Orbits are searched on a ladder of walks, each one taken only when the
-one before has cost about what the next costs to set up (ski rental):
-a scalar machine decides one window at a time from the rule's 2x2 tables
-and builds nothing of size 2**w; then a direct walk on the step table
-with a 2**w-bit seen bitmap; then hops of w ticks through step**w.
-Runs take the scalar walk, the direct walk or the hops by their length.
+Every walk returns ``(first, windows)``: ``windows[t]`` is the window
+after t ticks, and the walk stops at the first repeat, so that
+``windows[-1] == windows[first]``; a walk that finds none within its
+``limit`` ticks returns ``first`` None and ``limit + 1`` windows.  There
+are three walks, a ladder in which each rung is taken only when the one
+before has cost about what the next costs to set up (ski rental):
+:func:`walk_scalar` decides one window at a time from the rule's 2x2
+tables and builds nothing of size 2**w; :func:`walk_direct` walks the
+step table with a 2**w-bit seen bitmap; :func:`walk_orbit` hops w ticks
+at a time through step**w.  :meth:`Machine.orbit` and :meth:`Machine.run`
+are the only routers: the first climbs the ladder until the orbit
+closes, the second picks a walk by the length of the run and tiles the
+cycle of a walk that closes.  :func:`walk_emit`, the hop walk of a run,
+returns the moves alone.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table
 and the unregulated step**w, and nothing else of size 2**w.  A regulated
@@ -37,9 +45,15 @@ import numpy as np
 from .ifa import IfaRule
 from .regulation import RegulationPolicy, apply_policy, regulator
 
+# on a 2-core x86 host a scalar tick cost 1.3-2 us at w = 22, growing with
+# w, and the decision and step tables 25-60 ms, growing with 2**w: the
+# 2**w / (8w) = 23,832 scalar ticks at w = 22 cost about what the tables do.
+# The closed-form decision since cut a scalar tick to about 0.6 of that.
+_TABLE_PATH_MIN_TICKS_FACTOR = 8
+
 # Where a tick-by-tick table walk stops paying (2-core x86 host, numpy 2.4,
-# w = 22): a direct emit costs ~0.3 us per tick against ~0.18 s for the hop
-# path, so runs of 2**w / 8 ticks or more hop.
+# w = 22): a direct walk costs ~0.3-0.4 us per tick against ~0.18 s for the
+# hop path, so runs of 2**w / 8 ticks or more hop.
 _DIRECT_EMIT_SHIFT = 3
 
 # How far an orbit search walks the step table directly before it turns to
@@ -65,52 +79,50 @@ _GATHER_CHUNK = 1 << 18
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4
 
 
+def _scalar_budget(w: int) -> int:
+    """Ticks a table-free walk may take: about the cost of the tables."""
+    return -(-(1 << w) // (_TABLE_PATH_MIN_TICKS_FACTOR * w))
+
+
 def scalar_decision(rule: IfaRule, w: int) -> Callable[[int], int]:
     """``decide(window)``: the intended move for one w-bit window.
 
-    Reads the window newest-first from automaton state 0 through the
-    rule's 2x2 next-state and output tables, exactly as the trie of
-    :func:`decision_table` does, and builds nothing of size 2**w.  The
-    next-state table is first composed into one that reads four window
-    bits per lookup.
+    Gives what the trie of :func:`decision_table` gives, reading the
+    window newest-first from automaton state 0, and builds nothing of
+    size 2**w.  Each next-state map ``f_b = rule.next_state(., b)`` is
+    a constant (a reset), the identity or a negation (a flip), so the
+    state after the newest w - 1 bits is set by the last reset read,
+    the oldest of them (0 if none), flipped once for each flip bit read
+    after it.  The oldest bit then picks the output.
     """
-    nxt = tuple(tuple(rule.next_state(s, b) for b in (0, 1)) for s in (0, 1))
+    body = (1 << (w - 1)) - 1  # the bits read before the oldest
+    # f_b(s) = reset_to[b] ^ (s & slope[b])
+    reset_to = [rule.next_state(0, b) for b in (0, 1)]
+    slope = [reset_to[b] ^ rule.next_state(1, b) for b in (0, 1)]
+    # masks of the body bits that reset, that flip, when they are 0 / 1
+    reset0, reset1 = (0 if slope[b] else body for b in (0, 1))
+    flip0, flip1 = (body if slope[b] and reset_to[b] else 0 for b in (0, 1))
     out = tuple(tuple(rule.output(s, b) for b in (0, 1)) for s in (0, 1))
-    nibble = nxt
-    for width in (1, 2):  # read 2, then 4 bits: low half first
-        nibble = tuple(
-            tuple(
-                nibble[nibble[s][bits & ((1 << width) - 1)]][bits >> width]
-                for bits in range(1 << 2 * width)
-            )
-            for s in (0, 1)
-        )
-    nibbles, bits = divmod(w - 1, 4)
 
     def decide(window: int) -> int:
-        state = 0
-        for _ in range(nibbles):
-            state = nibble[state][window & 15]
-            window >>= 4
-        for _ in range(bits):
-            state = nxt[state][window & 1]
-            window >>= 1
-        return out[state][window & 1]
+        zeros = ~window
+        last = ((window & reset1) | (zeros & reset0)).bit_length()
+        state = last and reset_to[(window >> (last - 1)) & 1]
+        flips = ((window & flip1) | (zeros & flip0)) >> last
+        return out[state ^ (flips.bit_count() & 1)][(window >> (w - 1)) & 1]
 
     return decide
 
 
 def walk_scalar(
     rule: IfaRule, w: int, policy: RegulationPolicy, start: int, limit: int
-) -> tuple[list[int], Optional[int]]:
-    """Windows of the orbit of ``start``, walked for at most ``limit`` ticks.
+) -> tuple[Optional[int], list[int]]:
+    """``(first, windows)`` of the orbit of ``start``, at most ``limit`` ticks.
 
-    Returns ``(windows, first)`` with ``windows[t]`` the window after t
-    ticks.  The walk stops at the first repeat, so that ``windows[-1] ==
-    windows[first]``; if none comes within ``limit`` ticks, ``first`` is
-    None and ``windows`` holds ``limit + 1`` windows.  Moves pass through
-    :func:`~ifamarket.regulation.apply_policy` as in :func:`step_table`,
-    with the policy bound once by :func:`~ifamarket.regulation.regulator`.
+    The scalar rung: see the module docstring for the contract.  Moves
+    pass through :func:`~ifamarket.regulation.apply_policy` as in
+    :func:`step_table`, with the policy bound once by
+    :func:`~ifamarket.regulation.regulator`.
     """
     decide = scalar_decision(rule, w)
     regulate = regulator(policy, w)
@@ -119,10 +131,30 @@ def walk_scalar(
     x = int(start)
     for t in range(limit + 1):
         if x in seen:
-            return [*seen, x], seen[x]
+            return seen[x], [*seen, x]
         seen[x] = t
         x = ((x << 1) & mask) | regulate(x, decide(x))
-    return list(seen), None
+    return None, list(seen)
+
+
+def realized(windows: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The realized moves that led to ``windows[1:]``: their newest bits."""
+    return (np.asarray(windows[1:], dtype=np.uint32) & 1).astype(np.uint8)
+
+
+def _tile(
+    first: Optional[int], windows: Sequence[int], num_ticks: int
+) -> np.ndarray:
+    """Moves of ``num_ticks`` ticks from a walk of at most that many ticks.
+
+    A walk that closed repeats its cycle's moves over the ticks left.
+    """
+    moves = realized(windows)
+    if first is None:
+        return moves
+    return np.concatenate(
+        (moves[:first], np.resize(moves[first:], num_ticks - first))
+    )
 
 
 def available_memory() -> Optional[int]:
@@ -144,7 +176,7 @@ def _mib(size: int) -> str:
     return f"{size / (1 << 20):,.0f} MiB"
 
 
-def decision_table(rule: IfaRule, w: int, initial_state: int = 0) -> np.ndarray:
+def decision_table(rule: IfaRule, w: int) -> np.ndarray:
     """Intended move for every w-bit window value, as a uint8 array.
 
     The automaton pass consumes the window newest-first, so the trie is
@@ -172,7 +204,7 @@ def decision_table(rule: IfaRule, w: int, initial_state: int = 0) -> np.ndarray:
     out = np.array(
         [[rule.output(s, b) for b in (0, 1)] for s in (0, 1)], dtype=np.int16
     )
-    states = np.full(1, initial_state, dtype=np.uint8)
+    states = np.zeros(1, dtype=np.uint8)
     for _ in range(w - 1):
         expanded = np.empty(2 * states.size, dtype=np.uint8)
         # next state for consumed bit 0 / 1; states are 0/1 so a lookup
@@ -292,22 +324,19 @@ def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
 
 def walk_direct(
     step: np.ndarray, walked: Sequence[int], limit: int
-) -> Optional[tuple[int, int, np.ndarray]]:
-    """(transient, cycle, states) of an orbit closed within ``limit`` ticks.
+) -> tuple[Optional[int], np.ndarray]:
+    """``(first, windows)`` of the orbit ``walked`` begins, at most ``limit`` ticks.
 
+    The direct rung: see the module docstring for the contract.
     ``walked`` holds the first windows of the orbit, all distinct, as
-    :func:`walk_scalar` leaves them when its budget runs out; the walk
+    :func:`walk_scalar` leaves them when its limit runs out; the walk
     goes on from the last one through the step table, one lookup a tick,
     and marks each window in a 2**w-bit seen bitmap until a window
-    repeats.  ``states[t]`` is the window after t ticks, ending with the
-    first repeat as in :func:`walk_orbit`.  None if no window repeats
-    within ``limit`` ticks.
+    repeats.
     """
-    known = len(walked)
-    if limit < known:
-        return None
+    known = min(len(walked), limit + 1)
     states = np.empty(limit + 1, dtype=np.uint32)
-    states[:known] = walked
+    states[:known] = walked[:known]
     seen = np.zeros(-(-step.size // 8), dtype=np.uint8)
     done = states[: known - 1]
     np.bitwise_or.at(seen, done >> 3, (1 << (done & 7)).astype(np.uint8))
@@ -316,60 +345,40 @@ def walk_direct(
     for t in range(known - 1, limit + 1):
         byte, bit = x >> 3, 1 << (x & 7)
         if bits[byte] & bit:
-            first = int(np.flatnonzero(states[:t] == x)[0])
             out[t] = x
-            return first, t - first, states[: t + 1]
+            return int(np.flatnonzero(states[:t] == x)[0]), states[: t + 1]
         bits[byte] |= bit
         out[t] = x
         x = nxt[x]
-    return None
+    return None, states
 
 
-def walk_orbit(power: np.ndarray, start: int) -> tuple[int, int, np.ndarray]:
-    """(transient, cycle length, states) of the orbit of ``start``.
+def walk_orbit(power: np.ndarray, start: int) -> tuple[int, np.ndarray]:
+    """``(first, windows)`` of the orbit of ``start``, which always closes.
 
-    ``power`` is step**w for a uint32 next-window table as built by
+    The hop rung: see the module docstring for the contract.  ``power``
+    is step**w for a uint32 next-window table as built by
     :func:`step_table`: every state shifts one bit left and takes its
-    realized move as bit 0.  The hop path gives the 2**w + 1 first
-    states, which must contain a repeat: the last of them lies on the
-    cycle, its previous occurrence gives the cycle length, and the first
-    state equal to the one a cycle later ends the transient.
-    ``states[t]`` is the window after t ticks, so ``states[1:] & 1`` are
-    the realized moves.
+    realized move as bit 0.  The hops give the 2**w + 1 first states,
+    which must contain a repeat: the last of them lies on the cycle, its
+    previous occurrence gives the cycle length, and the first state
+    equal to the one a cycle later is the first to repeat.
     """
     states = _orbit_states(power, int(start), power.size + 1)
     previous = states[:-1] == states[-1]
     cycle = 1 + int(np.argmax(previous[::-1]))
-    transient = int(np.argmax(states[:-cycle] == states[cycle:]))
-    return transient, cycle, states
+    first = int(np.argmax(states[:-cycle] == states[cycle:]))
+    return first, states[: first + cycle + 1]
 
 
-def walk_visit(power: np.ndarray, start: int) -> tuple[int, int]:
-    """(transient, cycle length) of the orbit of ``start``; see :func:`walk_orbit`."""
-    transient, cycle, _ = walk_orbit(power, start)
-    return transient, cycle
+def walk_emit(power: np.ndarray, start: int, num_ticks: int) -> np.ndarray:
+    """Realized moves of ``num_ticks`` ticks from ``start``, hop by hop.
 
-
-def walk_emit(
-    table: np.ndarray, start: int, num_ticks: int, hop: bool = False
-) -> np.ndarray:
-    """Realized moves (newest window bit) along the orbit of ``start``.
-
-    ``table`` is a step table as for :func:`step_table`, walked one tick
-    per lookup, or with ``hop`` its power step**w, walked w ticks per
+    ``power`` is step**w as for :func:`walk_orbit`, walked w ticks per
     lookup: each hop state unpacks into the hop's w moves.
     """
-    if not hop:
-        moves = np.empty(num_ticks, dtype=np.uint8)
-        out = memoryview(moves)
-        nxt = memoryview(table)
-        x = int(start)
-        for i in range(num_ticks):
-            x = nxt[x]
-            out[i] = x & 1
-        return moves
-    w = table.size.bit_length() - 1
-    hops = _hops(table, int(start), -(-num_ticks // w))[1:]
+    w = power.size.bit_length() - 1
+    hops = _hops(power, int(start), -(-num_ticks // w))[1:]
     bits = np.unpackbits(hops.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
     return bits[:, 32 - w :].reshape(-1)[:num_ticks]
 
@@ -491,42 +500,46 @@ class Machine:
         finally:
             base[affected] = saved
 
-    def orbit(
-        self,
-        policy: RegulationPolicy,
-        walked: Sequence[int],
-        with_states: bool = True,
-    ) -> tuple[int, int, Optional[np.ndarray]]:
-        """(transient, cycle, states) of the orbit that ``walked`` begins.
+    def orbit(self, policy: RegulationPolicy, start: int) -> tuple[int, Sequence[int]]:
+        """``(first, windows)`` of the orbit of ``start``, which always closes.
 
-        ``walked`` holds the orbit's first windows, all distinct, as the
-        scalar walk leaves them.  The step table is walked directly up to
-        2**w >> ``_DIRECT_VISIT_SHIFT`` ticks; only then the hops through
-        step**w search the orbit.  ``states`` as for :func:`walk_orbit`,
-        or None unless ``with_states``.
+        Climbs the ladder: the scalar walk for ``_scalar_budget(w)``
+        ticks, then the step table walked directly up to 2**w >>
+        ``_DIRECT_VISIT_SHIFT`` ticks, and only then the hops through
+        step**w.
         """
+        first, windows = walk_scalar(
+            self.rule, self.w, policy, start, _scalar_budget(self.w)
+        )
+        if first is not None:
+            return first, windows
         step = self.step(policy)
-        found = walk_direct(step, walked, step.size >> _DIRECT_VISIT_SHIFT)
-        if found is not None:
-            return found
+        first, windows = walk_direct(step, windows, step.size >> _DIRECT_VISIT_SHIFT)
+        if first is not None:
+            return first, windows
+        del windows
         tables = self.power(policy, step)
         del step  # the tables keep it only while they need it
         with tables as power:
-            if with_states:
-                return walk_orbit(power, walked[0])
-            return (*walk_visit(power, walked[0]), None)
+            return walk_orbit(power, start)
 
-    def emit(
+    def run(
         self, policy: RegulationPolicy, start: int, num_ticks: int
     ) -> np.ndarray:
         """Realized moves of ``num_ticks`` ticks from ``start``.
 
-        Fewer than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks walk the step
-        table directly; longer runs hop through step**w, which costs a
+        Runs shorter than the scalar budget build no table; runs shorter
+        than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks walk the step table
+        directly; both stop at the first repeat and tile the cycle over
+        the ticks left.  Longer runs hop through step**w, which costs a
         few passes over the table, or a patch, but then only one Python
         step per w ticks.
         """
-        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
-            return walk_emit(self.step(policy), start, num_ticks)
-        with self.power(policy) as power:
-            return walk_emit(power, start, num_ticks, hop=True)
+        if num_ticks < _scalar_budget(self.w):
+            walk = walk_scalar(self.rule, self.w, policy, start, num_ticks)
+        elif num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
+            walk = walk_direct(self.step(policy), [start], num_ticks)
+        else:
+            with self.power(policy) as power:
+                return walk_emit(power, start, num_ticks)
+        return _tile(*walk, num_ticks)

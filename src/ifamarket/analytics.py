@@ -93,8 +93,9 @@ def aggregate_days(
         raise ValueError(f"ticks_per_day must be >= 1, got {ticks_per_day}")
     moves = ticks.moves if isinstance(ticks, TickSeries) else np.asarray(ticks)
     num_days = moves.size // ticks_per_day
-    clipped = moves[: num_days * ticks_per_day].astype(np.int64)
-    net = 2 * clipped.reshape(num_days, ticks_per_day).sum(axis=1) - ticks_per_day
+    days = moves[: num_days * ticks_per_day].reshape(num_days, ticks_per_day)
+    # an int64 sum of the uint8 moves, with no int64 copy of them
+    net = 2 * days.sum(axis=1, dtype=np.int64) - ticks_per_day
     return DayReturns(
         returns=scale * net.astype(np.float64),
         ticks_per_day=ticks_per_day,

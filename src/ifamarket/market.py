@@ -14,17 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _engine
-from ._engine import Machine
+from ._engine import Machine, realized
 from .ifa import IfaRule, Move, process_window
 from .regulation import RegulationPolicy
 
 MAX_WINDOW_WIDTH = 30  # dense 2**w uint32 tables must fit in memory
-
-# on a 2-core x86 host a scalar tick costs 1.3-2 us at w = 22, growing with
-# w, and the decision and step tables 25-60 ms, growing with 2**w: the
-# 2**w / (8w) = 23,832 scalar ticks at w = 22 cost about what the tables do
-_TABLE_PATH_MIN_TICKS_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -137,39 +131,6 @@ def next_move(rule: IfaRule, window: WindowState) -> Move:
     return process_window(rule, window.to_moves())
 
 
-def _scalar_budget(w: int) -> int:
-    """Ticks a table-free walk may take: about the cost of the tables."""
-    return -(-(1 << w) // (_TABLE_PATH_MIN_TICKS_FACTOR * w))
-
-
-def _orbit(
-    rule: IfaRule,
-    w: int,
-    init: WindowState,
-    policy: RegulationPolicy,
-    with_moves: bool = False,
-    machine: Optional[Machine] = None,
-) -> tuple[int, int, Optional[np.ndarray]]:
-    """(transient, cycle, moves) of the machine clamped to n = w.
-
-    The scalar walk goes first; only an orbit that outlasts its budget
-    goes on to the tables of ``machine`` (a new one if None), where it is
-    walked directly and then hopped.  ``moves`` are the realized moves of
-    the first transient + cycle ticks, from whichever walk found the
-    orbit, if ``with_moves``; else None.
-    """
-    windows, transient = _engine.walk_scalar(
-        rule, w, policy, init.bits, _scalar_budget(w)
-    )
-    if transient is not None:
-        cycle = len(windows) - 1 - transient
-    else:
-        machine = _machine_for(rule, w, machine)
-        transient, cycle, windows = machine.orbit(policy, windows, with_moves)
-    moves = _moves(windows[1 : transient + cycle + 1]) if with_moves else None
-    return transient, cycle, moves
-
-
 def _machine_for(rule: IfaRule, w: int, machine: Optional[Machine]) -> Machine:
     """``machine``, checked against the rule and w, or a new one if None."""
     if machine is None:
@@ -180,11 +141,6 @@ def _machine_for(rule: IfaRule, w: int, machine: Optional[Machine]) -> Machine:
             f"given for rule {rule.rule_number} at w {w}"
         )
     return machine
-
-
-def _moves(windows: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The realized moves that produced ``windows``: their newest bits."""
-    return (np.asarray(windows, dtype=np.uint32) & 1).astype(np.uint8)
 
 
 def _held_moves(rule: IfaRule, w: int, policy: RegulationPolicy) -> list[int]:
@@ -234,12 +190,10 @@ def simulate(
     Realized (post-intervention) moves feed back into the window: the
     investor observes the market as regulated.  Trailing runs are
     counted over the whole realized history including the initial
-    window.  Runs shorter than the scalar budget build no table: they are
-    walked window by window, and once a window repeats the rest is the
-    cycle tiled.  Longer runs walk the tables of ``machine``, a
-    :class:`~ifamarket._engine.Machine` of this rule and w that calls
-    may share (a new one if None).  A trend length n > w runs the
-    machine clamped to n = w, then adds its holds.
+    window.  The run is :meth:`~ifamarket._engine.Machine.run` of
+    ``machine``, this rule's machine at this w that calls may share (a
+    new one if None): a short run builds no table.  A trend length n > w
+    runs the machine clamped to n = w, then adds its holds.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
@@ -251,18 +205,7 @@ def simulate(
         init=describe_window(init),
         policy=policy.describe(),
     )
-    if num_ticks == 0:
-        return TickSeries(moves=np.empty(0, dtype=np.uint8), **meta)
-
-    if num_ticks < _scalar_budget(w):
-        windows, first = _engine.walk_scalar(rule, w, policy, init.bits, num_ticks)
-        moves = _moves(windows[1:])
-        if first is not None:
-            moves = np.concatenate(
-                (moves[:first], np.resize(moves[first:], num_ticks - first))
-            )
-    else:
-        moves = _machine_for(rule, w, machine).emit(policy, init.bits, num_ticks)
+    moves = _machine_for(rule, w, machine).run(policy, init.bits, num_ticks)
     held = _held_moves(rule, w, policy)
     if held:
         # a hold repeats the move before the tick it delays; holds are
@@ -286,22 +229,19 @@ def find_cycle(
 ) -> CycleReport:
     """Exact transient and cycle length of the closed-loop orbit.
 
-    Walks the orbit without tables for up to about 2**w / (8w) ticks.
-    An orbit that lasts longer builds the step table over all 2**w
-    window states (16 MiB of 32-bit entries at w = 22) in ``machine``
-    (a new one if None; see :class:`~ifamarket._engine.Machine`), walks
-    it directly for up to 2**w / 64 ticks, and then hops through
-    step**w.  A trend length n > w walks the machine clamped to n = w,
-    then adds its holds to the moves of that walk.
+    The orbit is :meth:`~ifamarket._engine.Machine.orbit` of
+    ``machine`` (a new one if None), which walks without tables for up
+    to about 2**w / (8w) ticks and builds them only for an orbit that
+    lasts longer.  A trend length n > w walks the machine clamped to
+    n = w, then adds its holds to the moves of that walk.
     """
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
+    transient, windows = _machine_for(rule, w, machine).orbit(policy, init.bits)
+    cycle = len(windows) - 1 - transient
     held = _held_moves(rule, w, policy)
-    transient, cycle, orbit = _orbit(
-        rule, w, init, policy, with_moves=bool(held), machine=machine
-    )
     if held:
-        added = _stretch(init, orbit, held, policy.trend_length - w)
+        added = _stretch(init, realized(windows), held, policy.trend_length - w)
         transient, cycle = (
             transient + int(added[:transient].sum()),
             cycle + int(added[transient:].sum()),

@@ -22,8 +22,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ._engine import Machine, realized
 from .ifa import IfaRule, decode_rule, encode_rule
-from .market import WindowState, _orbit
+from .market import WindowState
 from .regulation import RegulationPolicy
 
 DEFAULT_LONG_CYCLE_FRACTION = 0.25
@@ -63,10 +64,9 @@ def classify_rule(
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
     # one walk gives the orbit and its moves
-    transient, cycle, moves = _orbit(
-        rule, w, init, RegulationPolicy("none"), with_moves=True
-    )
-    ratio = compression_ratio(moves[transient:])
+    transient, windows = Machine(rule, w).orbit(RegulationPolicy("none"), init.bits)
+    cycle = len(windows) - 1 - transient
+    ratio = compression_ratio(realized(windows)[transient:])
     if cycle == 1:
         rule_class = "fixed"
     elif cycle >= long_cycle_fraction * (1 << w) and ratio > compression_threshold:

@@ -158,7 +158,7 @@ def test_trend_longer_than_window_matches_reference(
     # "direct" finds every orbit by the direct walk on the step table,
     # "table" and "hop" search every orbit through step**w, which
     # "route" gets by a patch of the unregulated one or by squaring
-    from ifamarket import _engine, market
+    from ifamarket import _engine
 
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
     n = data.draw(st.integers(min_value=w + 1, max_value=3 * w), label="n")
@@ -167,7 +167,7 @@ def test_trend_longer_than_window_matches_reference(
     with pytest.MonkeyPatch.context() as mp:
         if path != "auto":
             budget = 1 << 62 if path == "scalar" else 0
-            mp.setattr(market, "_scalar_budget", lambda w: budget)
+            mp.setattr(_engine, "_scalar_budget", lambda w: budget)
         if path == "direct":
             mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 0)
         if path in ("table", "hop"):
@@ -280,7 +280,7 @@ def test_pure_python_walk_fallback(monkeypatch):
     # unbounded budget), the tables walked tick by tick up to 2**w ticks
     # (budget 0, emit shift 0), and the tables with every walk hopping w
     # ticks at a time through step**w (budget 0, emit shift 64)
-    from ifamarket import _engine, market
+    from ifamarket import _engine
 
     w = 10
     prick3 = RegulationPolicy("prick", 3)
@@ -298,7 +298,7 @@ def test_pure_python_walk_fallback(monkeypatch):
     ]
     for budget, shift in ((None, None), (1 << 62, None), (0, 0), (0, 64)):
         if budget is not None:
-            monkeypatch.setattr(market, "_scalar_budget", lambda w: budget)
+            monkeypatch.setattr(_engine, "_scalar_budget", lambda w: budget)
         if shift is not None:
             monkeypatch.setattr(_engine, "_DIRECT_EMIT_SHIFT", shift)
         for k, kind, ticks, policy in cases:
@@ -389,14 +389,14 @@ def test_scalar_decision_matches_on_random_wide_windows():
 )
 def test_scalar_walk_matches_reference(k, w, init_bits, regime, ticks, data):
     # the scalar walk alone, orbit and tiled series, for every policy
-    from ifamarket import market
+    from ifamarket import _engine
 
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
     n = data.draw(st.integers(min_value=1, max_value=3 * w), label="n")
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
     init_moves = [int(m) for m in init.to_moves()]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(market, "_scalar_budget", lambda w: 1 << 62)
+        mp.setattr(_engine, "_scalar_budget", lambda w: 1 << 62)
         series = simulate(decode_rule(k), w, init, policy, ticks)
         report = find_cycle(decode_rule(k), w, init, policy)
     assert series.moves.tolist() == oracles.simulate(
@@ -412,10 +412,10 @@ def test_scalar_walk_stops_at_budget_or_first_repeat():
 
     rule = decode_rule(54)
     start = initial_window("alternating_up_first", 10).bits
-    windows, first = _engine.walk_scalar(rule, 10, NONE, start, 5)
+    first, windows = _engine.walk_scalar(rule, 10, NONE, start, 5)
     assert first is None and len(windows) == 6 and windows[0] == start
     transient, cycle = oracles.orbit(rule, _oldest_first(start, 10), NONE)
-    windows, first = _engine.walk_scalar(rule, 10, NONE, start, transient + cycle)
+    first, windows = _engine.walk_scalar(rule, 10, NONE, start, transient + cycle)
     assert (first, len(windows)) == (transient, transient + cycle + 1)
     assert windows[-1] == windows[first]
     assert len(set(windows)) == transient + cycle
@@ -474,7 +474,7 @@ def test_machine_patch_is_undone_when_the_walk_raises(monkeypatch):
     monkeypatch.setattr(_engine, "walk_emit", failing_walk)
     for policy in (RegulationPolicy("prick", 3), RegulationPolicy("both", 12)):
         with pytest.raises(RuntimeError, match="walk failed"):
-            machine.emit(policy, 5, 1 << w)
+            machine.run(policy, 5, 1 << w)
         assert np.array_equal(machine._base, base)
     with pytest.raises(KeyError):
         with machine.power(RegulationPolicy("prop", 2)) as power:
@@ -531,7 +531,7 @@ def test_machine_patches_only_a_table_it_holds(monkeypatch):
 
 def test_direct_walk_continues_the_scalar_walk():
     # the direct walk picks up where the scalar walk's budget ran out and
-    # stops at the first repeat, or returns None past its limit
+    # stops at the first repeat, or gives first None past its limit
     from ifamarket import _engine
 
     w = 10
@@ -540,15 +540,48 @@ def test_direct_walk_continues_the_scalar_walk():
     start = initial_window("all_up", w).bits
     transient, cycle = oracles.orbit(rule, _oldest_first(start, w), policy)
     step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
+    whole = _engine.walk_scalar(rule, w, policy, start, transient + cycle)[1]
     for known in (1, 7, transient + cycle):
-        walked, first = _engine.walk_scalar(rule, w, policy, start, known - 1)
+        first, walked = _engine.walk_scalar(rule, w, policy, start, known - 1)
         assert first is None and len(walked) == known
-        found = _engine.walk_direct(step, walked, transient + cycle)
-        assert found[:2] == (transient, cycle)
-        assert found[2].tolist() == _engine.walk_scalar(
-            rule, w, policy, start, transient + cycle
-        )[0]
-        assert _engine.walk_direct(step, walked, transient + cycle - 1) is None
+        first, windows = _engine.walk_direct(step, walked, transient + cycle)
+        assert (first, len(windows)) == (transient, transient + cycle + 1)
+        assert windows.tolist() == whole
+        first, windows = _engine.walk_direct(step, walked, transient + cycle - 1)
+        assert first is None and windows.tolist() == whole[:-1]
+        first, windows = _engine.walk_direct(step, walked, 0)
+        assert first is None and windows.tolist() == [start]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=255),
+    w=st.integers(min_value=1, max_value=10),
+    start=st.integers(min_value=0, max_value=(1 << 10) - 1),
+    regime=st.sampled_from(["none", "prick", "prop", "both"]),
+    limit=st.integers(min_value=0, max_value=1 << 11),
+    data=st.data(),
+)
+def test_walks_share_one_contract(k, w, start, regime, limit, data):
+    # the scalar and direct walks give the same (first, windows) from the
+    # same start and limit, and with a limit of 2**w ticks or more, within
+    # which every orbit closes, the hop walk's
+    from ifamarket import _engine
+
+    rule = decode_rule(k)
+    n = data.draw(st.integers(min_value=1, max_value=w + 3), label="n")
+    policy = NONE if regime == "none" else RegulationPolicy(regime, n)
+    start &= (1 << w) - 1
+    step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
+    first, windows = _engine.walk_scalar(rule, w, policy, start, limit)
+    direct = _engine.walk_direct(step, [start], limit)
+    assert (direct[0], direct[1].tolist()) == (first, windows)
+    assert first is not None or len(windows) == limit + 1
+    if first is not None:
+        assert windows[-1] == windows[first] and len(set(windows)) == len(windows) - 1
+    if limit >= 1 << w:
+        hop = _engine.walk_orbit(_engine._power(step, w), start)
+        assert (hop[0], hop[1].tolist()) == (first, windows)
 
 
 def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):

@@ -97,7 +97,6 @@ def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
     # from all-UP at w = 22, every orbit but those of rules 54 and 201
     # closes within the scalar budget, so only they build tables, once each
     from ifamarket import _engine
-    from ifamarket.market import _scalar_budget
 
     built = []
     decision_table, step_table = _engine.decision_table, _engine.step_table
@@ -117,7 +116,7 @@ def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
     long_orbits = [
         row.rule_number
         for row in rows
-        if row.transient_length + row.cycle_length >= _scalar_budget(22)
+        if row.transient_length + row.cycle_length >= _engine._scalar_budget(22)
     ]
     assert long_orbits == [54, 201]
     assert [rows[54].cycle_length, rows[201].cycle_length] == [(1 << 22) - 1] * 2
@@ -127,14 +126,14 @@ def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
 def test_classify_rule_ratio_from_the_cycle_moves(monkeypatch, path):
     # the orbit and the compression ratio of exactly one cycle's moves,
     # against the brute-force oracles, whichever walk found the orbit
-    from ifamarket import market
+    from ifamarket import _engine
     from ifamarket.regulation import RegulationPolicy
 
     import oracles
 
     if path != "auto":
         budget = 1 << 62 if path == "scalar" else 0
-        monkeypatch.setattr(market, "_scalar_budget", lambda w: budget)
+        monkeypatch.setattr(_engine, "_scalar_budget", lambda w: budget)
     none = RegulationPolicy("none")
     for k in (27, 30, 54, 99, 110, 156):
         rule = decode_rule(k)
