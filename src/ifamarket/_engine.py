@@ -18,9 +18,10 @@ tables and builds nothing of size 2**w; :func:`walk_direct` walks the
 step table with a 2**w-bit seen bitmap; :func:`walk_orbit` hops w ticks
 at a time through step**w.  :meth:`Machine.orbit` and :meth:`Machine.run`
 are the only routers: the first climbs the ladder until the orbit
-closes, the second picks a walk by the length of the run and tiles the
-cycle of a walk that closes.  :func:`walk_emit`, the hop walk of a run,
-returns the moves alone.
+closes, or, given a limit, until the limit runs out, without the hop
+rung; the second takes a short run as that limited climb and tiles the
+cycle of a walk that closes, and a long one as :func:`walk_emit`, the
+hop walk of a run, which returns the moves alone.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table
 and the unregulated step**w, and nothing else of size 2**w.  A regulated
@@ -500,22 +501,30 @@ class Machine:
         finally:
             base[affected] = saved
 
-    def orbit(self, policy: RegulationPolicy, start: int) -> tuple[int, Sequence[int]]:
-        """``(first, windows)`` of the orbit of ``start``, which always closes.
+    def orbit(
+        self, policy: RegulationPolicy, start: int, limit: Optional[int] = None
+    ) -> tuple[Optional[int], Sequence[int]]:
+        """``(first, windows)`` of the orbit of ``start``.
 
         Climbs the ladder: the scalar walk for ``_scalar_budget(w)``
         ticks, then the step table walked directly up to 2**w >>
         ``_DIRECT_VISIT_SHIFT`` ticks, and only then the hops through
-        step**w.
+        step**w, so that the orbit always closes.  A walk with a
+        ``limit`` keeps to the contract of every walk: the scalar rung
+        runs up to ``limit`` ticks if the budget allows, the direct rung
+        takes the rest, and it never hops.
         """
-        first, windows = walk_scalar(
-            self.rule, self.w, policy, start, _scalar_budget(self.w)
-        )
-        if first is not None:
+        budget = _scalar_budget(self.w)
+        if limit is not None:
+            budget = min(budget, limit)
+        first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
+        if first is not None or budget == limit:
             return first, windows
         step = self.step(policy)
-        first, windows = walk_direct(step, windows, step.size >> _DIRECT_VISIT_SHIFT)
-        if first is not None:
+        first, windows = walk_direct(
+            step, windows, step.size >> _DIRECT_VISIT_SHIFT if limit is None else limit
+        )
+        if first is not None or limit is not None:
             return first, windows
         del windows
         tables = self.power(policy, step)
@@ -528,18 +537,14 @@ class Machine:
     ) -> np.ndarray:
         """Realized moves of ``num_ticks`` ticks from ``start``.
 
-        Runs shorter than the scalar budget build no table; runs shorter
-        than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks walk the step table
-        directly; both stop at the first repeat and tile the cycle over
-        the ticks left.  Longer runs hop through step**w, which costs a
-        few passes over the table, or a patch, but then only one Python
-        step per w ticks.
+        Runs shorter than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks are the
+        orbit search limited to ``num_ticks``, which builds no table if
+        the scalar walk closes the orbit or runs out of ticks first; a
+        walk that closes tiles its cycle over the ticks left.  Longer
+        runs hop through step**w, which costs a few passes over the
+        table, or a patch, but then only one Python step per w ticks.
         """
-        if num_ticks < _scalar_budget(self.w):
-            walk = walk_scalar(self.rule, self.w, policy, start, num_ticks)
-        elif num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
-            walk = walk_direct(self.step(policy), [start], num_ticks)
-        else:
-            with self.power(policy) as power:
-                return walk_emit(power, start, num_ticks)
-        return _tile(*walk, num_ticks)
+        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
+            return _tile(*self.orbit(policy, start, num_ticks), num_ticks)
+        with self.power(policy) as power:
+            return walk_emit(power, start, num_ticks)

@@ -20,7 +20,8 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -223,24 +224,17 @@ def summarize_regime(
     )
 
 
-# what every table1 row of a worker process shares, set by _start_worker
-_worker_rows: dict = {}
+# the row function of a table1 worker process, set by _start_worker
+_worker_row: Optional[Callable[[RegulationPolicy], RegimeSummary]] = None
 
 
-def _start_worker(machine: Machine, init: WindowState, kwargs: dict) -> None:
-    _worker_rows.update(machine=machine, init=init, kwargs=kwargs)
+def _start_worker(row: Callable[[RegulationPolicy], RegimeSummary]) -> None:
+    global _worker_row
+    _worker_row = row
 
 
-def _worker_row(policy: RegulationPolicy) -> RegimeSummary:
-    machine = _worker_rows["machine"]
-    return summarize_regime(
-        machine.rule,
-        machine.w,
-        _worker_rows["init"],
-        policy,
-        machine=machine,
-        **_worker_rows["kwargs"],
-    )
+def _run_worker_row(policy: RegulationPolicy) -> RegimeSummary:
+    return _worker_row(policy)
 
 
 def table1(
@@ -261,8 +255,8 @@ def table1(
     Every regime is evaluated over the same tick span so the rows are
     comparable: by default, transient + one full cycle of the
     *unregulated* process (regulated orbits are typically much shorter
-    than one rolling window).  Rows come back sorted: none first, then
-    by regime name and n.  All rows, and the orbit search for the span,
+    than one rolling window).  Rows come in order: none first, then by
+    regime name and n.  All rows, and the orbit search for the span,
     share one :class:`~ifamarket._engine.Machine`; with ``workers`` > 1
     each worker process starts from a copy of it.
     """
@@ -277,44 +271,35 @@ def table1(
             report.transient_length + report.cycle_length,
             window_days * ticks_per_day,
         )
-    kwargs = dict(
+    row = partial(
+        summarize_regime,
+        rule,
+        w,
+        init,
         ticks=ticks,
         ticks_per_day=ticks_per_day,
         scale=scale,
         window_days=window_days,
         days_per_year=days_per_year,
+        machine=machine,
     )
+    # in output order: by regime name, then by n
+    regimes = (["both"] if include_both else []) + ["prick", "prop"]
+    trend_lengths = sorted(n_range)
+    policies = [
+        RegulationPolicy.parse(f"{regime}:{n}")
+        for regime in regimes
+        for n in trend_lengths
+    ]
     # the unregulated row goes first, so that the machine holds its
     # tables, if the span needs any, before the regulated rows patch them
-    rows = [
-        summarize_regime(
-            rule, w, init, RegulationPolicy("none"), machine=machine, **kwargs
-        )
-    ]
-    regimes = ["prick", "prop"] + (["both"] if include_both else [])
-    policies = [
-        RegulationPolicy.parse(f"{regime}:{n}") for n in n_range for regime in regimes
-    ]
+    rows = [row(RegulationPolicy("none"))]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_start_worker,
-            initargs=(machine, init, kwargs),
+            initargs=(row,),
         ) as pool:
-            rows += pool.map(_worker_row, policies)
-    else:
-        rows += (
-            summarize_regime(rule, w, init, policy, machine=machine, **kwargs)
-            for policy in policies
-        )
-    return sorted(rows, key=_row_order)
-
-
-def _row_order(row: RegimeSummary) -> tuple:
-    policy = RegulationPolicy.parse(row.policy)
-    return (
-        0 if policy.regime == "none" else 1,
-        policy.regime,
-        policy.trend_length or 0,
-    )
+            return rows + list(pool.map(_run_worker_row, policies))
+    return rows + list(map(row, policies))

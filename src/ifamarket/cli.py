@@ -25,7 +25,7 @@ from .analytics import (
 from .config import RunConfig
 from .empirical import compare_report, load_price_csv, to_returns
 from .ifa import decode_rule
-from .market import Machine, TickSeries, find_cycle, simulate
+from .market import MAX_WINDOW_WIDTH, Machine, TickSeries, find_cycle, simulate
 from .regulation import RegulationPolicy
 from .reports import (
     fmt,
@@ -186,15 +186,15 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         lo, sep, hi = args.sweep_w.partition(":")
         if not (sep and lo.isdigit() and hi.isdigit()):
             raise ValueError(f"bad --sweep-w {args.sweep_w!r}; expected LO:HI")
-        w_range = range(int(lo), int(hi) + 1)
+        if not 1 <= int(lo) <= int(hi) <= MAX_WINDOW_WIDTH:
+            raise ValueError(
+                f"bad --sweep-w {args.sweep_w!r}; "
+                f"expected 1 <= LO <= HI <= {MAX_WINDOW_WIDTH}"
+            )
         rows = sweep_window(
             decode_rule(config.rule),
-            w_range,
-            init_kind=(
-                "alternating_up_first"
-                if config.init == "alternating"
-                else config.init
-            ),
+            range(int(lo), int(hi) + 1),
+            init_kind=config.init,
             long_cycle_fraction=args.long_cycle_fraction,
             compression_threshold=args.compression_threshold,
         )

@@ -152,10 +152,6 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
-def _moment_values(moments: RollingMoments, name: str) -> np.ndarray:
-    return getattr(moments, name)
-
-
 def compare_report(
     model: RollingMoments,
     empirical: Sequence[RollingMoments] = (),
@@ -169,23 +165,21 @@ def compare_report(
     rows: list[CompareRow] = []
     for moment in _MOMENTS:
         rows.append(
-            CompareRow("model", moment, quantile_summary(_moment_values(model, moment)))
+            CompareRow("model", moment, quantile_summary(getattr(model, moment)))
         )
         for label, series in zip(labels, empirical):
             rows.append(
-                CompareRow(
-                    label, moment, quantile_summary(_moment_values(series, moment))
-                )
+                CompareRow(label, moment, quantile_summary(getattr(series, moment)))
             )
     flags: dict = {}
     for moment in _MOMENTS:
         if not empirical:
             flags[moment] = None
             continue
-        model_median = quantile_summary(_moment_values(model, moment))[2]
+        model_median = quantile_summary(getattr(model, moment))[2]
         lows, highs = [], []
         for series in empirical:
-            summary = quantile_summary(_moment_values(series, moment))
+            summary = quantile_summary(getattr(series, moment))
             lows.append(summary[0])
             highs.append(summary[4])
         flags[moment] = min(lows) <= model_median <= max(highs)

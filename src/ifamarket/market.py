@@ -251,9 +251,7 @@ def find_cycle(
 
 def describe_window(init: WindowState) -> str:
     """Compact descriptor used in metadata: e.g. ``UDUD`` oldest-first."""
-    if init.width <= 32:
-        return "".join(str(m) for m in init.to_moves())
-    return f"bits:{init.bits:#x}/w{init.width}"
+    return "".join(str(m) for m in init.to_moves())
 
 
 def window_from_literal(literal: str, w: int) -> WindowState:

@@ -18,13 +18,14 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
 
 from ._engine import Machine, realized
 from .ifa import IfaRule, decode_rule, encode_rule
-from .market import WindowState
+from .market import WindowState, window_from_literal
 from .regulation import RegulationPolicy
 
 DEFAULT_LONG_CYCLE_FRACTION = 0.25
@@ -83,13 +84,6 @@ def classify_rule(
     )
 
 
-def _classify_one(args) -> RuleClassification:
-    rule_number, w, init_bits, kwargs = args
-    return classify_rule(
-        decode_rule(rule_number), w, WindowState(bits=init_bits, width=w), **kwargs
-    )
-
-
 def survey_rules(
     w: int,
     init: WindowState,
@@ -97,20 +91,20 @@ def survey_rules(
     compression_threshold: float = DEFAULT_COMPRESSION_THRESHOLD,
     workers: int = 1,
 ) -> list[RuleClassification]:
-    """Classify all 256 rules, sorted by rule number."""
+    """Classify all 256 rules, in rule-number order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    kwargs = dict(
+    classify = partial(
+        classify_rule,
+        w=w,
+        init=init,
         long_cycle_fraction=long_cycle_fraction,
         compression_threshold=compression_threshold,
     )
-    jobs = [(k, w, init.bits, kwargs) for k in range(256)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_classify_one, jobs, chunksize=16))
-    else:
-        rows = [_classify_one(job) for job in jobs]
-    return sorted(rows, key=lambda row: row.rule_number)
+            return list(pool.map(classify, range(256), chunksize=16))
+    return list(map(classify, range(256)))
 
 
 def sweep_window(
@@ -120,14 +114,15 @@ def sweep_window(
     long_cycle_fraction: float = DEFAULT_LONG_CYCLE_FRACTION,
     compression_threshold: float = DEFAULT_COMPRESSION_THRESHOLD,
 ) -> list[RuleClassification]:
-    """Classify one rule across lookback windows."""
-    from .market import initial_window
+    """Classify one rule across lookback windows.
 
+    ``init_kind`` is an initial-window literal, as ``--init`` takes it.
+    """
     if isinstance(rule, int):
         rule = decode_rule(rule)
     rows = []
     for w in w_range:
-        init = initial_window(init_kind, w)
+        init = window_from_literal(init_kind, w)
         rows.append(
             classify_rule(
                 rule,

@@ -226,6 +226,20 @@ def test_table1_rows_do_not_depend_on_workers():
     assert parallel == serial
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table1_rows_come_in_policy_order(workers):
+    # none first, then each regime by name, each at n in increasing
+    # order, whatever order n_range gives them in
+    init = initial_window("alternating_up_first", 12)
+    small = dict(ticks_per_day=64, window_days=8)
+    rows = table1(
+        54, 12, init, n_range=[4, 2, 3], include_both=True, workers=workers, **small
+    )
+    assert [row.policy for row in rows] == ["none"] + [
+        f"{regime}:{n}" for regime in ("both", "prick", "prop") for n in (2, 3, 4)
+    ]
+
+
 def test_rows_leave_the_machine_unregulated(monkeypatch):
     # after every row's walk, patched or squared, the machine's
     # unregulated step**w is the one it held before, also when a walk

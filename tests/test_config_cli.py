@@ -239,6 +239,23 @@ def test_sweep_w_malformed_exits_cleanly(capsys):
     assert err.startswith("ifamarket: error: ") and "expected LO:HI" in err
 
 
+@pytest.mark.parametrize("sweep", ["5:3", "0:3", "2:31"])
+def test_sweep_w_out_of_range_exits_before_any_walk(monkeypatch, capsys, sweep):
+    from ifamarket import cli
+
+    def no_walk(*args, **kwargs):
+        pytest.fail("the sweep walked")
+
+    monkeypatch.setattr(cli, "sweep_window", no_walk)
+    assert run_cli(["survey", "--rule", "54", "--sweep-w", sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ifamarket: error: bad --sweep-w {sweep!r}; "
+        "expected 1 <= LO <= HI <= 30\n"
+    )
+
+
 def test_memory_error_exits_cleanly(monkeypatch, capsys):
     from ifamarket import _engine
 

@@ -277,7 +277,8 @@ def _run_lengths(moves: np.ndarray, value: int) -> np.ndarray:
 def test_pure_python_walk_fallback(monkeypatch):
     # the orbit engine against the brute-force oracles, first with its own
     # limits, then forced onto each path: the scalar walk alone (an
-    # unbounded budget), the tables walked tick by tick up to 2**w ticks
+    # unbounded budget) for every walk but runs of 2**w / 8 ticks or more,
+    # which hop, the tables walked tick by tick up to 2**w ticks
     # (budget 0, emit shift 0), and the tables with every walk hopping w
     # ticks at a time through step**w (budget 0, emit shift 64)
     from ifamarket import _engine
@@ -582,6 +583,35 @@ def test_walks_share_one_contract(k, w, start, regime, limit, data):
     if limit >= 1 << w:
         hop = _engine.walk_orbit(_engine._power(step, w), start)
         assert (hop[0], hop[1].tolist()) == (first, windows)
+
+
+def test_short_run_closed_by_the_scalar_walk_builds_no_table(monkeypatch):
+    # rule 54 at w = 16 from alternating under prick:3 closes in 144 + 136
+    # ticks, within the scalar budget of 512: a 4,000-tick run tiles that
+    # orbit and never needs a decision table
+    from ifamarket import _engine
+
+    def no_table(*args):
+        pytest.fail("a decision table was built")
+
+    monkeypatch.setattr(_engine, "decision_table", no_table)
+    w, ticks, policy = 16, 4000, RegulationPolicy("prick", 3)
+    init = initial_window("alternating_up_first", w)
+    series = simulate(decode_rule(54), w, init, policy, ticks)
+    assert series.moves.tolist() == oracles.simulate(
+        decode_rule(54), [int(m) for m in init.to_moves()], policy, ticks
+    )
+
+
+def test_short_run_past_the_scalar_budget_continues_directly():
+    # prop:2 at the same size has a cycle of 14,691 ticks: the scalar walk
+    # runs out at 512 ticks and the direct walk takes the run to 4,000
+    w, ticks, policy = 16, 4000, RegulationPolicy("prop", 2)
+    init = initial_window("alternating_up_first", w)
+    series = simulate(decode_rule(54), w, init, policy, ticks)
+    assert series.moves.tolist() == oracles.simulate(
+        decode_rule(54), [int(m) for m in init.to_moves()], policy, ticks
+    )
 
 
 def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):

@@ -58,6 +58,12 @@ def test_sweep_window_cycle_bounds():
         assert row.cycle_length <= 1 << row.w
 
 
+def test_sweep_window_takes_the_init_alias():
+    # "alternating", as --init spells it, is the alternating_up_first window
+    rows = sweep_window(54, range(2, 11), init_kind="alternating")
+    assert rows == sweep_window(54, range(2, 11), init_kind="alternating_up_first")
+
+
 def test_rule54_sweep_exceptional_windows():
     # "complex for almost any lookback window": the exceptions in 2..22,
     # frozen from a verified sweep (short algebraic cycles at these widths)
