@@ -38,6 +38,7 @@ state arrays are uint32, which holds every window for w <= 30.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -548,3 +549,32 @@ class Machine:
             return _tile(*self.orbit(policy, start, num_ticks), num_ticks)
         with self.power(policy) as power:
             return walk_emit(power, start, num_ticks)
+
+
+# the function that ordered_map's worker process maps, set by _start_worker
+_worker_fn: Optional[Callable] = None
+
+
+def _start_worker(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_worker(item: object) -> object:
+    return _worker_fn(item)
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``list(map(fn, items))`` in min(``workers``, len(``items``)) processes,
+    or in this one if that is 1.  A worker gets ``fn`` once, inherited if
+    forked or unpickled if spawned, and items in chunks of a quarter of its
+    share, as ``multiprocessing.Pool.map`` sends them."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n = min(workers, len(items))
+    if n <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(
+        max_workers=n, initializer=_start_worker, initargs=(fn,)
+    ) as pool:
+        return list(pool.map(_run_worker, items, chunksize=-(-len(items) // (4 * n))))

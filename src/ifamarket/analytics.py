@@ -17,14 +17,13 @@ entry bit-identical (and scales means and vols exactly).
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._engine import ordered_map
 from .ifa import IfaRule, decode_rule
 from .market import Machine, TickSeries, WindowState, find_cycle, simulate
 from .regulation import RegulationPolicy
@@ -224,19 +223,6 @@ def summarize_regime(
     )
 
 
-# the row function of a table1 worker process, set by _start_worker
-_worker_row: Optional[Callable[[RegulationPolicy], RegimeSummary]] = None
-
-
-def _start_worker(row: Callable[[RegulationPolicy], RegimeSummary]) -> None:
-    global _worker_row
-    _worker_row = row
-
-
-def _run_worker_row(policy: RegulationPolicy) -> RegimeSummary:
-    return _worker_row(policy)
-
-
 def table1(
     rule: IfaRule | int,
     w: int,
@@ -291,15 +277,6 @@ def table1(
         for regime in regimes
         for n in trend_lengths
     ]
-    # the unregulated row goes first, so that the machine holds its
-    # tables, if the span needs any, before the regulated rows patch them
-    rows = [row(RegulationPolicy("none"))]
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_start_worker,
-            initargs=(row,),
-        ) as pool:
-            return rows + list(pool.map(_run_worker_row, policies))
-    return rows + list(map(row, policies))
+    # the unregulated row walks here, first: its tables, if the span needs
+    # any, are in the machine that the workers inherit or receive to patch
+    return [row(RegulationPolicy("none"))] + ordered_map(row, policies, workers)

@@ -197,6 +197,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
             init_kind=config.init,
             long_cycle_fraction=args.long_cycle_fraction,
             compression_threshold=args.compression_threshold,
+            workers=args.workers,
         )
     else:
         rows = survey_rules(

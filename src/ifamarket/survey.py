@@ -16,14 +16,13 @@ identical price stream.  ``state_swap_rule`` computes the partner.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
 
-from ._engine import Machine, realized
+from ._engine import Machine, ordered_map, realized
 from .ifa import IfaRule, decode_rule, encode_rule
 from .market import WindowState, window_from_literal
 from .regulation import RegulationPolicy
@@ -92,8 +91,6 @@ def survey_rules(
     workers: int = 1,
 ) -> list[RuleClassification]:
     """Classify all 256 rules, in rule-number order."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     classify = partial(
         classify_rule,
         w=w,
@@ -101,10 +98,14 @@ def survey_rules(
         long_cycle_fraction=long_cycle_fraction,
         compression_threshold=compression_threshold,
     )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(classify, range(256), chunksize=16))
-    return list(map(classify, range(256)))
+    return ordered_map(classify, range(256), workers)
+
+
+def _classify_at(
+    rule: IfaRule | int, init_kind: str, fraction: float, threshold: float, w: int
+) -> RuleClassification:
+    init = window_from_literal(init_kind, w)
+    return classify_rule(rule, w, init, fraction, threshold)
 
 
 def sweep_window(
@@ -113,26 +114,16 @@ def sweep_window(
     init_kind: str = "all_up",
     long_cycle_fraction: float = DEFAULT_LONG_CYCLE_FRACTION,
     compression_threshold: float = DEFAULT_COMPRESSION_THRESHOLD,
+    workers: int = 1,
 ) -> list[RuleClassification]:
     """Classify one rule across lookback windows.
 
     ``init_kind`` is an initial-window literal, as ``--init`` takes it.
     """
-    if isinstance(rule, int):
-        rule = decode_rule(rule)
-    rows = []
-    for w in w_range:
-        init = window_from_literal(init_kind, w)
-        rows.append(
-            classify_rule(
-                rule,
-                w,
-                init,
-                long_cycle_fraction=long_cycle_fraction,
-                compression_threshold=compression_threshold,
-            )
-        )
-    return rows
+    classify = partial(
+        _classify_at, rule, init_kind, long_cycle_fraction, compression_threshold
+    )
+    return ordered_map(classify, list(w_range), workers)
 
 
 def state_swap_rule(rule: IfaRule | int) -> IfaRule:

@@ -312,10 +312,13 @@ def test_cycle_trend_longer_than_window(capsys):
     assert (payload["transient_length"], payload["cycle_length"]) == (0, 6)
 
 
-@pytest.mark.parametrize("command", ["table1", "survey"])
+@pytest.mark.parametrize(
+    "command",
+    ["table1", "survey", pytest.param("survey --rule 54 --sweep-w 2:4", id="sweep")],
+)
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_exit_cleanly(capsys, command, workers):
-    assert run_cli([command, "--w", "8", "--workers", workers]) == 2
+    assert run_cli([*command.split(), "--w", "8", "--workers", workers]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ifamarket: error: workers must be >= 1, got {workers}\n"

@@ -660,3 +660,45 @@ def test_rule54_cycles_are_the_order_of_x_mod_the_trinomial():
             report = find_cycle(decode_rule(54), w, initial_window(kind, w), NONE)
             assert (report.transient_length, report.cycle_length) == (0, order)
     assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
+
+
+def test_ordered_map_starts_no_more_processes_than_items(monkeypatch):
+    from ifamarket import _engine
+
+    asked = []
+
+    class InlinePool:
+        # records the processes asked for and maps here, through the
+        # worker's initializer
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(_engine, "_worker_fn", None)
+    monkeypatch.setattr(_engine, "ProcessPoolExecutor", InlinePool)
+    assert _engine.ordered_map(str, range(3), 64) == ["0", "1", "2"]
+    assert asked == [3]
+
+
+@pytest.mark.parametrize(
+    "items, workers",
+    [(range(5), 1), (range(1), 8), ([], 8)],
+    ids=["one-worker", "one-item", "no-items"],
+)
+def test_ordered_map_maps_serially_without_an_executor(monkeypatch, items, workers):
+    from ifamarket import _engine
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("ordered_map built an executor")
+
+    monkeypatch.setattr(_engine, "ProcessPoolExecutor", no_pool)
+    assert _engine.ordered_map(str, items, workers) == [str(i) for i in items]

@@ -64,6 +64,16 @@ def test_sweep_window_takes_the_init_alias():
     assert rows == sweep_window(54, range(2, 11), init_kind="alternating_up_first")
 
 
+def test_survey_rows_do_not_depend_on_workers():
+    init = initial_window("all_up", 10)
+    assert survey_rules(10, init, workers=2) == survey_rules(10, init, workers=1)
+
+
+def test_sweep_rows_do_not_depend_on_workers():
+    serial = sweep_window(54, range(2, 13), "all_up", workers=1)
+    assert sweep_window(54, range(2, 13), "all_up", workers=2) == serial
+
+
 def test_rule54_sweep_exceptional_windows():
     # "complex for almost any lookback window": the exceptions in 2..22,
     # frozen from a verified sweep (short algebraic cycles at these widths)
