@@ -23,21 +23,38 @@ rung; the second takes a short run as that limited climb and tiles the
 cycle of a walk that closes, and a long one as :func:`walk_emit`, the
 hop walk of a run, which returns the moves alone.
 
-A :class:`Machine` holds one rule's tables at one w: the decision table
-and the unregulated step**w, and nothing else of size 2**w.  A regulated
-policy changes the step table only on windows that end in a run, so
-its step**w is the unregulated one patched in place over the windows
-that reach such a window within w - 1 ticks; a policy that reaches too
-many squares its own step table.  At most a regulated step table and
-two step**w temporaries are held besides the machine's two tables.
-Hop walks use numpy alone, one Python step per w ticks; each tick's
-window is rebuilt from two consecutive hop states with shifts.  All
-state arrays are uint32, which holds every window for w <= 30.
+A regulated walk is the unregulated one, cut where the policy fires and
+rejoined where the forced move lands.  So a machine that has walked an
+unregulated orbit through the hop rung holds it, and both routers take
+a cut rung before any regulated table: between two firing windows the
+walk follows the held cycle, found by one bisection over the sorted
+cycle positions of the firing windows, and a run is a list of slices of
+the cycle, gathered once.  The orbit closes when a firing window
+repeats.  A walk that starts or lands off the held cycle takes the
+ladder as it would without one.  For rule 54 where x^w + x + 1 is
+primitive (w = 22 among them) the unregulated cycle holds every nonzero
+window, so no regulated walk from a nonzero window leaves it.
+
+A :class:`Machine` holds one rule's tables at one w: the decision table,
+the unregulated step**w, the held unregulated walk and its cut index,
+the cycle position of every window, built for the first cut.  A
+regulated policy changes the step table only on windows that end in a
+run, so where it must take the ladder its step**w is the unregulated one
+patched in place over the windows that reach such a window within w - 1
+ticks; a policy that reaches too many squares its own step table.  At
+most a regulated step table and two step**w temporaries are held
+besides the machine's own tables.  Hop walks use numpy alone, one Python
+step per w ticks; each tick's window is rebuilt from two consecutive hop
+states with shifts.  All state arrays are uint32, which holds every
+window for w <= 30.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
@@ -76,9 +93,14 @@ _PATCH_MAX_SHARE = 1 / 8
 _GATHER_CHUNK = 1 << 18
 
 # bytes per window that the table path may hold at once: the decision
-# table (1) and the unregulated step**w (4) of a machine, and a regulated
-# step table (4) with the two temporaries of its step**w (4 each)
-_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4
+# table (1) and the unregulated step**w (4) of a machine, a regulated step
+# table (4) with the two temporaries of its step**w (4 each), and the held
+# unregulated cycle (4) with its cut index (4)
+_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4
+
+# tables smaller than this, about what the interpreter with numpy takes
+# already, are built without reading the memory available first
+_MEMORY_CHECK_MIN_BYTES = 32 << 20
 
 
 def _scalar_budget(w: int) -> int:
@@ -141,22 +163,34 @@ def walk_scalar(
 
 def realized(windows: Sequence[int] | np.ndarray) -> np.ndarray:
     """The realized moves that led to ``windows[1:]``: their newest bits."""
-    return (np.asarray(windows[1:], dtype=np.uint32) & 1).astype(np.uint8)
+    states = np.asarray(windows[1:], dtype=np.uint32)
+    moves = np.empty(states.size, dtype=np.uint8)
+    return np.bitwise_and(states, 1, out=moves, casting="unsafe")
 
 
-def _tile(
-    first: Optional[int], windows: Sequence[int], num_ticks: int
-) -> np.ndarray:
-    """Moves of ``num_ticks`` ticks from a walk of at most that many ticks.
+def _repeat_cycle(out: np.ndarray, first: int, done: int) -> np.ndarray:
+    """Fill ``out`` past ``done`` by repeating its cycle, which starts at ``first``.
 
-    A walk that closed repeats its cycle's moves over the ticks left.
+    ``out[first:done]`` holds whole cycles, so each copy may double it.
     """
-    moves = realized(windows)
-    if first is None:
-        return moves
-    return np.concatenate(
-        (moves[:first], np.resize(moves[first:], num_ticks - first))
-    )
+    while done < out.size:
+        count = min(done - first, out.size - done)
+        out[done : done + count] = out[first : first + count]
+        done += count
+    return out
+
+
+def _tile(first: Optional[int], moves: np.ndarray, num_ticks: int) -> np.ndarray:
+    """A new array of the moves of ``num_ticks`` ticks of a walk.
+
+    ``moves`` are the walk's: the moves of at most ``num_ticks`` ticks if
+    it did not close, else those of its transient and one cycle, which
+    repeats over the ticks left.
+    """
+    out = np.empty(num_ticks, dtype=np.uint8)
+    done = min(moves.size, num_ticks)
+    out[:done] = moves[:done]
+    return out if first is None else _repeat_cycle(out, first, done)
 
 
 def available_memory() -> Optional[int]:
@@ -188,15 +222,18 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
 
     Every table path starts here, so this is where it checks, before
     allocating anything, that the tables it may hold at once fit in the
-    memory available; if not it raises :class:`MemoryError`.
+    memory available; if not it raises :class:`MemoryError`.  Tables of
+    less than ``_MEMORY_CHECK_MIN_BYTES`` are not checked.
     """
-    available = available_memory()
-    if available is not None and _TABLE_BYTES_PER_WINDOW << w > available:
+    need = _TABLE_BYTES_PER_WINDOW << w
+    available = None if need < _MEMORY_CHECK_MIN_BYTES else available_memory()
+    if available is not None and need > available:
+        table = _mib(4 << w)
         raise MemoryError(
-            f"the tables for w = {w} need up to "
-            f"{_mib(_TABLE_BYTES_PER_WINDOW << w)} (decision {_mib(1 << w)}, "
-            f"unregulated step**w {_mib(4 << w)}, step {_mib(4 << w)}, "
-            f"two step**w temporaries of {_mib(4 << w)}), "
+            f"the tables for w = {w} need up to {_mib(need)} "
+            f"(decision {_mib(1 << w)}, unregulated step**w {table}, "
+            f"step {table}, two step**w temporaries of {table}, "
+            f"held unregulated cycle {table}, its cut index {table}), "
             f"but only {_mib(available)} is available"
         )
     # int16 keeps the t0b + s * (t1b - t0b) trick free of uint8 underflow
@@ -385,13 +422,48 @@ def walk_emit(power: np.ndarray, start: int, num_ticks: int) -> np.ndarray:
     return bits[:, 32 - w :].reshape(-1)[:num_ticks]
 
 
+def _add_arc(arcs: array, lo: int, hi: int, size: int) -> None:
+    """Append positions lo..hi - 1 of a cycle of ``size``, taken mod ``size``.
+
+    ``lo`` <= ``size`` and ``hi`` <= 2 * ``size``: an arc wraps at most once.
+    """
+    if hi <= size:
+        arcs.extend((lo, hi))
+    elif lo >= size:
+        arcs.extend((lo - size, hi - size))
+    else:
+        arcs.extend((lo, size, 0, hi - size))
+
+
+def _gather_arcs(source: np.ndarray, arcs: array, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``source[lo:hi]`` for each arc (lo, hi) in turn.
+
+    One slice copy per arc; the copies stop once ``out`` is full.
+    """
+    done = 0
+    for k in range(0, len(arcs), 2):
+        lo = arcs[k]
+        count = min(arcs[k + 1] - lo, out.size - done)
+        out[done : done + count] = source[lo : lo + count]
+        done += count
+        if done == out.size:
+            break
+    return out
+
+
+def _low_bytes(windows: np.ndarray) -> np.ndarray:
+    """A view of the low byte of each uint32 window: bit 0 is its newest move."""
+    return windows.view(np.uint8)[0 if sys.byteorder == "little" else 3 :: 4]
+
+
 class Machine:
     """One rule's tables at one window width, each built when first needed.
 
-    It holds the decision table and the unregulated step**w, and nothing
-    else of size 2**w, so that every policy walked on it shares them: see
-    :meth:`power`.  A machine that only serves scalar walks builds
-    nothing.
+    It holds the decision table, the unregulated step**w, and the last
+    unregulated orbit its hop rung walked with that orbit's cut index,
+    and nothing else of size 2**w, so that every policy walked on it
+    shares them: see :meth:`power` and :meth:`_cuts`.  A machine that
+    only serves scalar walks builds nothing.
     """
 
     def __init__(self, rule: IfaRule, w: int) -> None:
@@ -399,6 +471,11 @@ class Machine:
         self.w = w
         self._decisions: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None  # unregulated step**w
+        # the unregulated orbit last walked through the hop rung, as
+        # (first, windows), and, built when a cut first needs it, the cycle
+        # position of every window
+        self._held: Optional[tuple[int, np.ndarray]] = None
+        self._pos: Optional[np.ndarray] = None
 
     @property
     def decisions(self) -> np.ndarray:
@@ -502,18 +579,163 @@ class Machine:
         finally:
             base[affected] = saved
 
+    def _positions(self) -> np.ndarray:
+        """The cut index: int32 cycle position of every window, -1 off the cycle.
+
+        Position k is the held walk's window ``windows[first + 1 + k]``.
+        """
+        if self._pos is None:
+            first, windows = self._held
+            cycle = windows[first + 1 :]
+            pos = np.full(1 << self.w, -1, dtype=np.int32)
+            for lo in range(0, cycle.size, _GATHER_CHUNK):
+                chunk = cycle[lo : lo + _GATHER_CHUNK]
+                pos[chunk] = np.arange(lo, lo + chunk.size, dtype=np.int32)
+            self._pos = pos
+        return self._pos
+
+    def _firing(self, policy: RegulationPolicy, pos: np.ndarray) -> np.ndarray:
+        """Sorted cycle positions of the windows where ``policy`` fires.
+
+        A policy fires on the run windows (see :func:`_run_slices`) where
+        :func:`~ifamarket.regulation.apply_policy` changes the move the
+        rule intends, as in :meth:`_affected`.
+        """
+        found = [np.empty(0, dtype=np.int32)]
+        for runs in _run_slices(policy, self.w):
+            intended = self.decisions[runs]
+            # as in step_table, ``runs.start`` stands for all of its windows;
+            # the slices are views, so only the firing windows are copied
+            fires = apply_policy(policy, runs.start, self.w, intended) != intended
+            at = pos[runs][fires]
+            found.append(at[at >= 0])
+        fire = np.concatenate(found)
+        fire.sort()
+        return fire
+
+    def _cuts(
+        self, policy: RegulationPolicy, start: int, limit: Optional[int]
+    ) -> Optional[tuple[array, Optional[tuple[int, int]]]]:
+        """The walk of ``start`` as arcs of the held cycle, or None off it.
+
+        Returns ``(arcs, closed)``.  The arcs, flat bounds lo, hi of cycle
+        positions lo..hi - 1 in turn, hold the windows of ticks 1, 2, ...
+        of the walk, and so the moves into them.  ``closed`` is ``(first,
+        cycle)`` once the orbit closes; it is None if ``limit`` ticks or
+        more are covered first.  None in place of the pair means that the
+        walk leaves the held cycle.
+
+        Between firing windows the walk follows the held cycle; at one, it
+        steps to the window the policy forces and goes on from that
+        window's position.  The override at a firing position repeats
+        whatever led there, so the first repeated one closes the orbit.
+        The two arcs that reach it agree back to the later of their two
+        starts and no further, since the window before a start is a firing
+        window that the other walk is not at.  So the transient ends that
+        many ticks before the first visit.
+
+        The walk keeps its state in flat int arrays, a few words per
+        firing window it visits, not in Python objects.
+        """
+        pos = self._positions()
+        at = int(pos[start])
+        if at < 0:
+            return None
+        first, windows = self._held
+        cycle = windows[first + 1 :]
+        size = cycle.size
+        fire = self._firing(policy, pos)
+        arcs = array("q")
+        if not fire.size:
+            _add_arc(arcs, at + 1, at + 1 + size, size)
+            return arcs, (0, size)
+        states, index, fires = memoryview(cycle), memoryview(pos), memoryview(fire)
+        mask = (1 << self.w) - 1
+        # which firing positions the walk has visited, by their index in
+        # ``fire``, and for each visit in turn its position, its tick and
+        # the ticks of the arc that led to it, its own window excluded
+        fired = bytearray(fire.size)
+        visits = array("q")
+        lo, t, emit = at, 0, at + 1
+        while True:
+            k = bisect_left(fires, lo) % fire.size
+            q = fires[k]
+            back = (q - lo) % size
+            t += back
+            _add_arc(arcs, emit, lo + back + 1, size)
+            if limit is not None and t >= limit:
+                return arcs, None
+            if fired[k]:
+                i = 3 * visits[::3].index(q)
+                tick, arc = visits[i + 1], visits[i + 2]
+                return arcs, (tick - min(arc, back), t - tick)
+            fired[k] = 1
+            visits.extend((q, t, back))
+            # a firing window's move reverses the run it ends
+            x = states[q]
+            lo = index[((x << 1) & mask) | (~x & 1)]
+            if lo < 0:
+                return None
+            t += 1
+            emit = lo
+
+    def _cut_orbit(
+        self, policy: RegulationPolicy, start: int
+    ) -> Optional[tuple[int, np.ndarray]]:
+        """The cut rung of :meth:`orbit`, or None if the walk leaves the cycle."""
+        if policy.regime == "none" and start == self._held[1][0]:
+            return self._held
+        cuts = self._cuts(policy, start, None)
+        if cuts is None:
+            return None
+        arcs, (first, cycle) = cuts
+        held_first, held = self._held
+        windows = np.empty(first + cycle + 1, dtype=np.uint32)
+        windows[0] = start
+        _gather_arcs(held[held_first + 1 :], arcs, windows[1:])
+        return first, windows
+
+    def _cut_run(
+        self, policy: RegulationPolicy, start: int, num_ticks: int
+    ) -> Optional[np.ndarray]:
+        """The cut rung of :meth:`run`, or None if the walk leaves the cycle.
+
+        The moves are gathered as the low bytes of the held windows and
+        masked once at the end, so that the machine holds no moves.
+        """
+        held_first, held = self._held
+        low = _low_bytes(held)
+        if policy.regime == "none" and start == held[0]:
+            out = _tile(held_first, low[1:], num_ticks)
+        else:
+            cuts = self._cuts(policy, start, num_ticks)
+            if cuts is None:
+                return None
+            arcs, closed = cuts
+            out = np.empty(num_ticks, dtype=np.uint8)
+            if closed is None:
+                _gather_arcs(low[held_first + 1 :], arcs, out)
+            else:
+                first, cycle = closed
+                _gather_arcs(low[held_first + 1 :], arcs, out[: first + cycle])
+                _repeat_cycle(out, first, first + cycle)
+        out &= 1
+        return out
+
     def orbit(
         self, policy: RegulationPolicy, start: int, limit: Optional[int] = None
     ) -> tuple[Optional[int], Sequence[int]]:
         """``(first, windows)`` of the orbit of ``start``.
 
         Climbs the ladder: the scalar walk for ``_scalar_budget(w)``
-        ticks, then the step table walked directly up to 2**w >>
-        ``_DIRECT_VISIT_SHIFT`` ticks, and only then the hops through
-        step**w, so that the orbit always closes.  A walk with a
+        ticks, then the cuts of the held unregulated cycle if the machine
+        holds one and the walk stays on it, then the step table walked
+        directly up to 2**w >> ``_DIRECT_VISIT_SHIFT`` ticks, and only
+        then the hops through step**w, so that the orbit always closes.
+        An unregulated orbit found by the hops is held.  A walk with a
         ``limit`` keeps to the contract of every walk: the scalar rung
         runs up to ``limit`` ticks if the budget allows, the direct rung
-        takes the rest, and it never hops.
+        takes the rest, and it neither cuts nor hops.
         """
         budget = _scalar_budget(self.w)
         if limit is not None:
@@ -521,6 +743,10 @@ class Machine:
         first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
         if first is not None or budget == limit:
             return first, windows
+        if limit is None and self._held is not None:
+            cut = self._cut_orbit(policy, start)
+            if cut is not None:
+                return cut
         step = self.step(policy)
         first, windows = walk_direct(
             step, windows, step.size >> _DIRECT_VISIT_SHIFT if limit is None else limit
@@ -531,7 +757,10 @@ class Machine:
         tables = self.power(policy, step)
         del step  # the tables keep it only while they need it
         with tables as power:
-            return walk_orbit(power, start)
+            first, windows = walk_orbit(power, start)
+        if policy.regime == "none":
+            self._held, self._pos = (first, windows), None
+        return first, windows
 
     def run(
         self, policy: RegulationPolicy, start: int, num_ticks: int
@@ -542,11 +771,18 @@ class Machine:
         orbit search limited to ``num_ticks``, which builds no table if
         the scalar walk closes the orbit or runs out of ticks first; a
         walk that closes tiles its cycle over the ticks left.  Longer
-        runs hop through step**w, which costs a few passes over the
-        table, or a patch, but then only one Python step per w ticks.
+        runs are cuts of the held unregulated cycle if the machine holds
+        one and the walk stays on it, else they hop through step**w,
+        which costs a few passes over the table, or a patch, but then
+        only one Python step per w ticks.
         """
         if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
-            return _tile(*self.orbit(policy, start, num_ticks), num_ticks)
+            first, windows = self.orbit(policy, start, num_ticks)
+            return _tile(first, realized(windows), num_ticks)
+        if self._held is not None:
+            moves = self._cut_run(policy, start, num_ticks)
+            if moves is not None:
+                return moves
         with self.power(policy) as power:
             return walk_emit(power, start, num_ticks)
 

@@ -130,10 +130,11 @@ def rolling_moments(
         dev = block - m[:, None]
         dev2 = dev * dev
         m2 = dev2.mean(axis=1)
-        m3 = (dev2 * dev).mean(axis=1)
-        m4 = (dev2 * dev2).mean(axis=1)
-        mean[lo:hi] = m
         vol[lo:hi] = np.sqrt(dev2.sum(axis=1) / (window_days - 1))
+        # the third and fourth powers overwrite dev, which is not read again
+        m3 = np.multiply(dev2, dev, out=dev).mean(axis=1)
+        m4 = np.multiply(dev2, dev2, out=dev).mean(axis=1)
+        mean[lo:hi] = m
         defined = m2 > 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             skew[lo:hi] = np.where(defined, m3 / (m2 * np.sqrt(m2)), np.nan)

@@ -26,7 +26,7 @@ from .config import RunConfig
 from .empirical import compare_report, load_price_csv, to_returns
 from .ifa import decode_rule
 from .market import MAX_WINDOW_WIDTH, Machine, TickSeries, find_cycle, simulate
-from .regulation import RegulationPolicy
+from .regulation import MAX_TREND_LENGTH, RegulationPolicy
 from .reports import (
     fmt,
     render_compare_csv,
@@ -159,9 +159,10 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.n_min < 1 or args.n_max < args.n_min:
+    if not 1 <= args.n_min <= args.n_max <= MAX_TREND_LENGTH:
         raise ValueError(
-            f"bad trend-length range {args.n_min}..{args.n_max}"
+            f"bad trend-length range {args.n_min}..{args.n_max}; "
+            "expected 1 <= N-MIN <= N-MAX <= 2**60"
         )
     rows = table1(
         decode_rule(config.rule),

@@ -20,6 +20,15 @@ from .analytics import (
 from .market import MAX_WINDOW_WIDTH, WindowState, window_from_literal
 from .regulation import RegulationPolicy
 
+# a tick count must fit in int64, as every count and sum of ticks does
+MAX_TICKS = (1 << 63) - 1
+
+# bounds on scale: a day return is at most scale * ticks_per_day, so its
+# fourth power, summed over any window, stays finite; and a deviation of
+# one tick from a window's mean keeps its fourth power a normal float
+MIN_SCALE = 1e-50
+MAX_DAY_RETURN = 1e50
+
 _FIELDS = {
     "rule": int,
     "w": int,
@@ -54,12 +63,16 @@ class RunConfig:
             )
         self.initial_window()  # validates the literal against w
         self.regulation_policy()  # validates the policy literal
-        if self.ticks is not None and self.ticks < 0:
-            raise ValueError(f"ticks must be >= 0, got {self.ticks}")
-        if self.ticks_per_day < 1:
-            raise ValueError(f"ticks_per_day must be >= 1, got {self.ticks_per_day}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if self.ticks is not None and not 0 <= self.ticks <= MAX_TICKS:
+            raise ValueError(f"ticks must be in [0, 2**63 - 1], got {self.ticks}")
+        if not 1 <= self.ticks_per_day <= MAX_TICKS:
+            raise ValueError(
+                f"ticks_per_day must be in [1, 2**63 - 1], got {self.ticks_per_day}"
+            )
+        if not MIN_SCALE <= self.scale <= MAX_DAY_RETURN / self.ticks_per_day:
+            raise ValueError(
+                f"scale must be in [1e-50, 1e50 / ticks_per_day], got {self.scale}"
+            )
         if self.window_days < 2:
             raise ValueError(f"window_days must be >= 2, got {self.window_days}")
         if self.days_per_year < 1:

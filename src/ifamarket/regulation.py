@@ -14,6 +14,11 @@ from typing import Callable, Optional
 
 _REGIMES = ("none", "prick", "prop", "both")
 
+# the largest trend length a policy literal may give: a cycle passes each
+# of its held windows at most once, adding n - w ticks, so a transient
+# plus cycle of at most 2**30 + 4 * (n - w) ticks stays inside int64
+MAX_TREND_LENGTH = 1 << 60
+
 
 @dataclass(frozen=True)
 class RegulationPolicy:
@@ -67,6 +72,10 @@ class RegulationPolicy:
             n = int(tail)
         except ValueError:
             raise ValueError(f"bad trend length in policy literal {literal!r}") from None
+        if n > MAX_TREND_LENGTH:
+            raise ValueError(
+                f"trend length in policy literal {literal!r} is above 2**60"
+            )
         return cls(regime, n)
 
 

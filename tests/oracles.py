@@ -77,6 +77,14 @@ def orbit(
     a later move.  For n <= w the window alone determines that run, so
     the orbit is the orbit of window tuples.
     """
+    transient, cycle, _ = orbit_moves(rule, init_moves, policy)
+    return transient, cycle
+
+
+def orbit_moves(
+    rule: IfaRule, init_moves: Sequence[int], policy: RegulationPolicy
+) -> tuple[int, int, list[int]]:
+    """:func:`orbit`, and the realized moves of its transient and one cycle."""
     w = len(init_moves)
     history = [int(m) for m in init_moves]
 
@@ -98,7 +106,7 @@ def orbit(
         key = state()
         t += 1
     first = seen[key]
-    return first, t - first
+    return first, t - first, history[w:]
 
 
 def window_moments(values: Sequence[float]) -> tuple[float, float, float, float]:

@@ -285,13 +285,27 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(_engine, "step_table", no_step_table)
     assert run_cli(["cycle", "--w", "22"]) == 2
     assert capsys.readouterr().err == (
-        "ifamarket: error: the tables for w = 22 need up to 68 MiB "
+        "ifamarket: error: the tables for w = 22 need up to 100 MiB "
         "(decision 4 MiB, unregulated step**w 16 MiB, step 16 MiB, "
-        "two step**w temporaries of 16 MiB), but only 50 MiB is available\n"
+        "two step**w temporaries of 16 MiB, held unregulated cycle 16 MiB, "
+        "its cut index 16 MiB), but only 50 MiB is available\n"
     )
     # an unknown amount of memory is not checked
     monkeypatch.setattr(_engine, "available_memory", lambda: None)
     assert _engine.decision_table(decode_rule(54), 12).size == 1 << 12
+
+
+def test_small_tables_do_not_read_the_memory_available(monkeypatch):
+    # the tables of w = 20 take 25 MiB, under the 32 MiB from which the
+    # memory available is read before they are built
+    from ifamarket import _engine
+
+    def no_probe():
+        pytest.fail("the memory available was read")
+
+    monkeypatch.setattr(_engine, "available_memory", no_probe)
+    for w in (8, 20):
+        assert _engine.decision_table(decode_rule(54), w).size == 1 << w
 
 
 def test_scalar_orbit_needs_no_table_memory(monkeypatch, capsys):
@@ -322,3 +336,45 @@ def test_workers_below_one_exit_cleanly(capsys, command, workers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ifamarket: error: workers must be >= 1, got {workers}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["cycle", "--w", "8", "--policy", "both:99999999999999999999"],
+            "trend length in policy literal 'both:99999999999999999999' "
+            "is above 2**60",
+        ),
+        (
+            ["table1", "--w", "8", "--n-max", "99999999999999999999"],
+            "bad trend-length range 2..99999999999999999999; "
+            "expected 1 <= N-MIN <= N-MAX <= 2**60",
+        ),
+        (
+            ["moments", "--w", "8", "--scale", "1e308"],
+            "scale must be in [1e-50, 1e50 / ticks_per_day], got 1e+308",
+        ),
+        (
+            ["simulate", "--w", "8", "--ticks", "99999999999999999999"],
+            "ticks must be in [0, 2**63 - 1], got 99999999999999999999",
+        ),
+    ],
+    ids=["trend-length", "n-max", "scale", "ticks"],
+)
+def test_numbers_out_of_range_exit_cleanly(capsys, argv, message):
+    # each used to raise OverflowError, write non-finite moments, or
+    # exit with a numpy message that names no field
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ifamarket: error: {message}\n"
+
+
+def test_largest_trend_length_is_exact(capsys):
+    # constant UP at w = 3 holds all-UP n - 3 ticks past the clamped
+    # machine's prick, so its cycle is n + 1 ticks: 2**60 + 1 in int64
+    argv = ["cycle", "--rule", "85", "--w", "3", "--init", "all_up"]
+    assert run_cli([*argv, "--policy", f"prick:{2**60}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["transient_length"], payload["cycle_length"]) == (0, 2**60 + 1)

@@ -633,6 +633,109 @@ def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
     ]
 
 
+def _cutting_machine(rule, w, init):
+    """A machine that holds the unregulated cycle of ``init``, walked by hops."""
+    from ifamarket import _engine
+
+    machine = _engine.Machine(rule, w)
+    first, windows = machine.orbit(NONE, init.bits)
+    assert machine._held is not None and machine._held[1] is windows
+    return machine
+
+
+@pytest.mark.parametrize("w", range(6, 15))
+def test_cut_rung_matches_the_oracles(monkeypatch, w):
+    # every policy with n <= w, from both standard starts, for rule 54 and
+    # its relabelling 201: the orbit (first, windows) and a run past the
+    # orbit's end, walked as cuts of the held unregulated cycle, against
+    # the oracles.  At w = 6 and 7, x^w + x + 1 is primitive, the cycle
+    # holds every nonzero window, and no walk leaves it; at w = 14 some
+    # do, and take the ladder
+    from ifamarket import _engine
+
+    monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
+    taken = {"cut": 0, "ladder": 0}
+    cut_orbit = _engine.Machine._cut_orbit
+
+    def counted(self, policy, start):
+        found = cut_orbit(self, policy, start)
+        taken["ladder" if found is None else "cut"] += 1
+        return found
+
+    monkeypatch.setattr(_engine.Machine, "_cut_orbit", counted)
+    for kind in ("alternating_up_first", "all_up"):
+        init = initial_window(kind, w)
+        init_moves = [int(m) for m in init.to_moves()]
+        machines = [_cutting_machine(decode_rule(k), w, init) for k in (54, 201)]
+        for regime in ("prick", "prop", "both"):
+            for n in range(1, w + 1):
+                policy = RegulationPolicy(regime, n)
+                transient, cycle, moves = oracles.orbit_moves(
+                    decode_rule(54), init_moves, policy
+                )
+                # a run of at least 2**w / 8 ticks, which tiles the cycle
+                ticks = max(1 << (w - 3), transient + cycle + w)
+                moves += [
+                    moves[transient + (t - transient) % cycle]
+                    for t in range(len(moves), ticks)
+                ]
+                for machine in machines:
+                    first, windows = machine.orbit(policy, init.bits)
+                    assert (first, len(windows) - 1) == (transient, transient + cycle)
+                    assert windows[0] == init.bits
+                    assert (np.asarray(windows[1:]) & 1).tolist() == moves[: len(windows) - 1]
+                    assert machine.run(policy, init.bits, ticks).tolist() == moves
+    if w in (6, 7):
+        assert taken["ladder"] == 0
+    if w == 14:
+        assert taken["ladder"] > 0 and taken["cut"] > 0
+
+
+def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
+    # a run of the held orbit's own start under none needs no cut index
+    # and no hop; from another window of the cycle it is a cut with no
+    # firing window
+    from ifamarket import _engine
+
+    w = 12
+    init = initial_window("alternating_up_first", w)
+    machine = _cutting_machine(decode_rule(54), w, init)
+    other = int(machine._held[1][5])
+
+    def no_emit(*args):
+        pytest.fail("the run hopped")
+
+    monkeypatch.setattr(_engine, "walk_emit", no_emit)
+    for ticks in (1 << w, 3 * (1 << w) + 5):
+        assert machine.run(NONE, init.bits, ticks).tolist() == oracles.simulate(
+            decode_rule(54), [int(m) for m in init.to_moves()], NONE, ticks
+        )
+        assert machine._pos is None
+    expected = oracles.simulate(decode_rule(54), _oldest_first(other, w), NONE, 5000)
+    assert machine.run(NONE, other, 5000).tolist() == expected
+    assert machine._pos is not None
+
+
+def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
+    # the cut index is built for a regulated walk alone: the unregulated
+    # orbit search of ``cycle`` and every classification of a survey
+    # hold the cycle they walked but index none of it
+    from ifamarket import _engine
+    from ifamarket.survey import survey_rules
+
+    def no_index(self):
+        pytest.fail("a cut index was built")
+
+    monkeypatch.setattr(_engine.Machine, "_positions", no_index)
+    w = 12
+    init = initial_window("alternating_up_first", w)
+    machine = _cutting_machine(decode_rule(54), w, init)
+    assert find_cycle(decode_rule(54), w, init, NONE, machine=machine) == CycleReport(
+        transient_length=0, cycle_length=oracles.order_of_x(w)
+    )
+    assert len(survey_rules(w, initial_window("all_up", w))) == 256
+
+
 def _prime_factors(n: int) -> list[int]:
     factors, p = [], 2
     while p * p <= n:
