@@ -163,9 +163,7 @@ def walk_scalar(
 
 def realized(windows: Sequence[int] | np.ndarray) -> np.ndarray:
     """The realized moves that led to ``windows[1:]``: their newest bits."""
-    states = np.asarray(windows[1:], dtype=np.uint32)
-    moves = np.empty(states.size, dtype=np.uint8)
-    return np.bitwise_and(states, 1, out=moves, casting="unsafe")
+    return (np.asarray(windows[1:], dtype=np.uint32) & 1).astype(np.uint8)
 
 
 def _repeat_cycle(out: np.ndarray, first: int, done: int) -> np.ndarray:

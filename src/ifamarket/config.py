@@ -23,9 +23,10 @@ from .regulation import RegulationPolicy
 # a tick count must fit in int64, as every count and sum of ticks does
 MAX_TICKS = (1 << 63) - 1
 
-# bounds on scale: a day return is at most scale * ticks_per_day, so its
-# fourth power, summed over any window, stays finite; and a deviation of
-# one tick from a window's mean keeps its fourth power a normal float
+# bounds on scale: a day return is at most scale * ticks_per_day, so the
+# fourth powers of the deviations in a rolling window, and their sums,
+# stay finite; and at scale 1e-50 the fourth power of a deviation of one
+# tick is still far from underflow
 MIN_SCALE = 1e-50
 MAX_DAY_RETURN = 1e50
 
@@ -73,8 +74,11 @@ class RunConfig:
             raise ValueError(
                 f"scale must be in [1e-50, 1e50 / ticks_per_day], got {self.scale}"
             )
-        if self.window_days < 2:
-            raise ValueError(f"window_days must be >= 2, got {self.window_days}")
+        if not 2 <= self.window_days <= MAX_TICKS // self.ticks_per_day:
+            raise ValueError(
+                "window_days must be in [2, (2**63 - 1) // ticks_per_day], "
+                f"got {self.window_days}"
+            )
         if self.days_per_year < 1:
             raise ValueError(f"days_per_year must be >= 1, got {self.days_per_year}")
         return self

@@ -359,8 +359,13 @@ def test_workers_below_one_exit_cleanly(capsys, command, workers):
             ["simulate", "--w", "8", "--ticks", "99999999999999999999"],
             "ticks must be in [0, 2**63 - 1], got 99999999999999999999",
         ),
+        (
+            ["moments", "--w", "8", "--window-days", "99999999999999999999"],
+            "window_days must be in [2, (2**63 - 1) // ticks_per_day], "
+            "got 99999999999999999999",
+        ),
     ],
-    ids=["trend-length", "n-max", "scale", "ticks"],
+    ids=["trend-length", "n-max", "scale", "ticks", "window-days"],
 )
 def test_numbers_out_of_range_exit_cleanly(capsys, argv, message):
     # each used to raise OverflowError, write non-finite moments, or
