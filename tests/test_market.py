@@ -717,9 +717,9 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
 
 
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
-    # the cut index is built for a regulated walk alone: the unregulated
-    # orbit search of ``cycle`` and every classification of a survey
-    # hold the cycle they walked but index none of it
+    # the cut index is built only for a walk that cuts: the unregulated
+    # orbit search of ``cycle``, repeated from the held start, and every
+    # classification of a survey hold the cycle they walked but index none
     from ifamarket import _engine
     from ifamarket.survey import survey_rules
 
