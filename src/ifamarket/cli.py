@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -183,6 +184,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if config.regulation_policy().regime != "none":
+        raise ValueError(
+            f"survey classifies unregulated orbits; --policy must be none, "
+            f"got {config.policy!r}"
+        )
+    fraction, threshold = args.long_cycle_fraction, args.compression_threshold
+    if not 0 < fraction <= 1:
+        raise ValueError(
+            f"--long-cycle-fraction must be finite and in (0, 1], got {fraction}"
+        )
+    if not 0 <= threshold < math.inf:
+        raise ValueError(
+            f"--compression-threshold must be finite and >= 0, got {threshold}"
+        )
     if args.sweep_w:
         lo, sep, hi = args.sweep_w.partition(":")
         if not (sep and lo.isdigit() and hi.isdigit()):
@@ -196,16 +211,16 @@ def _cmd_survey(args: argparse.Namespace) -> int:
             decode_rule(config.rule),
             range(int(lo), int(hi) + 1),
             init_kind=config.init,
-            long_cycle_fraction=args.long_cycle_fraction,
-            compression_threshold=args.compression_threshold,
+            long_cycle_fraction=fraction,
+            compression_threshold=threshold,
             workers=args.workers,
         )
     else:
         rows = survey_rules(
             config.w,
             config.initial_window(),
-            long_cycle_fraction=args.long_cycle_fraction,
-            compression_threshold=args.compression_threshold,
+            long_cycle_fraction=fraction,
+            compression_threshold=threshold,
             workers=args.workers,
         )
     _write_output(args.out, render_survey_csv(rows, config))

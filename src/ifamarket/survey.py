@@ -11,18 +11,23 @@ once per labeling of its two internal states (rules that are symmetric
 under the swap appear once).  Rules 54 and 201 are such a pair, and
 since their decision function is labeling-invariant they produce the
 identical price stream.  ``state_swap_rule`` computes the partner.
+More rule numbers share a decision function still: at every w from 4
+to 30 the 256 numbers make 100 machines.  The survey classifies each
+machine once, from its smallest rule number, and gives every rule
+number of the machine that machine's row; ``machine_groups`` finds the
+machines.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
 
-from ._engine import Machine, ordered_map, realized
+from ._engine import Machine, ordered_map, realized, scalar_decision
 from .ifa import IfaRule, decode_rule, encode_rule
 from .market import WindowState, window_from_literal
 from .regulation import RegulationPolicy
@@ -83,6 +88,54 @@ def classify_rule(
     )
 
 
+def decides_alike(a: IfaRule, b: IfaRule, w: int) -> bool:
+    """Whether rules ``a`` and ``b`` decide every w-bit window alike.
+
+    The check runs on the product automaton of the two rules (Hopcroft &
+    Karp, 1971): it collects the state pairs that the newest w - 1 bits
+    of some window reach from (0, 0), and compares the two outputs for
+    either oldest bit on each.  At most four pairs a level, so it costs
+    O(w), not O(2**w).
+    """
+    pairs = {(0, 0)}
+    for _ in range(w - 1):
+        pairs = {
+            (a.next_state(s, bit), b.next_state(t, bit))
+            for s, t in pairs
+            for bit in (0, 1)
+        }
+    return all(
+        a.output(s, bit) == b.output(t, bit) for s, t in pairs for bit in (0, 1)
+    )
+
+
+def machine_groups(w: int) -> list[list[int]]:
+    """The 256 rule numbers grouped by their decision function at ``w``.
+
+    Each group is ascending, and the groups are in the order of their
+    smallest numbers.  A rule's decisions at w' = min(w, 4 + w % 2)
+    propose its group: at every w from 4 to 30, the grouping at even w
+    is the one at w = 4 and at odd w the one at w = 5, 100 machines.
+    :func:`decides_alike` confirms each merge at ``w`` itself, so a rule
+    that a proposal fails starts a group of its own.
+    """
+    key_w = min(w, 4 + w % 2)
+    proposed: dict[tuple[int, ...], list[list[int]]] = {}
+    groups = []
+    for number in range(256):
+        rule = decode_rule(number)
+        key = tuple(map(scalar_decision(rule, key_w), range(1 << key_w)))
+        candidates = proposed.setdefault(key, [])
+        for group in candidates:
+            if decides_alike(decode_rule(group[0]), rule, w):
+                group.append(number)
+                break
+        else:
+            candidates.append([number])
+            groups.append(candidates[-1])
+    return groups
+
+
 def survey_rules(
     w: int,
     init: WindowState,
@@ -90,7 +143,12 @@ def survey_rules(
     compression_threshold: float = DEFAULT_COMPRESSION_THRESHOLD,
     workers: int = 1,
 ) -> list[RuleClassification]:
-    """Classify all 256 rules, in rule-number order."""
+    """Classify all 256 rules, in rule-number order.
+
+    Each machine of :func:`machine_groups` is classified once, from its
+    smallest rule number, and every rule number of the machine gets
+    that row with its own ``rule_number``.
+    """
     classify = partial(
         classify_rule,
         w=w,
@@ -98,7 +156,13 @@ def survey_rules(
         long_cycle_fraction=long_cycle_fraction,
         compression_threshold=compression_threshold,
     )
-    return ordered_map(classify, range(256), workers)
+    groups = machine_groups(w)
+    rows = ordered_map(classify, [group[0] for group in groups], workers)
+    by_number = {}
+    for group, row in zip(groups, rows):
+        for number in group:
+            by_number[number] = replace(row, rule_number=number)
+    return [by_number[number] for number in range(256)]
 
 
 def _classify_at(

@@ -383,3 +383,66 @@ def test_largest_trend_length_is_exact(capsys):
     assert run_cli([*argv, "--policy", f"prick:{2**60}"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["transient_length"], payload["cycle_length"]) == (0, 2**60 + 1)
+
+
+def _no_survey(monkeypatch):
+    from ifamarket import cli
+
+    def no_walk(*args, **kwargs):
+        pytest.fail("the survey walked")
+
+    monkeypatch.setattr(cli, "survey_rules", no_walk)
+    monkeypatch.setattr(cli, "sweep_window", no_walk)
+
+
+_SURVEY_MODES = {"survey": [], "sweep": ["--rule", "54", "--sweep-w", "2:4"]}
+
+
+@pytest.mark.parametrize("mode", sorted(_SURVEY_MODES))
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--long-cycle-fraction", "-1", "finite and in (0, 1], got -1.0"),
+        ("--long-cycle-fraction", "0", "finite and in (0, 1], got 0.0"),
+        ("--long-cycle-fraction", "nan", "finite and in (0, 1], got nan"),
+        ("--long-cycle-fraction", "inf", "finite and in (0, 1], got inf"),
+        ("--compression-threshold", "nan", "finite and >= 0, got nan"),
+        ("--compression-threshold", "1e400", "finite and >= 0, got inf"),
+        ("--compression-threshold", "-0.5", "finite and >= 0, got -0.5"),
+    ],
+    ids=["fraction-negative", "fraction-zero", "fraction-nan", "fraction-inf",
+         "threshold-nan", "threshold-overflow", "threshold-negative"],
+)
+def test_survey_thresholds_out_of_range_exit_cleanly(
+    monkeypatch, capsys, mode, flag, value, message
+):
+    # each used to exit 0 with every class silently changed: a fraction
+    # of -1 labelled 81 of 256 rules complex at w = 8 from all-UP
+    _no_survey(monkeypatch)
+    argv = ["survey", "--w", "8", *_SURVEY_MODES[mode], f"{flag}={value}"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ifamarket: error: {flag} must be {message}\n"
+
+
+def test_survey_thresholds_at_their_bounds_are_accepted(capsys):
+    argv = ["survey", "--w", "4", "--init", "all_up", "--workers", "1",
+            "--long-cycle-fraction", "1", "--compression-threshold", "0"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode", sorted(_SURVEY_MODES))
+def test_survey_rejects_a_regulation_policy(monkeypatch, capsys, mode):
+    # the survey classifies unregulated orbits; it used to accept prick:3
+    # and echo it in the CSV's config line
+    _no_survey(monkeypatch)
+    argv = ["survey", "--w", "8", *_SURVEY_MODES[mode], "--policy", "prick:3"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ifamarket: error: survey classifies unregulated orbits; "
+        "--policy must be none, got 'prick:3'\n"
+    )

@@ -5,6 +5,8 @@ from ifamarket.market import initial_window
 from ifamarket.survey import (
     classify_rule,
     compression_ratio,
+    decides_alike,
+    machine_groups,
     state_swap_rule,
     survey_rules,
     sweep_window,
@@ -74,6 +76,43 @@ def test_sweep_rows_do_not_depend_on_workers():
     assert sweep_window(54, range(2, 13), "all_up", workers=2) == serial
 
 
+@pytest.mark.parametrize("w", range(1, 17))
+def test_machine_groups_are_the_decision_table_classes(w):
+    # two rules share a group exactly when their decision tables agree
+    from ifamarket._engine import decision_table
+
+    classes = {}
+    for k in range(256):
+        classes.setdefault(decision_table(decode_rule(k), w).tobytes(), []).append(k)
+    groups = machine_groups(w)
+    assert sorted(groups) == sorted(classes.values())
+    assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+    if w >= 4:
+        assert len(groups) == 100
+        assert [54, 201] in groups
+
+
+@pytest.mark.parametrize("w", [6, 7])
+def test_decides_alike_is_decision_table_equality(w):
+    from ifamarket._engine import decision_table
+
+    rules = [decode_rule(k) for k in range(256)]
+    tables = [decision_table(rule, w).tobytes() for rule in rules]
+    for i, a in enumerate(rules):
+        for j in range(i, 256):
+            assert decides_alike(a, rules[j], w) == (tables[i] == tables[j]), (i, j)
+
+
+@pytest.mark.parametrize("kind", ["all_up", "alternating_up_first"])
+@pytest.mark.parametrize("w", range(1, 13))
+def test_survey_rows_are_the_rows_of_each_rule(w, kind):
+    # one row per machine, fanned out, is the row of every rule number
+    init = initial_window(kind, w)
+    each = [classify_rule(k, w, init) for k in range(256)]
+    assert survey_rules(w, init, workers=1) == each
+    assert survey_rules(w, init, workers=2) == each
+
+
 def test_rule54_sweep_exceptional_windows():
     # "complex for almost any lookback window": the exceptions in 2..22,
     # frozen from a verified sweep (short algebraic cycles at these widths)
@@ -111,7 +150,8 @@ def test_compression_ratio_regular_vs_noisy():
 
 def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
     # from all-UP at w = 22, every orbit but those of rules 54 and 201
-    # closes within the scalar budget, so only they build tables, once each
+    # closes within the scalar budget, so only their machine builds tables,
+    # once: 201 is 54 with its states relabelled, and takes 54's row
     from ifamarket import _engine
 
     built = []
@@ -128,7 +168,7 @@ def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
     monkeypatch.setattr(_engine, "decision_table", counting_decision_table)
     monkeypatch.setattr(_engine, "step_table", counting_step_table)
     rows = survey_rules(22, initial_window("all_up", 22))
-    assert built == [54, "step", 201, "step"]
+    assert built == [54, "step"]
     long_orbits = [
         row.rule_number
         for row in rows
