@@ -36,8 +36,10 @@ primitive (w = 22 among them) the unregulated cycle holds every nonzero
 window, so no regulated walk from a nonzero window leaves it.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
-the unregulated step**w, the held unregulated walk and its cut index,
-the cycle position of every window, built for the first cut.  A
+the unregulated step**w, the held unregulated walk, its cut index, the
+cycle position of every window, built for the first cut, and the moves
+of its cycle as one contiguous 0/1 byte per tick, built for the first
+regulated run that cuts, so that its gathers copy contiguous bytes.  A
 regulated policy changes the step table only on windows that end in a
 run, so where it must take the ladder its step**w is the unregulated one
 patched in place over the windows that reach such a window within w - 1
@@ -55,7 +57,6 @@ import os
 import sys
 from array import array
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -95,8 +96,8 @@ _GATHER_CHUNK = 1 << 18
 # bytes per window that the table path may hold at once: the decision
 # table (1) and the unregulated step**w (4) of a machine, a regulated step
 # table (4) with the two temporaries of its step**w (4 each), and the held
-# unregulated cycle (4) with its cut index (4)
-_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4
+# unregulated cycle (4) with its cut index (4) and its moves (1)
+_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 
 # tables smaller than this, about what the interpreter with numpy takes
 # already, are built without reading the memory available first
@@ -231,7 +232,8 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
             f"the tables for w = {w} need up to {_mib(need)} "
             f"(decision {_mib(1 << w)}, unregulated step**w {table}, "
             f"step {table}, two step**w temporaries of {table}, "
-            f"held unregulated cycle {table}, its cut index {table}), "
+            f"held unregulated cycle {table}, its cut index {table}, "
+            f"its moves {_mib(1 << w)}), "
             f"but only {_mib(available)} is available"
         )
     # int16 keeps the t0b + s * (t1b - t0b) trick free of uint8 underflow
@@ -438,14 +440,15 @@ def _gather_arcs(source: np.ndarray, arcs: array, out: np.ndarray) -> np.ndarray
 
     One slice copy per arc; the copies stop once ``out`` is full.
     """
-    done = 0
-    for k in range(0, len(arcs), 2):
-        lo = arcs[k]
-        count = min(arcs[k + 1] - lo, out.size - done)
-        out[done : done + count] = source[lo : lo + count]
-        done += count
-        if done == out.size:
+    done, size = 0, out.size
+    bounds = iter(arcs)
+    for lo, hi in zip(bounds, bounds):
+        end = done + hi - lo
+        if end >= size:
+            out[done:] = source[lo : lo + size - done]
             break
+        out[done:end] = source[lo:hi]
+        done = end
     return out
 
 
@@ -458,10 +461,11 @@ class Machine:
     """One rule's tables at one window width, each built when first needed.
 
     It holds the decision table, the unregulated step**w, and the last
-    unregulated orbit its hop rung walked with that orbit's cut index,
-    and nothing else of size 2**w, so that every policy walked on it
-    shares them: see :meth:`power` and :meth:`_cuts`.  A machine that
-    only serves scalar walks builds nothing.
+    unregulated orbit its hop rung walked with that orbit's cut index and
+    cycle moves, and nothing else of size 2**w, so that every policy
+    walked on it shares them: see :meth:`power`, :meth:`_cuts` and
+    :meth:`_cut_run`.  A machine that only serves scalar walks builds
+    nothing.
     """
 
     def __init__(self, rule: IfaRule, w: int) -> None:
@@ -470,10 +474,11 @@ class Machine:
         self._decisions: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None  # unregulated step**w
         # the unregulated orbit last walked through the hop rung, as
-        # (first, windows), and, built when a cut first needs it, the cycle
-        # position of every window
+        # (first, windows), and, built when a cut first needs them, the
+        # cycle position of every window and the moves of the cycle
         self._held: Optional[tuple[int, np.ndarray]] = None
         self._pos: Optional[np.ndarray] = None
+        self._moves: Optional[np.ndarray] = None
 
     @property
     def decisions(self) -> np.ndarray:
@@ -588,9 +593,34 @@ class Machine:
             pos = np.full(1 << self.w, -1, dtype=np.int32)
             for lo in range(0, cycle.size, _GATHER_CHUNK):
                 chunk = cycle[lo : lo + _GATHER_CHUNK]
-                pos[chunk] = np.arange(lo, lo + chunk.size, dtype=np.int32)
+                # ``clip`` skips the bounds check, which no window can fail
+                at = np.arange(lo, lo + chunk.size, dtype=np.int32)
+                np.put(pos, chunk, at, mode="clip")
             self._pos = pos
         return self._pos
+
+    def _cycle_moves(self) -> np.ndarray:
+        """The held cycle's moves as uint8 0/1, one per cycle position.
+
+        Position k's is the newest bit of ``windows[first + 1 + k]``, as
+        in :meth:`_positions`.  One contiguous byte per tick, so that a
+        cut run's gathers copy contiguous bytes, not every fourth byte of
+        the windows.
+        """
+        if self._moves is None:
+            first, windows = self._held
+            self._moves = np.bitwise_and(_low_bytes(windows[first + 1 :]), 1)
+        return self._moves
+
+    def share_cuts(self) -> None:
+        """Build the cut index and the cycle moves now, if the machine holds a cycle.
+
+        Processes forked after this inherit them instead of each building
+        its own; a machine that holds no cycle builds nothing.
+        """
+        if self._held is not None:
+            self._positions()
+            self._cycle_moves()
 
     def _firing(self, policy: RegulationPolicy, pos: np.ndarray) -> np.ndarray:
         """Sorted cycle positions of the windows where ``policy`` fires.
@@ -698,27 +728,28 @@ class Machine:
     ) -> Optional[np.ndarray]:
         """The cut rung of :meth:`run`, or None if the walk leaves the cycle.
 
-        The moves are gathered as the low bytes of the held windows and
-        masked once at the end, so that the machine holds no moves.
+        An unregulated run from the held start tiles the low bytes of the
+        held windows and masks them once, so that it builds no moves: that
+        run is the whole of an unregulated export, whose peak memory the
+        moves would raise.  Any other run gathers its arcs from the
+        cycle's moves (see :meth:`_cycle_moves`).
         """
         held_first, held = self._held
-        low = _low_bytes(held)
         if policy.regime == "none" and start == held[0]:
-            out = _tile(held_first, low[1:], num_ticks)
-        else:
-            cuts = self._cuts(policy, start, num_ticks)
-            if cuts is None:
-                return None
-            arcs, closed = cuts
-            out = np.empty(num_ticks, dtype=np.uint8)
-            if closed is None:
-                _gather_arcs(low[held_first + 1 :], arcs, out)
-            else:
-                first, cycle = closed
-                _gather_arcs(low[held_first + 1 :], arcs, out[: first + cycle])
-                _repeat_cycle(out, first, first + cycle)
-        out &= 1
-        return out
+            out = _tile(held_first, _low_bytes(held)[1:], num_ticks)
+            out &= 1
+            return out
+        cuts = self._cuts(policy, start, num_ticks)
+        if cuts is None:
+            return None
+        arcs, closed = cuts
+        moves = self._cycle_moves()
+        out = np.empty(num_ticks, dtype=np.uint8)
+        if closed is None:
+            return _gather_arcs(moves, arcs, out)
+        first, cycle = closed
+        _gather_arcs(moves, arcs, out[: first + cycle])
+        return _repeat_cycle(out, first, first + cycle)
 
     def orbit(
         self, policy: RegulationPolicy, start: int, limit: Optional[int] = None
@@ -757,7 +788,7 @@ class Machine:
         with tables as power:
             first, windows = walk_orbit(power, start)
         if policy.regime == "none":
-            self._held, self._pos = (first, windows), None
+            self._held, self._pos, self._moves = (first, windows), None, None
         return first, windows
 
     def run(
@@ -808,6 +839,9 @@ def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
     n = min(workers, len(items))
     if n <= 1:
         return list(map(fn, items))
+    # imported here: a process that maps inline does not pay for the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=n, initializer=_start_worker, initargs=(fn,)
     ) as pool:

@@ -54,6 +54,19 @@ def test_aggregate_matches_reference(moves, ticks_per_day):
     )
 
 
+@pytest.mark.parametrize("ticks_per_day", [1, 7, 8, 9, 2048, 2049])
+def test_aggregate_is_the_exact_day_sum(ticks_per_day):
+    # the packed count of UPs equals the int64 sum of the 0/1 moves of
+    # every day exactly, whether or not a day fills whole bytes
+    rng = np.random.default_rng(ticks_per_day)
+    moves = rng.integers(0, 2, size=5 * ticks_per_day + 3, dtype=np.uint8)
+    num_days = moves.size // ticks_per_day
+    ups = moves[: num_days * ticks_per_day].reshape(num_days, -1).astype(np.int64)
+    net = 2 * ups.sum(axis=1) - ticks_per_day
+    days = aggregate_days(moves, ticks_per_day, 0.00025)
+    assert days.returns.tobytes() == (0.00025 * net.astype(np.float64)).tobytes()
+
+
 def test_rolling_two_point_symmetric_window():
     c = 0.0125
     returns = np.tile([c, -c], 8)  # one 16-day window
@@ -110,6 +123,25 @@ def test_rolling_matches_per_window_reference(data, window):
         else:
             assert rm.skew[t] == pytest.approx(skew, abs=1e-9)
             assert rm.kurt[t] == pytest.approx(kurt, abs=1e-9)
+
+
+@pytest.mark.parametrize("num_windows", [255, 256, 257, 1793])
+def test_rolling_moments_do_not_depend_on_the_block_size(monkeypatch, num_windows):
+    # every output is bit-identical whatever the number of windows per
+    # block, NaN windows (a constant stretch longer than a window) included
+    from ifamarket import analytics
+
+    window = 256
+    rng = np.random.default_rng(num_windows)
+    returns = 0.00025 * rng.integers(-64, 65, size=num_windows + window - 1)
+    returns[100:400] = 0.0
+    outputs = []
+    for block in (1, 7, 256, 1 << 16):
+        monkeypatch.setattr(analytics, "_BLOCK_WINDOWS", block)
+        rm = rolling_moments(returns, window_days=window)
+        outputs.append([a.tobytes() for a in (rm.mean, rm.vol, rm.skew, rm.kurt)])
+    assert np.isnan(rm.skew).sum() >= 45
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_annualize_scales_mean_and_vol_only():
@@ -214,6 +246,23 @@ def test_table1_builds_one_decision_table(monkeypatch):
         for p in ["none", "prick:2", "prick:3", "prick:4", "prop:2", "prop:3", "prop:4"]
     ]
     assert rows == expected
+
+
+def test_table1_rows_share_the_cut_index(monkeypatch):
+    # the machine the rows map over already holds the cut index and the
+    # cycle moves of the unregulated orbit, so worker processes inherit
+    # them instead of each building its own
+    from ifamarket import analytics
+
+    def inline(fn, items, workers):
+        machine = fn.keywords["machine"]
+        assert machine._pos is not None and machine._moves is not None
+        return list(map(fn, items))
+
+    monkeypatch.setattr(analytics, "ordered_map", inline)
+    init = initial_window("alternating_up_first", 12)
+    rows = table1(54, 12, init, n_range=range(2, 5), ticks_per_day=64, window_days=8)
+    assert len(rows) == 7
 
 
 def test_table1_rows_do_not_depend_on_workers():

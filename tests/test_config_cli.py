@@ -285,10 +285,10 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(_engine, "step_table", no_step_table)
     assert run_cli(["cycle", "--w", "22"]) == 2
     assert capsys.readouterr().err == (
-        "ifamarket: error: the tables for w = 22 need up to 100 MiB "
+        "ifamarket: error: the tables for w = 22 need up to 104 MiB "
         "(decision 4 MiB, unregulated step**w 16 MiB, step 16 MiB, "
         "two step**w temporaries of 16 MiB, held unregulated cycle 16 MiB, "
-        "its cut index 16 MiB), but only 50 MiB is available\n"
+        "its cut index 16 MiB, its moves 4 MiB), but only 50 MiB is available\n"
     )
     # an unknown amount of memory is not checked
     monkeypatch.setattr(_engine, "available_memory", lambda: None)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import random
 import time
@@ -716,6 +717,31 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     assert machine._pos is not None
 
 
+def test_cycle_moves_follow_the_held_orbit():
+    # rule 54 from alternating at w = 14 holds a cycle of 11,811 windows,
+    # which window 7 is off: a machine that cut-ran on that cycle and
+    # then hop-walks 7's unregulated orbit of 3,937 holds the new cycle,
+    # and its regulated runs gather from that cycle's moves, rebuilt
+    w, rule, ticks = 14, decode_rule(54), 5000
+    init = initial_window("alternating_up_first", w)
+    machine = _cutting_machine(rule, w, init)
+    policy = RegulationPolicy("prick", 10)  # a walk that stays on the cycle
+    expected = oracles.simulate(rule, _oldest_first(init.bits, w), policy, ticks)
+    assert machine.run(policy, init.bits, ticks).tolist() == expected
+    old = machine._moves
+    assert old is not None and machine._positions()[7] < 0
+    first, windows = machine.orbit(NONE, 7)
+    assert (first, len(windows) - 1) == (0, 3937)
+    assert machine._held[1] is windows and machine._moves is None
+    for n in range(2, w + 1):
+        for regime in ("prick", "prop"):
+            policy = RegulationPolicy(regime, n)
+            expected = oracles.simulate(rule, _oldest_first(7, w), policy, ticks)
+            assert machine.run(policy, 7, ticks).tolist() == expected, policy
+    assert machine._moves is not None and machine._moves is not old
+    assert machine._moves.tolist() == (windows[1:] & 1).tolist()
+
+
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
     # the cut index is built only for a walk that cuts: the unregulated
     # orbit search of ``cycle``, repeated from the held start, and every
@@ -787,7 +813,7 @@ def test_ordered_map_starts_no_more_processes_than_items(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(_engine, "_worker_fn", None)
-    monkeypatch.setattr(_engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert _engine.ordered_map(str, range(3), 64) == ["0", "1", "2"]
     assert asked == [3]
 
@@ -803,5 +829,5 @@ def test_ordered_map_maps_serially_without_an_executor(monkeypatch, items, worke
     def no_pool(*args, **kwargs):
         raise AssertionError("ordered_map built an executor")
 
-    monkeypatch.setattr(_engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert _engine.ordered_map(str, items, workers) == [str(i) for i in items]
