@@ -693,9 +693,9 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
 
 
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
-    # a run of the held orbit's own start under none needs no cut index
-    # and no hop; from another window of the cycle it is a cut with no
-    # firing window
+    # a run of the held orbit's own start under none needs no cut index,
+    # no cycle moves and no hop; from another window of the cycle it is a
+    # cut with no firing window
     from ifamarket import _engine
 
     w = 12
@@ -711,7 +711,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
         assert machine.run(NONE, init.bits, ticks).tolist() == oracles.simulate(
             decode_rule(54), [int(m) for m in init.to_moves()], NONE, ticks
         )
-        assert machine._pos is None
+        assert machine._pos is None and machine._moves is None
     expected = oracles.simulate(decode_rule(54), _oldest_first(other, w), NONE, 5000)
     assert machine.run(NONE, other, 5000).tolist() == expected
     assert machine._pos is not None
