@@ -137,7 +137,7 @@ def test_rolling_moments_do_not_depend_on_the_block_size(monkeypatch, num_window
     returns[100:400] = 0.0
     outputs = []
     for block in (1, 7, 256, 1 << 16):
-        monkeypatch.setattr(analytics, "_BLOCK_WINDOWS", block)
+        monkeypatch.setattr(analytics, "_BLOCK_VALUES", block * window)
         rm = rolling_moments(returns, window_days=window)
         outputs.append([a.tobytes() for a in (rm.mean, rm.vol, rm.skew, rm.kurt)])
     assert np.isnan(rm.skew).sum() >= 45
