@@ -17,38 +17,37 @@ before has cost about what the next costs to set up (ski rental):
 tables and builds nothing of size 2**w; :func:`walk_direct` walks the
 step table with a 2**w-bit seen bitmap; :func:`walk_orbit` hops w ticks
 at a time through step**w.  :meth:`Machine.orbit` and :meth:`Machine.run`
-are the only routers: the first climbs the ladder until the orbit
-closes, or, given a limit, until the limit runs out, without the hop
-rung; the second takes a short run as that limited climb and tiles the
-cycle of a walk that closes, and a long one as :func:`walk_emit`, the
-hop walk of a run, which returns the moves alone.
+are the only routers, one job each.  The first searches an orbit up the
+whole ladder, so the orbit always closes.  The second takes a short run
+as a scalar then direct walk of at most its ticks, tiling the cycle of
+a walk that closes, and a long one as a cut of the held cycle (below)
+or as :func:`walk_emit`, the hop walk of a run, which returns the moves
+alone.
 
 A regulated walk is the unregulated one, cut where the policy fires and
-rejoined where the forced move lands.  So a machine that has walked an
-unregulated orbit through the hop rung holds it, and both routers take
-a cut rung before any regulated table: between two firing windows the
-walk follows the held cycle, found by one bisection over the sorted
-cycle positions of the firing windows, and a run is a list of slices of
-the cycle, gathered once.  The orbit closes when a firing window
-repeats.  A walk that starts or lands off the held cycle takes the
-ladder as it would without one.  For rule 54 where x^w + x + 1 is
+rejoined where the forced move lands.  So a machine whose orbit search
+has hopped an unregulated orbit holds it, and a long run takes a cut
+rung before any regulated table: between two firing windows the run
+follows the held cycle, found by one bisection over the sorted cycle
+positions of the firing windows, and the run is a list of slices of the
+cycle's moves, gathered once.  A run that starts or lands off the held
+cycle hops as it would without one.  For rule 54 where x^w + x + 1 is
 primitive (w = 22 among them) the unregulated cycle holds every nonzero
-window, so no regulated walk from a nonzero window leaves it.
+window, so no regulated run from a nonzero window leaves it.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
-the unregulated step**w, the held unregulated walk, its cut index, the
-cycle position of every window, built for the first cut, and the moves
-of its cycle as one contiguous 0/1 byte per tick, built for the first
-regulated run that cuts, so that its gathers copy contiguous bytes.  A
-regulated policy changes the step table only on windows that end in a
-run, so where it must take the ladder its step**w is the unregulated one
-patched in place over the windows that reach such a window within w - 1
-ticks; a policy that reaches too many squares its own step table.  At
-most a regulated step table and two step**w temporaries are held
-besides the machine's own tables.  Hop walks use numpy alone, one Python
-step per w ticks; each tick's window is rebuilt from two consecutive hop
-states with shifts.  All state arrays are uint32, which holds every
-window for w <= 30.
+the unregulated step**w, the held unregulated walk and, built for the
+first run that cuts it, its cut state: the cycle position of every
+window and the moves of the cycle, one contiguous 0/1 byte per tick, so
+that a cut run's gathers copy contiguous bytes.  A regulated policy
+changes the step table only on windows that end in a run, so where it
+must hop its step**w is the unregulated one patched in place over the
+windows that reach such a window within w - 1 ticks; a policy that
+reaches too many squares its own step table.  At most a regulated step
+table and two step**w temporaries are held besides the machine's own
+tables.  Hop walks use numpy alone, one Python step per w ticks; each
+tick's window is rebuilt from two consecutive hop states with shifts.
+All state arrays are uint32, which holds every window for w <= 30.
 """
 
 from __future__ import annotations
@@ -162,9 +161,18 @@ def walk_scalar(
     return None, list(seen)
 
 
+def _low_bytes(windows: np.ndarray) -> np.ndarray:
+    """A view of the low byte of each uint32 window: bit 0 is its newest move."""
+    return windows.view(np.uint8)[0 if sys.byteorder == "little" else 3 :: 4]
+
+
 def realized(windows: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The realized moves that led to ``windows[1:]``: their newest bits."""
-    return (np.asarray(windows[1:], dtype=np.uint32) & 1).astype(np.uint8)
+    """The realized moves that led to ``windows[1:]``: their newest bits.
+
+    Masked from the low bytes of the windows, so that a uint32 array of
+    windows is not copied.
+    """
+    return np.bitwise_and(_low_bytes(np.asarray(windows, dtype=np.uint32))[1:], 1)
 
 
 def _repeat_cycle(out: np.ndarray, first: int, done: int) -> np.ndarray:
@@ -452,20 +460,14 @@ def _gather_arcs(source: np.ndarray, arcs: array, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _low_bytes(windows: np.ndarray) -> np.ndarray:
-    """A view of the low byte of each uint32 window: bit 0 is its newest move."""
-    return windows.view(np.uint8)[0 if sys.byteorder == "little" else 3 :: 4]
-
-
 class Machine:
     """One rule's tables at one window width, each built when first needed.
 
     It holds the decision table, the unregulated step**w, and the last
-    unregulated orbit its hop rung walked with that orbit's cut index and
-    cycle moves, and nothing else of size 2**w, so that every policy
-    walked on it shares them: see :meth:`power`, :meth:`_cuts` and
-    :meth:`_cut_run`.  A machine that only serves scalar walks builds
-    nothing.
+    unregulated orbit its hop rung walked with that orbit's cut state,
+    and nothing else of size 2**w, so that every policy walked on it
+    shares them: see :meth:`power` and :meth:`_cuts`.  A machine that
+    only serves scalar walks builds nothing.
     """
 
     def __init__(self, rule: IfaRule, w: int) -> None:
@@ -474,11 +476,9 @@ class Machine:
         self._decisions: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None  # unregulated step**w
         # the unregulated orbit last walked through the hop rung, as
-        # (first, windows), and, built when a cut first needs them, the
-        # cycle position of every window and the moves of the cycle
+        # (first, windows), and its cut state, built for the first cut
         self._held: Optional[tuple[int, np.ndarray]] = None
-        self._pos: Optional[np.ndarray] = None
-        self._moves: Optional[np.ndarray] = None
+        self._cut: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def decisions(self) -> np.ndarray:
@@ -582,12 +582,15 @@ class Machine:
         finally:
             base[affected] = saved
 
-    def _positions(self) -> np.ndarray:
-        """The cut index: int32 cycle position of every window, -1 off the cycle.
+    def _cut_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """The held cycle's cut index and moves, built when first needed.
 
-        Position k is the held walk's window ``windows[first + 1 + k]``.
+        The index is the int32 cycle position of every window, -1 off the
+        cycle; position k is the held walk's window ``windows[first + 1 +
+        k]``, and its move is entry k of the moves, one contiguous byte
+        per tick.
         """
-        if self._pos is None:
+        if self._cut is None:
             first, windows = self._held
             cycle = windows[first + 1 :]
             pos = np.full(1 << self.w, -1, dtype=np.int32)
@@ -596,31 +599,17 @@ class Machine:
                 # ``clip`` skips the bounds check, which no window can fail
                 at = np.arange(lo, lo + chunk.size, dtype=np.int32)
                 np.put(pos, chunk, at, mode="clip")
-            self._pos = pos
-        return self._pos
-
-    def _cycle_moves(self) -> np.ndarray:
-        """The held cycle's moves as uint8 0/1, one per cycle position.
-
-        Position k's is the newest bit of ``windows[first + 1 + k]``, as
-        in :meth:`_positions`.  One contiguous byte per tick, so that a
-        cut run's gathers copy contiguous bytes, not every fourth byte of
-        the windows.
-        """
-        if self._moves is None:
-            first, windows = self._held
-            self._moves = np.bitwise_and(_low_bytes(windows[first + 1 :]), 1)
-        return self._moves
+            self._cut = pos, realized(windows[first:])
+        return self._cut
 
     def share_cuts(self) -> None:
-        """Build the cut index and the cycle moves now, if the machine holds a cycle.
+        """Build the cut state now, if the machine holds a cycle.
 
-        Processes forked after this inherit them instead of each building
+        Processes forked after this inherit it instead of each building
         its own; a machine that holds no cycle builds nothing.
         """
         if self._held is not None:
-            self._positions()
-            self._cycle_moves()
+            self._cut_state()
 
     def _firing(self, policy: RegulationPolicy, pos: np.ndarray) -> np.ndarray:
         """Sorted cycle positions of the windows where ``policy`` fires.
@@ -642,7 +631,7 @@ class Machine:
         return fire
 
     def _cuts(
-        self, policy: RegulationPolicy, start: int, limit: Optional[int]
+        self, policy: RegulationPolicy, start: int, limit: int
     ) -> Optional[tuple[array, Optional[tuple[int, int]]]]:
         """The walk of ``start`` as arcs of the held cycle, or None off it.
 
@@ -665,7 +654,7 @@ class Machine:
         The walk keeps its state in flat int arrays, a few words per
         firing window it visits, not in Python objects.
         """
-        pos = self._positions()
+        pos = self._cut_state()[0]
         at = int(pos[start])
         if at < 0:
             return None
@@ -691,7 +680,7 @@ class Machine:
             back = (q - lo) % size
             t += back
             _add_arc(arcs, emit, lo + back + 1, size)
-            if limit is not None and t >= limit:
+            if t >= limit:
                 return arcs, None
             if fired[k]:
                 i = 3 * visits[::3].index(q)
@@ -707,80 +696,25 @@ class Machine:
             t += 1
             emit = lo
 
-    def _cut_orbit(
-        self, policy: RegulationPolicy, start: int
-    ) -> Optional[tuple[int, np.ndarray]]:
-        """The cut rung of :meth:`orbit`, or None if the walk leaves the cycle."""
-        if policy.regime == "none" and start == self._held[1][0]:
-            return self._held
-        cuts = self._cuts(policy, start, None)
-        if cuts is None:
-            return None
-        arcs, (first, cycle) = cuts
-        held_first, held = self._held
-        windows = np.empty(first + cycle + 1, dtype=np.uint32)
-        windows[0] = start
-        _gather_arcs(held[held_first + 1 :], arcs, windows[1:])
-        return first, windows
-
-    def _cut_run(
-        self, policy: RegulationPolicy, start: int, num_ticks: int
-    ) -> Optional[np.ndarray]:
-        """The cut rung of :meth:`run`, or None if the walk leaves the cycle.
-
-        An unregulated run from the held start tiles the low bytes of the
-        held windows and masks them once, so that it builds no moves: that
-        run is the whole of an unregulated export, whose peak memory the
-        moves would raise.  Any other run gathers its arcs from the
-        cycle's moves (see :meth:`_cycle_moves`).
-        """
-        held_first, held = self._held
-        if policy.regime == "none" and start == held[0]:
-            out = _tile(held_first, _low_bytes(held)[1:], num_ticks)
-            out &= 1
-            return out
-        cuts = self._cuts(policy, start, num_ticks)
-        if cuts is None:
-            return None
-        arcs, closed = cuts
-        moves = self._cycle_moves()
-        out = np.empty(num_ticks, dtype=np.uint8)
-        if closed is None:
-            return _gather_arcs(moves, arcs, out)
-        first, cycle = closed
-        _gather_arcs(moves, arcs, out[: first + cycle])
-        return _repeat_cycle(out, first, first + cycle)
-
     def orbit(
-        self, policy: RegulationPolicy, start: int, limit: Optional[int] = None
-    ) -> tuple[Optional[int], Sequence[int]]:
-        """``(first, windows)`` of the orbit of ``start``.
+        self, policy: RegulationPolicy, start: int
+    ) -> tuple[int, Sequence[int]]:
+        """``(first, windows)`` of the orbit of ``start``, which always closes.
 
         Climbs the ladder: the scalar walk for ``_scalar_budget(w)``
-        ticks, then the cuts of the held unregulated cycle if the machine
-        holds one and the walk stays on it, then the step table walked
-        directly up to 2**w >> ``_DIRECT_VISIT_SHIFT`` ticks, and only
-        then the hops through step**w, so that the orbit always closes.
-        An unregulated orbit found by the hops is held.  A walk with a
-        ``limit`` keeps to the contract of every walk: the scalar rung
-        runs up to ``limit`` ticks if the budget allows, the direct rung
-        takes the rest, and it neither cuts nor hops.
+        ticks, then the step table walked directly up to 2**w >>
+        ``_DIRECT_VISIT_SHIFT`` ticks, and only then the hops through
+        step**w.  An unregulated orbit found by the hops is held for the
+        cut runs of :meth:`run`; an orbit search never cuts.
         """
-        budget = _scalar_budget(self.w)
-        if limit is not None:
-            budget = min(budget, limit)
-        first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
-        if first is not None or budget == limit:
-            return first, windows
-        if limit is None and self._held is not None:
-            cut = self._cut_orbit(policy, start)
-            if cut is not None:
-                return cut
-        step = self.step(policy)
-        first, windows = walk_direct(
-            step, windows, step.size >> _DIRECT_VISIT_SHIFT if limit is None else limit
+        first, windows = walk_scalar(
+            self.rule, self.w, policy, start, _scalar_budget(self.w)
         )
-        if first is not None or limit is not None:
+        if first is not None:
+            return first, windows
+        step = self.step(policy)
+        first, windows = walk_direct(step, windows, step.size >> _DIRECT_VISIT_SHIFT)
+        if first is not None:
             return first, windows
         del windows
         tables = self.power(policy, step)
@@ -788,7 +722,7 @@ class Machine:
         with tables as power:
             first, windows = walk_orbit(power, start)
         if policy.regime == "none":
-            self._held, self._pos, self._moves = (first, windows), None, None
+            self._held, self._cut = (first, windows), None
         return first, windows
 
     def run(
@@ -796,22 +730,42 @@ class Machine:
     ) -> np.ndarray:
         """Realized moves of ``num_ticks`` ticks from ``start``.
 
-        Runs shorter than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks are the
-        orbit search limited to ``num_ticks``, which builds no table if
-        the scalar walk closes the orbit or runs out of ticks first; a
-        walk that closes tiles its cycle over the ticks left.  Longer
-        runs are cuts of the held unregulated cycle if the machine holds
-        one and the walk stays on it, else they hop through step**w,
+        Runs shorter than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks take the
+        scalar walk for as many of their ticks as ``_scalar_budget(w)``
+        allows and the step table walked directly for the rest, so they
+        build no table if the scalar walk closes the orbit or runs out of
+        ticks first; a walk that closes tiles its cycle over the ticks
+        left.  Longer runs are cuts of the held unregulated cycle if the
+        machine holds one and the run stays on it: an unregulated run
+        from the held start tiles the low bytes of the held windows and
+        masks them once, so that an unregulated export holds no moves
+        besides its own, and any other run gathers its arcs from the
+        cycle's moves.  Runs off the held cycle hop through step**w,
         which costs a few passes over the table, or a patch, but then
         only one Python step per w ticks.
         """
         if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
-            first, windows = self.orbit(policy, start, num_ticks)
+            budget = min(_scalar_budget(self.w), num_ticks)
+            first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
+            if first is None and budget < num_ticks:
+                first, windows = walk_direct(self.step(policy), windows, num_ticks)
             return _tile(first, realized(windows), num_ticks)
         if self._held is not None:
-            moves = self._cut_run(policy, start, num_ticks)
-            if moves is not None:
-                return moves
+            held_first, held = self._held
+            if policy.regime == "none" and start == held[0]:
+                out = _tile(held_first, _low_bytes(held)[1:], num_ticks)
+                out &= 1
+                return out
+            cuts = self._cuts(policy, start, num_ticks)
+            if cuts is not None:
+                arcs, closed = cuts
+                moves = self._cut_state()[1]
+                out = np.empty(num_ticks, dtype=np.uint8)
+                if closed is None:
+                    return _gather_arcs(moves, arcs, out)
+                first, cycle = closed
+                _gather_arcs(moves, arcs, out[: first + cycle])
+                return _repeat_cycle(out, first, first + cycle)
         with self.power(policy) as power:
             return walk_emit(power, start, num_ticks)
 

@@ -206,7 +206,8 @@ def summarize_regime(
     ``ticks=None`` simulates transient + one full cycle of the policy's
     own orbit, floored at enough ticks for one rolling window.  The
     orbit search and the simulation share ``machine``, the rule's
-    tables at this w (a new one if None).
+    tables at this w (a new one if None).  A row whose every window has
+    zero variance has defined mean and vol but NaN shape deviations.
     """
     if isinstance(rule, int):
         rule = decode_rule(rule)
@@ -223,7 +224,10 @@ def summarize_regime(
     rolled = annualize(
         rolling_moments(days, window_days=window_days), days_per_year
     )
-    skew_dev, kurt_dev = max_deviation(rolled)
+    if np.isnan(rolled.skew).all():
+        skew_dev = kurt_dev = math.nan
+    else:
+        skew_dev, kurt_dev = max_deviation(rolled)
     return RegimeSummary(
         policy=policy.describe(),
         avg_annualized_mean=float(rolled.mean.mean()),

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .analytics import (
     aggregate_days,
@@ -37,6 +37,14 @@ from .reports import (
 )
 from .survey import survey_rules, sweep_window
 from . import tickio
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed argv as every command reports bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(2, f"ifamarket: error: {message}\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -263,7 +271,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ifamarket",
         description=(
             "Deterministic automaton-driven market simulation, regulation "

@@ -20,7 +20,8 @@ from .analytics import (
 from .market import MAX_WINDOW_WIDTH, WindowState, window_from_literal
 from .regulation import RegulationPolicy
 
-# a tick count must fit in int64, as every count and sum of ticks does
+# a tick count must fit in int64, as every count and sum of ticks does; so
+# must days_per_year, which scales the rolling means as a float
 MAX_TICKS = (1 << 63) - 1
 
 # bounds on scale: a day return is at most scale * ticks_per_day, so the
@@ -79,8 +80,10 @@ class RunConfig:
                 "window_days must be in [2, (2**63 - 1) // ticks_per_day], "
                 f"got {self.window_days}"
             )
-        if self.days_per_year < 1:
-            raise ValueError(f"days_per_year must be >= 1, got {self.days_per_year}")
+        if not 1 <= self.days_per_year <= MAX_TICKS:
+            raise ValueError(
+                f"days_per_year must be in [1, 2**63 - 1], got {self.days_per_year}"
+            )
         return self
 
     def initial_window(self) -> WindowState:

@@ -248,6 +248,22 @@ def test_table1_builds_one_decision_table(monkeypatch):
     assert rows == expected
 
 
+def test_table1_rows_without_a_defined_window_report_nan_shapes():
+    # rule 255 always decides UP: unregulated, every day returns the same
+    # 64 ticks, so no rolling window has a shape, while mean and vol are
+    # defined; prick:2 breaks the runs and its row has shapes
+    init = initial_window("alternating_up_first", 12)
+    rows = table1(
+        255, 12, init, n_range=range(2, 3), ticks_per_day=64, window_days=8
+    )
+    none, prick = rows[0], rows[1]
+    assert none.policy == "none" and prick.policy == "prick:2"
+    assert none.avg_annualized_mean == pytest.approx(64 * 0.00025 * 252)
+    assert none.avg_annualized_vol == 0.0
+    assert math.isnan(none.skew_max_dev) and math.isnan(none.kurt_max_dev)
+    assert math.isfinite(prick.skew_max_dev) and math.isfinite(prick.kurt_max_dev)
+
+
 def test_table1_rows_share_the_cut_index(monkeypatch):
     # the machine the rows map over already holds the cut index and the
     # cycle moves of the unregulated orbit, so worker processes inherit
@@ -256,7 +272,7 @@ def test_table1_rows_share_the_cut_index(monkeypatch):
 
     def inline(fn, items, workers):
         machine = fn.keywords["machine"]
-        assert machine._pos is not None and machine._moves is not None
+        assert machine._cut is not None
         return list(map(fn, items))
 
     monkeypatch.setattr(analytics, "ordered_map", inline)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifamarket.cli import main
 from ifamarket.config import RunConfig
@@ -133,6 +138,17 @@ def test_table1_row_count_criterion(tmp_path):
     assert code == 0
     rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert len(rows) - 1 == 39
+
+
+def test_table1_rows_without_a_defined_window_write_nan(tmp_path):
+    # rule 30 from alternating at w = 12 has a cycle of 2 ticks: every
+    # rolling window of every row has zero variance
+    out = tmp_path / "t1.csv"
+    argv = ["table1", "--rule", "30", "--w", "12", "--n-max", "3", "--workers", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert rows == [f"{p},0,0,nan,nan" for p in ("none,0", "prick,2", "prick,3",
+                                                 "prop,2", "prop,3")]
 
 
 def test_malformed_config_file_exits_nonzero(tmp_path, capsys):
@@ -364,8 +380,12 @@ def test_workers_below_one_exit_cleanly(capsys, command, workers):
             "window_days must be in [2, (2**63 - 1) // ticks_per_day], "
             "got 99999999999999999999",
         ),
+        (
+            ["table1", "--w", "8", "--days-per-year", str(10**400), "--workers", "1"],
+            f"days_per_year must be in [1, 2**63 - 1], got {10**400}",
+        ),
     ],
-    ids=["trend-length", "n-max", "scale", "ticks", "window-days"],
+    ids=["trend-length", "n-max", "scale", "ticks", "window-days", "days-per-year"],
 )
 def test_numbers_out_of_range_exit_cleanly(capsys, argv, message):
     # each used to raise OverflowError, write non-finite moments, or
@@ -446,3 +466,145 @@ def test_survey_rejects_a_regulation_policy(monkeypatch, capsys, mode):
         "ifamarket: error: survey classifies unregulated orbits; "
         "--policy must be none, got 'prick:3'\n"
     )
+
+
+# argv values that int() and float() do not parse
+_MALFORMED = st.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", "inf", "12a"])
+
+
+def _mostly(valid, bad):
+    """``valid`` nine draws in ten, else ``bad``: most argvs then run."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else valid)
+
+
+def _ints(lo, hi, bad_lo, bad_hi):
+    """Flag values: mostly ints in [lo, hi], which keep a run small, else
+    ints the config rejects (at most ``bad_lo``, at least ``bad_hi``,
+    10**400 among them) or malformed literals."""
+    bad = st.one_of(
+        st.integers(max_value=bad_lo),
+        st.integers(min_value=bad_hi),
+        st.just(10**400),
+        _MALFORMED,
+    )
+    return _mostly(st.integers(lo, hi), bad).map(str)
+
+
+def _floats(lo, hi):
+    """Flag values: mostly floats in [lo, hi], else any float, NaN, inf and
+    1e308 among them, or malformed literals."""
+    bad = st.one_of(st.floats(), st.sampled_from([1e308, -1e308, 5e-324]), _MALFORMED)
+    return _mostly(st.floats(lo, hi), bad).map(str)
+
+
+_COUNTS = dict(
+    w=_ints(1, 10, 0, 31),
+    ticks=_ints(0, 3000, -1, 1 << 63),
+    ticks_per_day=_ints(1, 32, 0, 1 << 63),
+    window_days=_ints(2, 8, 1, 1 << 63),
+)
+_OPTIONAL = dict(
+    rule=_ints(0, 255, -1, 256),
+    days_per_year=_ints(1, 1 << 63, 0, 1 << 63),
+    scale=_floats(1e-6, 1e-2),
+    init=_mostly(
+        st.sampled_from(["alternating", "all_up", "alternating_up_first"]),
+        st.text(alphabet="UDx ", max_size=11),
+    ),
+    policy=_mostly(
+        st.builds(
+            "{}:{}".format,
+            st.sampled_from(["prick", "prop", "both"]),
+            st.one_of(st.integers(1, 14), st.just(1 << 60)),
+        )
+        | st.just("none"),
+        st.sampled_from(["prick", "prick:", ":3", "prick:x", "prick:1.5", "prop:0",
+                         "both:-1", "Prick:3", f"prop:{(1 << 60) + 1}"]),
+    ),
+)
+# the contents of a --config or --prices file: empty, binary, JSON of the
+# wrong type, or CSV that is not a price series
+_FILES = st.one_of(
+    st.binary(max_size=64),
+    st.sampled_from([
+        b"", b"[1, 2]", b'"text"', b"3", b"null", b"{}", b'{"rule": "54"}',
+        b'{"w": 1.5}', b'{"scale": NaN}', b'{"mystery": 1}',
+        b'{"ticks_per_day": true}', b"date,close\n2020-01-01,abc\n",
+        b"date,close\n2020-01-01,100\n2020-01-02,-1\n",
+    ]),
+)
+# trend-length bounds in [1, 6], or past what table1 accepts
+_TREND_BOUNDS = _ints(1, 6, 0, (1 << 60) + 1)
+
+
+@st.composite
+def _argv(draw, folder):
+    command = draw(
+        st.sampled_from(["simulate", "cycle", "table1", "survey", "moments", "compare"])
+    )
+    argv = [command]
+    for flag, values in _COUNTS.items():
+        argv += [f"--{flag.replace('_', '-')}", draw(values)]
+    for flag, values in _OPTIONAL.items():
+        if draw(st.booleans()):
+            argv += [f"--{flag.replace('_', '-')}", draw(values)]
+    if draw(st.integers(0, 4)) == 4:
+        config = folder / "config.json"
+        config.write_bytes(draw(_FILES))
+        argv += ["--config", str(config)]
+    if command in ("table1", "survey"):
+        # no process pool: one worker, or a count the CLI rejects
+        argv += ["--workers", draw(_mostly(st.just("1"), st.sampled_from(["0", "-3"])))]
+    if command == "table1":
+        argv += ["--n-min", draw(_TREND_BOUNDS), "--n-max", draw(_TREND_BOUNDS)]
+        if draw(st.booleans()):
+            argv.append("--include-both")
+    if command == "survey":
+        if draw(st.booleans()):
+            argv += ["--sweep-w", draw(st.sampled_from(
+                ["2:6", "1:10", "5:3", "0:3", "2:31", "2-5", "a:b", ":", "", "3:"]
+            ))]
+        if draw(st.booleans()):
+            argv += ["--long-cycle-fraction", draw(_floats(0.01, 1))]
+        if draw(st.booleans()):
+            argv += ["--compression-threshold", draw(_floats(0, 2))]
+    if command == "simulate":
+        argv += ["--ticks-out", draw(st.sampled_from(["-", str(folder / "t.rle"),
+                                                      str(folder / "t.bits")]))]
+        if draw(st.booleans()):
+            argv += ["--ticks-format", draw(st.sampled_from(["rle", "bits", "csv"]))]
+        if draw(st.booleans()):
+            argv += ["--returns-out", str(folder / "r.csv")]
+    if command == "compare" and draw(st.booleans()):
+        prices = folder / "prices.csv"
+        prices.write_bytes(draw(_FILES))
+        argv += ["--prices", f"px={prices}", "--empirical-window",
+                 draw(_ints(2, 10, 1, 1 << 63)), "--date-format",
+                 draw(st.sampled_from(["%Y-%m-%d", "%Q", ""]))]
+    if command == "moments" and draw(st.booleans()):
+        argv.append("--annualize")
+    if command not in ("simulate", "compare"):
+        argv += ["--out", draw(st.sampled_from(["-", str(folder / "out.csv")]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_argv_ends_in_a_traceback(data):
+    # any subcommand with any flag values exits 0 or 2, never with an
+    # uncaught exception, and on 2 writes exactly one error line.  Valid
+    # counts stay small (w <= 10, at most 3,000 ticks, one worker), so
+    # every run is quick and none starts a process pool
+    with tempfile.TemporaryDirectory() as name:
+        argv = data.draw(_argv(Path(name)), label="argv")
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2)
+    assert not any(line.startswith("Traceback") for line in lines)
+    errors = [line for line in lines if line.startswith("ifamarket: error: ")]
+    assert len(errors) == (1 if code == 2 else 0), lines

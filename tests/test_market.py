@@ -647,27 +647,29 @@ def _cutting_machine(rule, w, init):
 @pytest.mark.parametrize("w", range(6, 15))
 def test_cut_rung_matches_the_oracles(monkeypatch, w):
     # every policy with n <= w, from both standard starts, for rule 54 and
-    # its relabelling 201: the orbit (first, windows) and a run past the
-    # orbit's end, walked as cuts of the held unregulated cycle, against
-    # the oracles.  At w = 6 and 7, x^w + x + 1 is primitive, the cycle
-    # holds every nonzero window, and no walk leaves it; at w = 14 some
-    # do, and take the ladder
+    # its relabelling 201: the orbit (first, windows), which a machine
+    # holding a cycle walks up the ladder without building its cut state,
+    # and a run past the orbit's end, walked as cuts of the held
+    # unregulated cycle, against the oracles.  At w = 6 and 7, x^w + x + 1
+    # is primitive, the cycle holds every nonzero window, and no run
+    # leaves it; at w = 14 some do, and hop
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     taken = {"cut": 0, "ladder": 0}
-    cut_orbit = _engine.Machine._cut_orbit
+    cuts = _engine.Machine._cuts
 
-    def counted(self, policy, start):
-        found = cut_orbit(self, policy, start)
+    def counted(self, policy, start, limit):
+        found = cuts(self, policy, start, limit)
         taken["ladder" if found is None else "cut"] += 1
         return found
 
-    monkeypatch.setattr(_engine.Machine, "_cut_orbit", counted)
+    monkeypatch.setattr(_engine.Machine, "_cuts", counted)
     for kind in ("alternating_up_first", "all_up"):
         init = initial_window(kind, w)
         init_moves = [int(m) for m in init.to_moves()]
         machines = [_cutting_machine(decode_rule(k), w, init) for k in (54, 201)]
+        runs = []
         for regime in ("prick", "prop", "both"):
             for n in range(1, w + 1):
                 policy = RegulationPolicy(regime, n)
@@ -680,12 +682,16 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
                     moves[transient + (t - transient) % cycle]
                     for t in range(len(moves), ticks)
                 ]
+                runs.append((policy, ticks, moves))
                 for machine in machines:
                     first, windows = machine.orbit(policy, init.bits)
                     assert (first, len(windows) - 1) == (transient, transient + cycle)
                     assert windows[0] == init.bits
                     assert (np.asarray(windows[1:]) & 1).tolist() == moves[: len(windows) - 1]
-                    assert machine.run(policy, init.bits, ticks).tolist() == moves
+                    assert machine._cut is None
+        for policy, ticks, moves in runs:
+            for machine in machines:
+                assert machine.run(policy, init.bits, ticks).tolist() == moves
     if w in (6, 7):
         assert taken["ladder"] == 0
     if w == 14:
@@ -711,10 +717,10 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
         assert machine.run(NONE, init.bits, ticks).tolist() == oracles.simulate(
             decode_rule(54), [int(m) for m in init.to_moves()], NONE, ticks
         )
-        assert machine._pos is None and machine._moves is None
+        assert machine._cut is None
     expected = oracles.simulate(decode_rule(54), _oldest_first(other, w), NONE, 5000)
     assert machine.run(NONE, other, 5000).tolist() == expected
-    assert machine._pos is not None
+    assert machine._cut is not None
 
 
 def test_cycle_moves_follow_the_held_orbit():
@@ -728,18 +734,18 @@ def test_cycle_moves_follow_the_held_orbit():
     policy = RegulationPolicy("prick", 10)  # a walk that stays on the cycle
     expected = oracles.simulate(rule, _oldest_first(init.bits, w), policy, ticks)
     assert machine.run(policy, init.bits, ticks).tolist() == expected
-    old = machine._moves
-    assert old is not None and machine._positions()[7] < 0
+    old = machine._cut[1]
+    assert old is not None and machine._cut_state()[0][7] < 0
     first, windows = machine.orbit(NONE, 7)
     assert (first, len(windows) - 1) == (0, 3937)
-    assert machine._held[1] is windows and machine._moves is None
+    assert machine._held[1] is windows and machine._cut is None
     for n in range(2, w + 1):
         for regime in ("prick", "prop"):
             policy = RegulationPolicy(regime, n)
             expected = oracles.simulate(rule, _oldest_first(7, w), policy, ticks)
             assert machine.run(policy, 7, ticks).tolist() == expected, policy
-    assert machine._moves is not None and machine._moves is not old
-    assert machine._moves.tolist() == (windows[1:] & 1).tolist()
+    assert machine._cut[1] is not None and machine._cut[1] is not old
+    assert machine._cut[1].tolist() == (windows[1:] & 1).tolist()
 
 
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
@@ -752,7 +758,7 @@ def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
     def no_index(self):
         pytest.fail("a cut index was built")
 
-    monkeypatch.setattr(_engine.Machine, "_positions", no_index)
+    monkeypatch.setattr(_engine.Machine, "_cut_state", no_index)
     w = 12
     init = initial_window("alternating_up_first", w)
     machine = _cutting_machine(decode_rule(54), w, init)
