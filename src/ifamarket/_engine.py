@@ -24,7 +24,8 @@ a walk that closes, and a long one as a cut of the held cycle (below)
 or as :func:`walk_emit`, the hop walk of a run, which returns the moves
 alone.
 
-A regulated walk is the unregulated one, cut where the policy fires and
+A regulated walk is the unregulated one, cut where the policy fires (at
+the windows that :func:`firing` finds, the one place that does) and
 rejoined where the forced move lands.  So a machine whose orbit search
 has hopped an unregulated orbit holds it, and a long run takes a cut
 rung before any regulated table: between two firing windows the run
@@ -40,7 +41,7 @@ the unregulated step**w, the held unregulated walk and, built for the
 first run that cuts it, its cut state: the cycle position of every
 window and the moves of the cycle, one contiguous 0/1 byte per tick, so
 that a cut run's gathers copy contiguous bytes.  A regulated policy
-changes the step table only on windows that end in a run, so where it
+changes the step table only on the windows where it fires, so where it
 must hop its step**w is the unregulated one patched in place over the
 windows that reach such a window within w - 1 ticks; a policy that
 reaches too many squares its own step table.  At most a regulated step
@@ -265,19 +266,27 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
     return decisions
 
 
-def _run_slices(policy: RegulationPolicy, w: int) -> list[slice]:
-    """Slices of the 2**w window values where ``policy`` may override the rule.
+def firing(decisions: np.ndarray, w: int, policy: RegulationPolicy) -> np.ndarray:
+    """The windows, as uint32 in no set order, where ``policy`` fires.
 
-    Those whose newest min(n, w) bits are all UP if it pricks, all DOWN
-    if it props: see :func:`~ifamarket.regulation.apply_policy`, which
-    leaves every other window's move as the rule intends it.
+    There :func:`~ifamarket.regulation.apply_policy` changes the move
+    that the rule's ``decisions`` intend.  Only run windows can fire:
+    the newest min(n, w) bits all UP if it pricks, all DOWN if it props.
+    Those bits are the only ones apply_policy reads, so the first run
+    window of each kind stands for all of that kind.
     """
-    if policy.regime == "none":
-        return []
-    period = 1 << min(policy.trend_length, w)
-    return ([slice(period - 1, None, period)] if policy.pricks else []) + (
-        [slice(0, None, period)] if policy.props else []
-    )
+    found = [np.empty(0, dtype=np.uint32)]
+    bits = w if policy.regime == "none" else min(policy.trend_length, w)
+    for first, acts in (((1 << bits) - 1, policy.pricks), (0, policy.props)):
+        if acts:
+            intended = decisions[first :: 1 << bits]
+            fires = apply_policy(policy, first, w, intended) != intended
+            # shifted in place: a firing set can hold 2**(w - 1) windows
+            at = np.flatnonzero(fires).astype(np.uint32)
+            at <<= np.uint32(bits)
+            at |= np.uint32(first)
+            found.append(at)
+    return np.concatenate(found)
 
 
 def step_table(
@@ -286,19 +295,15 @@ def step_table(
     """Next-window map over all 2**w states, regulation applied.
 
     For a trend length n > w this is the machine clamped to n = w (see
-    :func:`~ifamarket.regulation.apply_policy`).  The policy is applied
-    on the run windows alone, the only ones where it can act.
+    :func:`~ifamarket.regulation.apply_policy`).  The policy reverses
+    the decision on the windows where it fires, as :func:`firing` finds.
     """
     step = np.arange(1 << w, dtype=np.uint32)
     # in place, so that no more uint32 tables are alive than ``step``
     step <<= np.uint32(1)
     step &= np.uint32((1 << w) - 1)
     step |= decisions
-    for runs in _run_slices(policy, w):
-        intended = decisions[runs]
-        # the windows of ``runs`` share the newest bits of ``runs.start``,
-        # the only bits that apply_policy reads, so it stands for them all
-        step[runs] ^= intended ^ apply_policy(policy, runs.start, w, intended)
+    step[firing(decisions, w, policy)] ^= np.uint32(1)
     return step
 
 
@@ -501,24 +506,17 @@ class Machine:
     def _affected(self, policy: RegulationPolicy) -> Optional[np.ndarray]:
         """Windows whose step**w the policy may change, or None if too many.
 
-        The policy overrides the rule only on windows whose newest
-        min(n, w) bits are a run.  A window's step**w can change only if
-        its unregulated path meets one of those within w - 1 ticks, so a
-        breadth-first search back from them over the unregulated step,
-        w - 1 levels deep, finds every such window once.  A window z has
-        the predecessors z >> 1 and z >> 1 | 1 << (w - 1), those whose
-        decision is z's newest bit.  The search stops with None once it
-        passes ``_PATCH_MAX_SHARE`` of the windows.
+        A window's step**w can change only if its unregulated path meets
+        a window where the policy fires (see :func:`firing`) within
+        w - 1 ticks, so a breadth-first search back from those over the
+        unregulated step, w - 1 levels deep, finds every such window
+        once.  A window z has the predecessors z >> 1 and z >> 1 | 1 <<
+        (w - 1), those whose decision is z's newest bit.  The search
+        stops with None once it passes ``_PATCH_MAX_SHARE`` of the
+        windows.
         """
         w, decisions = self.w, self.decisions
-        runs = np.concatenate(
-            [
-                np.arange(r.start, 1 << w, r.step, dtype=np.uint32)
-                for r in _run_slices(policy, w)
-            ]
-        )
-        intended = decisions[runs]
-        level = runs[apply_policy(policy, runs, w, intended) != intended]
+        level = firing(decisions, w, policy)
         limit = _PATCH_MAX_SHARE * (1 << w)
         visited = np.zeros(1 << w, dtype=bool)
         levels = [level]
@@ -611,25 +609,6 @@ class Machine:
         if self._held is not None:
             self._cut_state()
 
-    def _firing(self, policy: RegulationPolicy, pos: np.ndarray) -> np.ndarray:
-        """Sorted cycle positions of the windows where ``policy`` fires.
-
-        A policy fires on the run windows (see :func:`_run_slices`) where
-        :func:`~ifamarket.regulation.apply_policy` changes the move the
-        rule intends, as in :meth:`_affected`.
-        """
-        found = [np.empty(0, dtype=np.int32)]
-        for runs in _run_slices(policy, self.w):
-            intended = self.decisions[runs]
-            # as in step_table, ``runs.start`` stands for all of its windows;
-            # the slices are views, so only the firing windows are copied
-            fires = apply_policy(policy, runs.start, self.w, intended) != intended
-            at = pos[runs][fires]
-            found.append(at[at >= 0])
-        fire = np.concatenate(found)
-        fire.sort()
-        return fire
-
     def _cuts(
         self, policy: RegulationPolicy, start: int, limit: int
     ) -> Optional[tuple[array, Optional[tuple[int, int]]]]:
@@ -661,7 +640,9 @@ class Machine:
         first, windows = self._held
         cycle = windows[first + 1 :]
         size = cycle.size
-        fire = self._firing(policy, pos)
+        fire = pos[firing(self.decisions, self.w, policy)]
+        fire = fire[fire >= 0]
+        fire.sort()  # the cycle positions where the policy fires, in order
         arcs = array("q")
         if not fire.size:
             _add_arc(arcs, at + 1, at + 1 + size, size)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from typing import NoReturn, Optional
+from typing import NoReturn, Optional, Sequence
 
 from .analytics import (
     aggregate_days,
@@ -67,9 +67,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--days-per-year", type=int, help="annualization (252)")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(
+    args: argparse.Namespace, widths: Sequence[int] = ()
+) -> RunConfig:
+    """The config file overridden by the flags and validated, a sweep's
+    initial window at each of its ``widths`` in place of w."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    return config.with_overrides(
+    config = config.with_overrides(
         rule=args.rule,
         w=args.w,
         init=args.init,
@@ -79,7 +83,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         scale=args.scale,
         window_days=args.window_days,
         days_per_year=args.days_per_year,
-    ).validate()
+    )
+    for w in widths:
+        try:
+            config.with_overrides(w=w).initial_window()
+        except ValueError as exc:
+            message = f"--init does not fit --sweep-w {args.sweep_w}: {exc}"
+            raise ValueError(message) from None
+    config.with_overrides(init="all_up" if widths else None).validate()
+    return config
 
 
 def _simulate_config(
@@ -191,7 +203,18 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    widths: Sequence[int] = ()
+    if args.sweep_w:
+        lo, sep, hi = args.sweep_w.partition(":")
+        if not (sep and lo.isdigit() and hi.isdigit()):
+            raise ValueError(f"bad --sweep-w {args.sweep_w!r}; expected LO:HI")
+        if not 1 <= int(lo) <= int(hi) <= MAX_WINDOW_WIDTH:
+            raise ValueError(
+                f"bad --sweep-w {args.sweep_w!r}; "
+                f"expected 1 <= LO <= HI <= {MAX_WINDOW_WIDTH}"
+            )
+        widths = range(int(lo), int(hi) + 1)
+    config = _config_from_args(args, widths)
     if config.regulation_policy().regime != "none":
         raise ValueError(
             f"survey classifies unregulated orbits; --policy must be none, "
@@ -206,18 +229,10 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--compression-threshold must be finite and >= 0, got {threshold}"
         )
-    if args.sweep_w:
-        lo, sep, hi = args.sweep_w.partition(":")
-        if not (sep and lo.isdigit() and hi.isdigit()):
-            raise ValueError(f"bad --sweep-w {args.sweep_w!r}; expected LO:HI")
-        if not 1 <= int(lo) <= int(hi) <= MAX_WINDOW_WIDTH:
-            raise ValueError(
-                f"bad --sweep-w {args.sweep_w!r}; "
-                f"expected 1 <= LO <= HI <= {MAX_WINDOW_WIDTH}"
-            )
+    if widths:
         rows = sweep_window(
             decode_rule(config.rule),
-            range(int(lo), int(hi) + 1),
+            widths,
             init_kind=config.init,
             long_cycle_fraction=fraction,
             compression_threshold=threshold,

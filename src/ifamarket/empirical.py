@@ -128,7 +128,7 @@ class CompareRow:
 @dataclass(frozen=True)
 class CompareReport:
     rows: tuple[CompareRow, ...]
-    envelope_flags: dict  # moment -> bool | None (None without empirical data)
+    envelope_flags: dict  # moment -> bool | None (no empirical data or window)
 
     def render_text(self) -> str:
         lines = [
@@ -139,17 +139,22 @@ class CompareReport:
             cells = " ".join(f"{x:>12.6g}" for x in row.summary)
             lines.append(f"{row.series:<24} {row.moment:<6} {cells}")
         lines.append("")
+        empirical = len(self.rows) > len(_MOMENTS)  # rows besides the model's
         for moment in _MOMENTS:
             flag = self.envelope_flags.get(moment)
-            verdict = (
-                "no empirical data"
-                if flag is None
-                else ("inside" if flag else "OUTSIDE")
-            )
+            if flag is not None:
+                verdict = "inside" if flag else "OUTSIDE"
+            else:
+                verdict = "no defined window" if empirical else "no empirical data"
             lines.append(
                 f"model {moment} median vs empirical min-max envelope: {verdict}"
             )
         return "\n".join(lines) + "\n"
+
+
+def _summary(series: np.ndarray) -> tuple[float, ...]:
+    """The five-number summary of the defined windows, five NaNs if none is."""
+    return (math.nan,) * 5 if np.isnan(series).all() else quantile_summary(series)
 
 
 def compare_report(
@@ -157,30 +162,22 @@ def compare_report(
     empirical: Sequence[RollingMoments] = (),
     labels: Optional[Sequence[str]] = None,
 ) -> CompareReport:
-    """Side-by-side five-number summaries, model first."""
+    """Side-by-side five-number summaries, model first.  A moment with no
+    defined window in a series has NaN summaries and envelope flag None."""
     if labels is None:
         labels = [f"empirical-{i}" for i in range(len(empirical))]
     if len(labels) != len(empirical):
         raise ValueError("one label per empirical series required")
     rows: list[CompareRow] = []
-    for moment in _MOMENTS:
-        rows.append(
-            CompareRow("model", moment, quantile_summary(getattr(model, moment)))
-        )
-        for label, series in zip(labels, empirical):
-            rows.append(
-                CompareRow(label, moment, quantile_summary(getattr(series, moment)))
-            )
     flags: dict = {}
     for moment in _MOMENTS:
-        if not empirical:
+        ours = _summary(getattr(model, moment))
+        theirs = [_summary(getattr(series, moment)) for series in empirical]
+        rows.append(CompareRow("model", moment, ours))
+        rows.extend(CompareRow(name, moment, s) for name, s in zip(labels, theirs))
+        if not theirs or any(math.isnan(s[2]) for s in [ours, *theirs]):
             flags[moment] = None
-            continue
-        model_median = quantile_summary(getattr(model, moment))[2]
-        lows, highs = [], []
-        for series in empirical:
-            summary = quantile_summary(getattr(series, moment))
-            lows.append(summary[0])
-            highs.append(summary[4])
-        flags[moment] = min(lows) <= model_median <= max(highs)
+        else:
+            low, high = min(s[0] for s in theirs), max(s[4] for s in theirs)
+            flags[moment] = low <= ours[2] <= high
     return CompareReport(rows=tuple(rows), envelope_flags=flags)

@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._engine import Machine, realized
+from ._engine import Machine, realized, scalar_decision
 from .ifa import IfaRule, Move, process_window
-from .regulation import RegulationPolicy
+from .regulation import RegulationPolicy, regulator
 
 MAX_WINDOW_WIDTH = 30  # dense 2**w uint32 tables must fit in memory
 
@@ -147,18 +147,20 @@ def _held_moves(rule: IfaRule, w: int, policy: RegulationPolicy) -> list[int]:
     """Moves m whose all-m window a trend length n > w holds n - w ticks longer.
 
     A run of n > w UPs can only pass through the all-UP window, which
-    every run enters exactly w long.  Where the rule decides UP there
-    and the policy pricks, the machine realizes n - w more UPs before it
-    leaves the window as the machine clamped to n = w does at once;
-    likewise for DOWN.  Elsewhere the two machines agree.
+    every run enters exactly w long.  Where the machine clamped to n = w
+    fires there, that is where the rule decides UP and the policy
+    pricks, the true machine realizes n - w more UPs before it leaves
+    the window as the clamped one does at once; likewise for DOWN.
+    Elsewhere the two machines agree.
     """
     if policy.regime == "none" or policy.trend_length <= w:
         return []
+    decide, regulate = scalar_decision(rule, w), regulator(policy, w)
     mask = (1 << w) - 1
     return [
         move
-        for move, regulated in ((1, policy.pricks), (0, policy.props))
-        if regulated and next_move(rule, WindowState(move * mask, w)) == move
+        for move, window in ((1, mask), (0, 0))
+        if regulate(window, decide(window)) != decide(window)
     ]
 
 

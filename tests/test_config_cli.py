@@ -272,6 +272,26 @@ def test_sweep_w_out_of_range_exits_before_any_walk(monkeypatch, capsys, sweep):
     )
 
 
+@pytest.mark.parametrize("extra", [[], ["--w", "4"]], ids=["no-w", "w-4"])
+def test_sweep_w_checks_a_move_literal_at_every_width(monkeypatch, capsys, extra):
+    # a U/D literal fits one width only; the sweep, not --w, decides which
+    from ifamarket import cli
+
+    sweep = cli.sweep_window
+    monkeypatch.setattr(cli, "sweep_window", lambda *args, **kwargs: pytest.fail())
+    argv = ["survey", "--rule", "54", "--init", "UDUD", *extra]
+    assert run_cli(argv + ["--sweep-w", "4:6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ifamarket: error: --init does not fit --sweep-w 4:6: "
+        "custom initial window has 4 moves, expected 5\n"
+    )
+    monkeypatch.setattr(cli, "sweep_window", sweep)
+    assert run_cli(argv + ["--sweep-w", "4:4"]) == 0
+    assert capsys.readouterr().out.endswith("\n54,4,0,15,5,complex\n")
+
+
 def test_memory_error_exits_cleanly(monkeypatch, capsys):
     from ifamarket import _engine
 

@@ -126,6 +126,29 @@ def test_compare_report_model_only():
     assert "no empirical data" in report.render_text()
 
 
+def test_compare_report_without_a_defined_window():
+    # constant day returns have zero variance in every window: no shape
+    # moments, so NaN summaries and an envelope that is neither side
+    flat = rolling_moments(np.full(300, 0.5), 100)
+    rng = np.random.default_rng(9)
+    noisy = rolling_moments(rng.normal(0, 0.01, 300), 100)
+    for model, empirical in ((flat, noisy), (noisy, flat), (flat, flat)):
+        report = compare_report(model, [empirical], ["data"])
+        by_key = {(r.series, r.moment): r.summary for r in report.rows}
+        for series, moments in (("model", model), ("data", empirical)):
+            for moment in ("skew", "kurt"):
+                undefined = np.isnan(getattr(moments, moment)).all()
+                assert np.isnan(by_key[(series, moment)]).all() == undefined
+        assert report.envelope_flags["skew"] is None
+        assert report.envelope_flags["kurt"] is None
+        assert isinstance(report.envelope_flags["vol"], bool)
+        text = report.render_text()
+        assert "skew median vs empirical min-max envelope: no defined window" in text
+    report = compare_report(flat)
+    assert np.isnan(report.rows[2].summary).all()
+    assert "no empirical data" in report.render_text()
+
+
 def test_compare_report_label_mismatch():
     rng = np.random.default_rng(8)
     model = rolling_moments(rng.normal(0, 0.01, 300), 100)

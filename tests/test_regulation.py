@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ifamarket._engine import firing
 from ifamarket.ifa import Move
 from ifamarket.regulation import RegulationPolicy, apply_policy
 
@@ -45,7 +46,8 @@ def test_apply_none_is_identity():
 
 
 def test_apply_policy_tables_match_single_windows():
-    # one function decides a tick (Python ints) and a table (numpy arrays)
+    # one function decides a tick (Python ints) and a table (numpy arrays),
+    # and the engine's firing set is the windows where the ticks override
     w = 7
     windows = np.arange(1 << w, dtype=np.uint32)
     decisions = ((windows * 2654435761) >> 5 & 1).astype(np.uint8)
@@ -58,6 +60,11 @@ def test_apply_policy_tables_match_single_windows():
                 for x, d in zip(windows, decisions)
             ]
             assert table.tolist() == ticks
+            fires = firing(decisions, w, policy)
+            assert fires.dtype == np.uint32
+            assert sorted(fires.tolist()) == [
+                x for x, d, t in zip(range(1 << w), decisions, ticks) if t != d
+            ]
             if regime == "none":
                 break
 
