@@ -40,15 +40,16 @@ A :class:`Machine` holds one rule's tables at one w: the decision table,
 the unregulated step**w, the held unregulated walk and, built for the
 first run that cuts it, its cut state: the cycle position of every
 window and the moves of the cycle, one contiguous 0/1 byte per tick, so
-that a cut run's gathers copy contiguous bytes.  A regulated policy
-changes the step table only on the windows where it fires, so where it
-must hop its step**w is the unregulated one patched in place over the
-windows that reach such a window within w - 1 ticks; a policy that
-reaches too many squares its own step table.  At most a regulated step
-table and two step**w temporaries are held besides the machine's own
-tables.  Hop walks use numpy alone, one Python step per w ticks; each
-tick's window is rebuilt from two consecutive hop states with shifts.
-All state arrays are uint32, which holds every window for w <= 30.
+that a cut run's gathers copy contiguous bytes.  All but the decision
+table are read-only once built.  A regulated policy changes the step
+table only on the windows where it fires, so where it must hop its
+step**w is a copy of the unregulated one, patched over the windows that
+reach such a window within w - 1 ticks; a policy that reaches too many
+squares its own step table.  Besides the machine's own tables, at most
+a regulated step table and two step**w temporaries, or a patched copy,
+are held at once.  Hop walks use numpy alone, one Python step per w
+ticks; each tick's window is rebuilt from two consecutive hop states
+with shifts.  All state arrays are uint32, which holds every w <= 30.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -96,7 +96,9 @@ _GATHER_CHUNK = 1 << 18
 # bytes per window that the table path may hold at once: the decision
 # table (1) and the unregulated step**w (4) of a machine, a regulated step
 # table (4) with the two temporaries of its step**w (4 each), and the held
-# unregulated cycle (4) with its cut index (4) and its moves (1)
+# unregulated cycle (4) with its cut index (4) and its moves (1).  A
+# patched copy of the unregulated step**w squares nothing, so it fits in
+# the regulated step table's 4 bytes, or a temporary's if one is built.
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 
 # tables smaller than this, about what the interpreter with numpy takes
@@ -495,14 +497,6 @@ class Machine:
         """The policy's step table, built anew: the machine keeps none."""
         return step_table(self.decisions, self.w, policy)
 
-    def _base_power(self, step: Optional[np.ndarray] = None) -> np.ndarray:
-        """The unregulated step**w, squared from ``step`` if it must be built."""
-        if self._base is None:
-            if step is None:
-                step = self.step(RegulationPolicy("none"))
-            self._base = _power(step, self.w)
-        return self._base
-
     def _affected(self, policy: RegulationPolicy) -> Optional[np.ndarray]:
         """Windows whose step**w the policy may change, or None if too many.
 
@@ -534,51 +528,37 @@ class Machine:
             total += level.size
         return np.concatenate(levels) if total <= limit else None
 
-    @contextmanager
     def power(
         self, policy: RegulationPolicy, step: Optional[np.ndarray] = None
-    ) -> Iterator[np.ndarray]:
-        """step**w for ``policy``, valid inside the ``with`` block.
+    ) -> np.ndarray:
+        """step**w for ``policy``; ``step`` is its step table if built already.
 
-        ``none`` gets the unregulated table, built if the machine does
-        not hold it yet.  Once it does, a policy that changes it on few
-        windows (see :meth:`_affected`) gets it patched in place: w
-        vectorized steps of the regulated map over those windows give
-        their entries, and the saved entries go back when the block
-        exits, also by an exception.  Any other policy, and any policy
-        before the unregulated table exists (building it would cost what
-        squaring the policy's own table does), squares its own step
-        table: ``step`` if the caller has built it.
+        ``none`` gets the unregulated table, which the machine builds on
+        first use and holds read-only.  Once it does, a policy that changes
+        it on few windows (see :meth:`_affected`) gets a copy of it patched
+        over those windows: w vectorized steps of the regulated map give
+        their entries.  Any other policy, and any policy before the
+        unregulated table exists (building it would cost what squaring the
+        policy's own table does), squares its own step table.
         """
-        # ``step`` is dropped as soon as it is not needed: the walk that
-        # runs inside the block should not hold it
         if policy.regime == "none":
-            base = self._base_power(step)
-            del step
-            yield base
-            return
-        base = self._base
-        affected = None if base is None else self._affected(policy)
+            if self._base is None:
+                self._base = _power(self.step(policy) if step is None else step, self.w)
+                self._base.setflags(write=False)
+            return self._base
+        affected = None if self._base is None else self._affected(policy)
         if affected is None:
-            squared = _power(self.step(policy) if step is None else step, self.w)
-            del step
-            yield squared
-            return
-        del step
+            return _power(self.step(policy) if step is None else step, self.w)
         w, decisions = self.w, self.decisions
-        mask, one = np.uint32(base.size - 1), np.uint32(1)
+        mask, one = np.uint32(self._base.size - 1), np.uint32(1)
         ends = affected
         for _ in range(w):
             ends = ((ends << one) & mask) | apply_policy(
                 policy, ends, w, decisions[ends]
             )
-        saved = base[affected]
-        try:
-            base[affected] = ends
-            del ends
-            yield base
-        finally:
-            base[affected] = saved
+        patched = self._base.copy()
+        patched[affected] = ends
+        return patched
 
     def _cut_state(self) -> tuple[np.ndarray, np.ndarray]:
         """The held cycle's cut index and moves, built when first needed.
@@ -597,7 +577,10 @@ class Machine:
                 # ``clip`` skips the bounds check, which no window can fail
                 at = np.arange(lo, lo + chunk.size, dtype=np.int32)
                 np.put(pos, chunk, at, mode="clip")
-            self._cut = pos, realized(windows[first:])
+            moves = realized(windows[first:])
+            pos.setflags(write=False)
+            moves.setflags(write=False)
+            self._cut = pos, moves
         return self._cut
 
     def share_cuts(self) -> None:
@@ -698,11 +681,11 @@ class Machine:
         if first is not None:
             return first, windows
         del windows
-        tables = self.power(policy, step)
-        del step  # the tables keep it only while they need it
-        with tables as power:
-            first, windows = walk_orbit(power, start)
+        power = self.power(policy, step)
+        del step  # the walk should not hold it
+        first, windows = walk_orbit(power, start)
         if policy.regime == "none":
+            windows.setflags(write=False)
             self._held, self._cut = (first, windows), None
         return first, windows
 
@@ -747,8 +730,7 @@ class Machine:
                 first, cycle = closed
                 _gather_arcs(moves, arcs, out[: first + cycle])
                 return _repeat_cycle(out, first, first + cycle)
-        with self.power(policy) as power:
-            return walk_emit(power, start, num_ticks)
+        return walk_emit(self.power(policy), start, num_ticks)
 
 
 # the function that ordered_map's worker process maps, set by _start_worker

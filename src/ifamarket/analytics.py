@@ -6,8 +6,9 @@ moments use a 256-day window by default: mean is the sample mean, vol
 the sample standard deviation (N-1 divisor), skewness m3 / m2^(3/2) and
 kurtosis m4 / m2**2 with population central moments (N divisor);
 kurtosis is the standardized fourth moment, 3 for a normal.  Windows
-with zero variance get NaN skewness/kurtosis and are excluded from
-deviation scans.
+of equal values have zero variance, decided exactly rather than from a
+rounded m2: they get vol 0 and NaN skewness/kurtosis and are excluded
+from deviation scans.
 
 Shape moments are computed with explicit multiply/sqrt forms so that
 rescaling returns by a power of two leaves every skewness and kurtosis
@@ -139,12 +140,13 @@ def rolling_moments(
         # the sum of squared deviations, taken once: mean() is sum() / N
         s2 = dev2.sum(axis=1)
         m2 = s2 / window_days
-        vol[lo:hi] = np.sqrt(s2 / (window_days - 1))
+        # a window of equal values has no variance, whatever rounding left
+        defined = block.max(axis=1) != block.min(axis=1)
+        vol[lo:hi] = np.where(defined, np.sqrt(s2 / (window_days - 1)), 0.0)
         # the third and fourth powers overwrite dev, which is not read again
         m3 = np.multiply(dev2, dev, out=dev).mean(axis=1)
         m4 = np.multiply(dev2, dev2, out=dev).mean(axis=1)
         mean[lo:hi] = m
-        defined = m2 > 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             skew[lo:hi] = np.where(defined, m3 / (m2 * np.sqrt(m2)), np.nan)
             kurt[lo:hi] = np.where(defined, m4 / (m2 * m2), np.nan)

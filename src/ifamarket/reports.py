@@ -7,6 +7,8 @@ configuration on a ``# config:`` line.
 
 from __future__ import annotations
 
+import csv
+import io
 from typing import Optional, Sequence
 
 from .analytics import RegimeSummary, RollingMoments
@@ -84,7 +86,9 @@ def render_compare_csv(report: CompareReport, config: RunConfig) -> str:
         verdict = "n/a" if flag is None else ("inside" if flag else "outside")
         lines.append(f"# envelope_{moment}: {verdict}")
     lines.append("series,moment,min,q10,median,q90,max")
+    # a series label, a file name by default, may need quoting
+    body = io.StringIO()
+    writer = csv.writer(body, lineterminator="\n")
     for row in report.rows:
-        cells = ",".join(fmt(x) for x in row.summary)
-        lines.append(f"{row.series},{row.moment},{cells}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([row.series, row.moment, *(fmt(x) for x in row.summary)])
+    return "\n".join(lines) + "\n" + body.getvalue()

@@ -86,6 +86,14 @@ def test_rolling_constant_window_undefined_shapes():
         max_deviation(rm)
 
 
+def test_rolling_equal_values_have_no_variance_despite_rounding():
+    # 0.016 is not a dyadic fraction, so the window mean rounds and the
+    # deviations are not exactly 0; the window is still of equal values
+    rm = rolling_moments(np.full(600, 0.016), 100)
+    assert np.all(rm.vol == 0.0)
+    assert np.all(np.isnan(rm.skew)) and np.all(np.isnan(rm.kurt))
+
+
 def test_rolling_requires_enough_days():
     with pytest.raises(ValueError):
         rolling_moments(DayReturns(returns=np.zeros(5)), window_days=6)
@@ -308,7 +316,7 @@ def test_table1_rows_come_in_policy_order(workers):
 def test_rows_leave_the_machine_unregulated(monkeypatch):
     # after every row's walk, patched or squared, the machine's
     # unregulated step**w is the one it held before, also when a walk
-    # raises
+    # on a patched copy raises
     from ifamarket import _engine
     from ifamarket.market import Machine, simulate
 
@@ -316,8 +324,7 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
     rule = decode_rule(54)
     init = initial_window("alternating_up_first", w)
     machine = Machine(rule, w)
-    with machine.power(RegulationPolicy("none")) as power:
-        base = power.copy()
+    base = machine.power(RegulationPolicy("none")).copy()
     for n in range(1, w + 3):
         for regime in ("prick", "prop", "both"):
             policy = RegulationPolicy(regime, n)
@@ -329,9 +336,13 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
         raise RuntimeError("walk failed")
 
     monkeypatch.setattr(_engine, "walk_emit", failing_walk)
-    with pytest.raises(RuntimeError, match="walk failed"):
-        simulate(rule, w, init, RegulationPolicy("prick", 9), 1 << w, machine=machine)
-    assert np.array_equal(machine._base, base)
+    monkeypatch.setattr(_engine, "_PATCH_MAX_SHARE", math.inf)
+    for text in ("prick:3", "prick:9", "both:12"):
+        policy = RegulationPolicy.parse(text)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            simulate(rule, w, init, policy, 1 << w, machine=machine)
+        assert np.array_equal(machine._base, base), policy
+    assert not machine._base.flags.writeable
 
 
 def test_machine_must_match_rule_and_width():

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -210,14 +211,18 @@ def test_compare_model_only(capsys):
     assert "no empirical data" in out
 
 
-def test_compare_with_prices(tmp_path, capsys):
-    prices = tmp_path / "px.csv"
+def _write_prices(path):
     rows = ["date,close"]
     close = 100.0
     for i in range(40):
         close *= 1.0 + (0.001 if i % 3 else -0.001)
         rows.append(f"2020-{1 + i // 28:02d}-{1 + i % 28:02d},{close!r}")
-    prices.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_compare_with_prices(tmp_path, capsys):
+    prices = _write_prices(tmp_path / "px.csv")
     csv_out = tmp_path / "cmp.csv"
     code = run_cli(
         ["compare", *SMALL, "--ticks", "2048", "--prices", f"idx={prices}",
@@ -226,6 +231,38 @@ def test_compare_with_prices(tmp_path, capsys):
     assert code == 0
     assert "idx" in capsys.readouterr().out
     assert csv_out.read_text().count("idx,") == 4  # one row per moment
+
+
+def test_compare_equal_day_returns_have_no_variance(capsys):
+    # rule 255 goes UP on every tick, so every 100-day window holds equal
+    # day returns of 64 * 2.5 bp: vol 0 and no defined shape moment
+    code = run_cli(
+        ["compare", "--rule", "255", "--w", "8", "--ticks", "8192",
+         "--ticks-per-day", "64", "--window-days", "100"]
+    )
+    assert code == 0
+    rows = {
+        line.split()[1]: line.split()[2:]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("model ") and len(line.split()) == 7
+    }
+    assert [float(x) for x in rows["vol"]] == [0.0] * 5
+    assert rows["skew"] == rows["kurt"] == ["nan"] * 5
+
+
+def test_compare_csv_quotes_a_label_with_a_comma(tmp_path):
+    # the default label is the price file's name, which may hold a comma
+    prices = _write_prices(tmp_path / "px,1.csv")
+    csv_out = tmp_path / "cmp.csv"
+    code = run_cli(
+        ["compare", *SMALL, "--ticks", "2048", "--prices", str(prices),
+         "--empirical-window", "10", "--csv-out", str(csv_out)]
+    )
+    assert code == 0
+    body = [l for l in csv_out.read_text().splitlines() if not l.startswith("#")]
+    parsed = list(csv.reader(body))
+    assert {len(row) for row in parsed} == {7}
+    assert [row[0] for row in parsed].count("px,1.csv") == 4
 
 
 def test_simulate_bits_to_stdout(tmp_path, monkeypatch, capsysbinary):

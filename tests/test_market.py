@@ -440,8 +440,8 @@ def _forced_route(monkeypatch, route):
 )
 def test_machine_power_matches_full_build(k, w, regime, route, data):
     # every policy's step**w from the machine, patched or squared, equals
-    # the square of its own step table, and the unregulated step**w the
-    # machine holds is the same before and after
+    # the square of its own step table and is a table of its own: the
+    # unregulated step**w the machine holds is read-only and unchanged
     from ifamarket import _engine
 
     n = data.draw(st.integers(min_value=1, max_value=w + 3), label="n")
@@ -452,37 +452,12 @@ def test_machine_power_matches_full_build(k, w, regime, route, data):
     expected = _engine._power(_engine.step_table(decisions, w, policy), w)
     with pytest.MonkeyPatch.context() as mp:
         _forced_route(mp, route)
-        with machine.power(NONE) as power:
-            assert np.array_equal(power, base)
-        with machine.power(policy) as power:
-            assert np.array_equal(power, expected)
-            assert (power is machine._base) == (route == "patch")
+        assert np.array_equal(machine.power(NONE), base)
+        power = machine.power(policy)
+        assert np.array_equal(power, expected)
+        assert power is not machine._base
     assert np.array_equal(machine._base, base)
-
-
-def test_machine_patch_is_undone_when_the_walk_raises(monkeypatch):
-    # an exception inside the with block still puts every saved entry back
-    from ifamarket import _engine
-
-    w = 12
-    machine = _engine.Machine(decode_rule(54), w)
-    with machine.power(NONE) as power:
-        base = power.copy()
-    _forced_route(monkeypatch, "patch")
-
-    def failing_walk(*args, **kwargs):
-        raise RuntimeError("walk failed")
-
-    monkeypatch.setattr(_engine, "walk_emit", failing_walk)
-    for policy in (RegulationPolicy("prick", 3), RegulationPolicy("both", 12)):
-        with pytest.raises(RuntimeError, match="walk failed"):
-            machine.run(policy, 5, 1 << w)
-        assert np.array_equal(machine._base, base)
-    with pytest.raises(KeyError):
-        with machine.power(RegulationPolicy("prop", 2)) as power:
-            assert not np.array_equal(power, base)
-            raise KeyError
-    assert np.array_equal(machine._base, base)
+    assert not machine._base.flags.writeable
 
 
 def test_machine_patch_rewrites_only_windows_that_reach_a_run():
@@ -511,8 +486,7 @@ def test_machine_patches_only_a_table_it_holds(monkeypatch):
     monkeypatch.setattr(
         _engine, "_power", lambda *args: squared.append(args) or power(*args)
     )
-    with machine.power(policy) as table:
-        assert machine._base is None and table is not None
+    assert machine.power(policy) is not None and machine._base is None
     assert len(squared) == 1
     # an orbit search past the direct walk (prop:8 from alternating has
     # cycle 2,441 > 2**12 / 64) leaves no table behind either
@@ -522,10 +496,8 @@ def test_machine_patches_only_a_table_it_holds(monkeypatch):
     )
     assert report == CycleReport(transient_length=0, cycle_length=2441)
     assert machine._base is None and len(squared) == 2
-    with machine.power(NONE):
-        pass
-    with machine.power(policy) as table:
-        assert table is machine._base
+    base = machine.power(NONE)
+    assert machine.power(policy) is not base and machine.power(NONE) is base
     assert len(squared) == 3
     series = simulate(decode_rule(54), w, init, NONE, 1 << w, machine=machine)
     assert series == simulate(decode_rule(54), w, init, NONE, 1 << w)
@@ -746,6 +718,8 @@ def test_cycle_moves_follow_the_held_orbit():
             assert machine.run(policy, 7, ticks).tolist() == expected, policy
     assert machine._cut[1] is not None and machine._cut[1] is not old
     assert machine._cut[1].tolist() == (windows[1:] & 1).tolist()
+    # the held windows and their cut state are read-only
+    assert not any(table.flags.writeable for table in (windows, *machine._cut))
 
 
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
@@ -795,6 +769,37 @@ def test_rule54_cycles_are_the_order_of_x_mod_the_trinomial():
             report = find_cycle(decode_rule(54), w, initial_window(kind, w), NONE)
             assert (report.transient_length, report.cycle_length) == (0, order)
     assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
+
+
+def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
+    # unregulated rule 54 steps its window by a GF(2) linear map whose
+    # characteristic polynomial is x^22 + x + 1, so the window after k
+    # ticks is the XOR of the windows after i < 22 ticks over the powers
+    # x^i in x^k mod that trinomial.  Sampled positions and moves of the
+    # held cycle's cut state at w = 22 are checked against it, with the
+    # first 22 windows from the reference decision alone
+    from ifamarket import _engine
+
+    w, rule = 22, decode_rule(54)
+    modulus = (1 << w) | 0b11
+    history = _oldest_first(initial_window("alternating_up_first", w).bits, w)
+    basis = []
+    for _ in range(w):
+        basis.append(sum(bit << age for age, bit in enumerate(reversed(history))))
+        history = history[1:] + [oracles.decide(rule, history)]
+    machine = _engine.Machine(rule, w)
+    machine.orbit(NONE, basis[0])
+    pos, moves = machine._cut_state()
+    draws = random.Random(22)
+    for _ in range(200):
+        k = draws.randrange(1, 1 << w)
+        jump = oracles.gf2_pow(0b10, k, modulus)
+        window = 0
+        for i in range(w):
+            if jump >> i & 1:
+                window ^= basis[i]
+        assert pos[window] == k - 1, k
+        assert moves[k - 1] == window & 1, k
 
 
 def test_ordered_map_starts_no_more_processes_than_items(monkeypatch):
