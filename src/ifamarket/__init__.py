@@ -10,7 +10,6 @@ from .market import (
     WindowState,
     find_cycle,
     initial_window,
-    next_move,
     simulate,
 )
 from .regulation import RegulationPolicy, apply_policy
@@ -43,7 +42,6 @@ __all__ = [
     "TickSeries",
     "CycleReport",
     "initial_window",
-    "next_move",
     "simulate",
     "find_cycle",
     "RegulationPolicy",

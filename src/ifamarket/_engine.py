@@ -18,11 +18,12 @@ tables and builds nothing of size 2**w; :func:`walk_direct` walks the
 step table with a 2**w-bit seen bitmap; :func:`walk_orbit` hops w ticks
 at a time through step**w.  :meth:`Machine.orbit` and :meth:`Machine.run`
 are the only routers, one job each.  The first searches an orbit up the
-whole ladder, so the orbit always closes.  The second takes a short run
-as a scalar then direct walk of at most its ticks, tiling the cycle of
-a walk that closes, and a long one as a cut of the held cycle (below)
-or as :func:`walk_emit`, the hop walk of a run, which returns the moves
-alone.
+whole ladder, so the orbit always closes; a default span, transient +
+one cycle, is that one walk, whose windows :func:`tile` turns into
+moves.  The second takes a run of a given span: a short one as a scalar
+then direct walk of at most its ticks, tiled in the same way, and a long
+one as a cut of the held cycle (below) or as :func:`walk_emit`, the hop
+walk of a run, which returns the moves alone.
 
 A regulated walk is the unregulated one, cut where the policy fires (at
 the windows that :func:`firing` finds, the one place that does) and
@@ -190,16 +191,18 @@ def _repeat_cycle(out: np.ndarray, first: int, done: int) -> np.ndarray:
     return out
 
 
-def _tile(first: Optional[int], moves: np.ndarray, num_ticks: int) -> np.ndarray:
-    """A new array of the moves of ``num_ticks`` ticks of a walk.
+def tile(first: Optional[int], windows: Sequence[int], num_ticks: int) -> np.ndarray:
+    """A new array of the realized moves of ``num_ticks`` ticks of a walk.
 
-    ``moves`` are the walk's: the moves of at most ``num_ticks`` ticks if
-    it did not close, else those of its transient and one cycle, which
-    repeats over the ticks left.
+    ``(first, windows)`` is the walk: at most ``num_ticks`` ticks if it did
+    not close, else its transient and one cycle, which repeats over the
+    ticks left.  The low bytes of the windows are masked once, into the
+    result, so that no other copy of the moves is made.
     """
+    low = _low_bytes(np.asarray(windows, dtype=np.uint32))[1:]
     out = np.empty(num_ticks, dtype=np.uint8)
-    done = min(moves.size, num_ticks)
-    out[:done] = moves[:done]
+    done = min(low.size, num_ticks)
+    np.bitwise_and(low[:done], 1, out=out[:done])
     return out if first is None else _repeat_cycle(out, first, done)
 
 
@@ -583,14 +586,20 @@ class Machine:
             self._cut = pos, moves
         return self._cut
 
-    def share_cuts(self) -> None:
-        """Build the cut state now, if the machine holds a cycle.
+    def share(self, num_ticks: int) -> None:
+        """Build now what runs of ``num_ticks`` ticks on the machine share.
 
-        Processes forked after this inherit it instead of each building
-        its own; a machine that holds no cycle builds nothing.
+        A long run cuts the held cycle, with its cut state, or else hops
+        through a patch of the unregulated step**w (see :meth:`power`).
+        Processes forked after this inherit these instead of each building
+        its own; for short runs nothing is built.
         """
+        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
+            return
         if self._held is not None:
             self._cut_state()
+        else:
+            self.power(RegulationPolicy("none"))
 
     def _cuts(
         self, policy: RegulationPolicy, start: int, limit: int
@@ -694,32 +703,26 @@ class Machine:
     ) -> np.ndarray:
         """Realized moves of ``num_ticks`` ticks from ``start``.
 
-        Runs shorter than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks take the
-        scalar walk for as many of their ticks as ``_scalar_budget(w)``
-        allows and the step table walked directly for the rest, so they
-        build no table if the scalar walk closes the orbit or runs out of
-        ticks first; a walk that closes tiles its cycle over the ticks
-        left.  Longer runs are cuts of the held unregulated cycle if the
-        machine holds one and the run stays on it: an unregulated run
-        from the held start tiles the low bytes of the held windows and
-        masks them once, so that an unregulated export holds no moves
-        besides its own, and any other run gathers its arcs from the
-        cycle's moves.  Runs off the held cycle hop through step**w,
-        which costs a few passes over the table, or a patch, but then
-        only one Python step per w ticks.
+        A span the caller gives: a default one, transient + one cycle, is
+        the walk of :meth:`orbit`, tiled.  Runs shorter than 2**w >>
+        ``_DIRECT_EMIT_SHIFT`` ticks take the scalar walk for as many of
+        their ticks as ``_scalar_budget(w)`` allows and the step table
+        walked directly for the rest, so they build no table if the scalar
+        walk closes the orbit or runs out of ticks first; a walk that
+        closes tiles its cycle over the ticks left.
+        Longer runs are cuts of the held unregulated cycle if the machine
+        holds one and the run stays on it, gathered from the cycle's
+        moves.  Runs off the held cycle hop through step**w, which costs
+        a few passes over the table, or a patch, but then only one Python
+        step per w ticks.
         """
         if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
             budget = min(_scalar_budget(self.w), num_ticks)
             first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
             if first is None and budget < num_ticks:
                 first, windows = walk_direct(self.step(policy), windows, num_ticks)
-            return _tile(first, realized(windows), num_ticks)
+            return tile(first, windows, num_ticks)
         if self._held is not None:
-            held_first, held = self._held
-            if policy.regime == "none" and start == held[0]:
-                out = _tile(held_first, _low_bytes(held)[1:], num_ticks)
-                out &= 1
-                return out
             cuts = self._cuts(policy, start, num_ticks)
             if cuts is not None:
                 arcs, closed = cuts

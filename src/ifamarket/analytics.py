@@ -26,7 +26,7 @@ import numpy as np
 
 from ._engine import ordered_map
 from .ifa import IfaRule, decode_rule
-from .market import Machine, TickSeries, WindowState, find_cycle, simulate
+from .market import Machine, TickSeries, WindowState, simulate
 from .regulation import RegulationPolicy
 
 DEFAULT_TICKS_PER_DAY = 2048
@@ -77,13 +77,14 @@ class RollingMoments:
 
 @dataclass(frozen=True)
 class RegimeSummary:
-    """One row of the regime-comparison table."""
+    """One row of the regime-comparison table, and the ticks it covers."""
 
     policy: str
     avg_annualized_mean: float
     avg_annualized_vol: float
     skew_max_dev: float
     kurt_max_dev: float
+    ticks: int
 
 
 def aggregate_days(
@@ -205,23 +206,16 @@ def summarize_regime(
 ) -> RegimeSummary:
     """Simulate, aggregate, roll, annualize, and reduce to one table row.
 
-    ``ticks=None`` simulates transient + one full cycle of the policy's
-    own orbit, floored at enough ticks for one rolling window.  The
-    orbit search and the simulation share ``machine``, the rule's
-    tables at this w (a new one if None).  A row whose every window has
-    zero variance has defined mean and vol but NaN shape deviations.
+    ``ticks=None`` simulates the default span, transient + one full
+    cycle of the policy's own orbit walked once, floored at enough ticks
+    for one rolling window.  The run is on ``machine``, the rule's tables
+    at this w (a new one if None).  A row whose every window has zero
+    variance has defined mean and vol but NaN shape deviations.
     """
     if isinstance(rule, int):
         rule = decode_rule(rule)
-    if machine is None:
-        machine = Machine(rule, w)
-    if ticks is None:
-        report = find_cycle(rule, w, init, policy, machine=machine)
-        ticks = max(
-            report.transient_length + report.cycle_length,
-            window_days * ticks_per_day,
-        )
-    series = simulate(rule, w, init, policy, ticks, machine=machine)
+    floor = window_days * ticks_per_day
+    series = simulate(rule, w, init, policy, ticks, min_ticks=floor, machine=machine)
     days = aggregate_days(series, ticks_per_day=ticks_per_day, scale=scale)
     rolled = annualize(
         rolling_moments(days, window_days=window_days), days_per_year
@@ -236,6 +230,7 @@ def summarize_regime(
         avg_annualized_vol=float(rolled.vol.mean()),
         skew_max_dev=skew_dev,
         kurt_max_dev=kurt_dev,
+        ticks=len(series),
     )
 
 
@@ -255,31 +250,24 @@ def table1(
     """The unregulated row plus prick(n) / prop(n) rows for each n.
 
     Every regime is evaluated over the same tick span so the rows are
-    comparable: by default, transient + one full cycle of the
-    *unregulated* process (regulated orbits are typically much shorter
-    than one rolling window).  Rows come in order: none first, then by
-    regime name and n.  All rows, and the orbit search for the span,
-    share one :class:`~ifamarket._engine.Machine`; with ``workers`` > 1
-    each worker process starts from a copy of it, made once the
-    unregulated row has walked.
+    comparable: by default, the span of the unregulated row, transient +
+    one full cycle of the *unregulated* process as its one orbit walk
+    finds it (regulated orbits are typically much shorter than one
+    rolling window).  Rows come in order: none first, then by regime
+    name and n.  All rows share one :class:`~ifamarket._engine.Machine`;
+    with ``workers`` > 1 each worker process starts from a copy of it,
+    made once the unregulated row has walked.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if isinstance(rule, int):
         rule = decode_rule(rule)
     machine = Machine(rule, w)
-    if ticks is None:
-        report = find_cycle(rule, w, init, RegulationPolicy("none"), machine=machine)
-        ticks = max(
-            report.transient_length + report.cycle_length,
-            window_days * ticks_per_day,
-        )
     row = partial(
         summarize_regime,
         rule,
         w,
         init,
-        ticks=ticks,
         ticks_per_day=ticks_per_day,
         scale=scale,
         window_days=window_days,
@@ -294,9 +282,10 @@ def table1(
         for regime in regimes
         for n in trend_lengths
     ]
-    # the unregulated row walks here, first: its tables, if the span needs
-    # any, and the cut index and moves of the cycle it holds are in the
-    # machine that the workers inherit or receive, so none builds its own
-    unregulated = row(RegulationPolicy("none"))
-    machine.share_cuts()
+    # the unregulated row walks here, first, and sets the span; what the
+    # rows' runs of that span share is then built in the machine that the
+    # workers inherit or receive, so none builds its own
+    unregulated = row(RegulationPolicy("none"), ticks=ticks)
+    machine.share(unregulated.ticks)
+    row = partial(row, ticks=unregulated.ticks)
     return [unregulated] + ordered_map(row, policies, workers)

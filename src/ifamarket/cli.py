@@ -26,7 +26,7 @@ from .analytics import (
 from .config import RunConfig
 from .empirical import compare_report, load_price_csv, to_returns
 from .ifa import decode_rule
-from .market import MAX_WINDOW_WIDTH, Machine, TickSeries, find_cycle, simulate
+from .market import MAX_WINDOW_WIDTH, TickSeries, find_cycle, simulate
 from .regulation import MAX_TREND_LENGTH, RegulationPolicy
 from .reports import (
     fmt,
@@ -99,22 +99,17 @@ def _simulate_config(
 ) -> tuple[RunConfig, TickSeries]:
     """The config with its ticks resolved, and the series it describes.
 
-    Unset ticks become transient + one full cycle; the orbit search and
-    the simulation share one machine, so tables are built once.
-    Commands that feed the rolling pipeline floor the span at one full
-    rolling window of days (regulated orbits can be much shorter).
+    Unset ticks become the default span of :func:`simulate`, transient +
+    one full cycle, walked once.  Commands that feed the rolling pipeline
+    floor the span at one full rolling window of days (regulated orbits
+    can be much shorter).
     """
-    machine = Machine(decode_rule(config.rule), config.w)
-    init, policy = config.initial_window(), config.regulation_policy()
-    ticks = config.ticks
-    if ticks is None:
-        report = find_cycle(machine.rule, config.w, init, policy, machine=machine)
-        ticks = report.transient_length + report.cycle_length
-        if need_rolling_window:
-            ticks = max(ticks, config.window_days * config.ticks_per_day)
-        config = config.with_overrides(ticks=ticks)
-    series = simulate(machine.rule, config.w, init, policy, ticks, machine=machine)
-    return config, series
+    floor = config.window_days * config.ticks_per_day if need_rolling_window else 0
+    rule, policy = decode_rule(config.rule), config.regulation_policy()
+    series = simulate(
+        rule, config.w, config.initial_window(), policy, config.ticks, min_ticks=floor
+    )
+    return config.with_overrides(ticks=len(series)), series
 
 
 def _write_output(path: Optional[str], text: str) -> None:

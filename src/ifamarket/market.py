@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._engine import Machine, realized, scalar_decision
-from .ifa import IfaRule, Move, process_window
+from ._engine import Machine, realized, scalar_decision, tile
+from .ifa import IfaRule, Move
 from .regulation import RegulationPolicy, regulator
 
 MAX_WINDOW_WIDTH = 30  # dense 2**w uint32 tables must fit in memory
@@ -126,13 +126,13 @@ def initial_window(
     )
 
 
-def next_move(rule: IfaRule, window: WindowState) -> Move:
-    """Unregulated intended move for a window."""
-    return process_window(rule, window.to_moves())
-
-
-def _machine_for(rule: IfaRule, w: int, machine: Optional[Machine]) -> Machine:
-    """``machine``, checked against the rule and w, or a new one if None."""
+def _machine_for(
+    rule: IfaRule, w: int, init: WindowState, machine: Optional[Machine]
+) -> Machine:
+    """``machine``, checked against the rule, w and the initial window, or a
+    new one if None."""
+    if init.width != w:
+        raise ValueError(f"initial window width {init.width} != w {w}")
     if machine is None:
         return Machine(rule, w)
     if machine.rule != rule or machine.w != w:
@@ -178,13 +178,32 @@ def _stretch(
     return added
 
 
+def _orbit(
+    machine: Machine, init: WindowState, policy: RegulationPolicy
+) -> tuple[CycleReport, int, Sequence[int]]:
+    """:func:`find_cycle`'s report, and ``(first, windows)`` of its walk."""
+    first, windows = machine.orbit(policy, init.bits)
+    transient, cycle = first, len(windows) - 1 - first
+    held = _held_moves(machine.rule, machine.w, policy)
+    if held:
+        extra = policy.trend_length - machine.w
+        added = _stretch(init, realized(windows), held, extra)
+        transient, cycle = (
+            transient + int(added[:transient].sum()),
+            cycle + int(added[transient:].sum()),
+        )
+    report = CycleReport(transient_length=transient, cycle_length=cycle)
+    return report, first, windows
+
+
 def simulate(
     rule: IfaRule,
     w: int,
     init: WindowState,
     policy: RegulationPolicy,
-    num_ticks: int,
+    num_ticks: Optional[int] = None,
     *,
+    min_ticks: int = 0,
     machine: Optional[Machine] = None,
 ) -> TickSeries:
     """Generate the realized tick series.
@@ -192,22 +211,25 @@ def simulate(
     Realized (post-intervention) moves feed back into the window: the
     investor observes the market as regulated.  Trailing runs are
     counted over the whole realized history including the initial
-    window.  The run is :meth:`~ifamarket._engine.Machine.run` of
-    ``machine``, this rule's machine at this w that calls may share (a
-    new one if None): a short run builds no table.  A trend length n > w
-    runs the machine clamped to n = w, then adds its holds.
+    window.  ``machine`` is this rule's machine at this w that calls may
+    share (a new one if None).  ``num_ticks=None`` is the default span,
+    transient + one full cycle of the policy's own orbit, floored at
+    ``min_ticks``: one orbit walk, as :func:`find_cycle` takes, whose
+    windows are tiled into the moves.  A given span is
+    :meth:`~ifamarket._engine.Machine.run` of the machine: a short run
+    builds no table.  A trend length n > w runs the machine clamped to
+    n = w, then adds its holds.
     """
-    if init.width != w:
-        raise ValueError(f"initial window width {init.width} != w {w}")
-    if num_ticks < 0:
+    machine = _machine_for(rule, w, init, machine)
+    if num_ticks is not None and num_ticks < 0:
         raise ValueError(f"num_ticks must be >= 0, got {num_ticks}")
-    meta = dict(
-        rule_number=rule.rule_number,
-        w=w,
-        init=describe_window(init),
-        policy=policy.describe(),
-    )
-    moves = _machine_for(rule, w, machine).run(policy, init.bits, num_ticks)
+    if num_ticks is None:
+        report, first, windows = _orbit(machine, init, policy)
+        num_ticks = max(report.transient_length + report.cycle_length, min_ticks)
+        # the holds below only lengthen it: num_ticks clamped moves suffice
+        moves = tile(first, windows, num_ticks)
+    else:
+        moves = machine.run(policy, init.bits, num_ticks)
     held = _held_moves(rule, w, policy)
     if held:
         # a hold repeats the move before the tick it delays; holds are
@@ -218,7 +240,8 @@ def simulate(
         keep = int(np.searchsorted(np.cumsum(counts), num_ticks)) + 1
         history = np.append(np.uint8(init.bits & 1), moves)[:keep]
         moves = np.repeat(history, counts[:keep])[:num_ticks]
-    return TickSeries(moves=moves, **meta)
+    meta = describe_window(init), policy.describe()
+    return TickSeries(moves, rule.rule_number, w, *meta)
 
 
 def find_cycle(
@@ -234,21 +257,11 @@ def find_cycle(
     The orbit is :meth:`~ifamarket._engine.Machine.orbit` of
     ``machine`` (a new one if None), which walks without tables for up
     to about 2**w / (8w) ticks and builds them only for an orbit that
-    lasts longer.  A trend length n > w walks the machine clamped to
-    n = w, then adds its holds to the moves of that walk.
+    lasts longer; the default span of :func:`simulate` tiles this walk.
+    A trend length n > w walks the machine clamped to n = w, then adds
+    its holds to the moves of that walk.
     """
-    if init.width != w:
-        raise ValueError(f"initial window width {init.width} != w {w}")
-    transient, windows = _machine_for(rule, w, machine).orbit(policy, init.bits)
-    cycle = len(windows) - 1 - transient
-    held = _held_moves(rule, w, policy)
-    if held:
-        added = _stretch(init, realized(windows), held, policy.trend_length - w)
-        transient, cycle = (
-            transient + int(added[:transient].sum()),
-            cycle + int(added[transient:].sum()),
-        )
-    return CycleReport(transient_length=transient, cycle_length=cycle)
+    return _orbit(_machine_for(rule, w, init, machine), init, policy)[0]
 
 
 def describe_window(init: WindowState) -> str:

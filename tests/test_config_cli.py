@@ -391,6 +391,24 @@ def test_scalar_orbit_needs_no_table_memory(monkeypatch, capsys):
     assert (payload["transient_length"], payload["cycle_length"]) == (30, 1)
 
 
+def test_default_span_walks_the_orbit_once(monkeypatch, capsys):
+    # prop:8 at w = 12 from alternating closes after 2,441 ticks, past the
+    # direct walk, so its orbit search squares step**w; that one walk also
+    # gives the span, a long run, and its moves, so nothing squares again
+    from ifamarket import _engine
+
+    squared = []
+    power = _engine._power
+    monkeypatch.setattr(
+        _engine, "_power", lambda *args: squared.append(args) or power(*args)
+    )
+    argv = ["moments", "--w", "12", "--policy", "prop:8", "--ticks-per-day", "64",
+            "--window-days", "8"]
+    assert run_cli(argv) == 0
+    assert len(squared) == 1
+    assert '"ticks": 2441' in capsys.readouterr().out
+
+
 def test_cycle_trend_longer_than_window(capsys):
     # n > w used to exit 2; the orbit now includes the run held past w
     assert run_cli(["cycle", "--rule", "85", "--w", "3", "--init", "all_up",
@@ -556,11 +574,11 @@ def _floats(lo, hi):
 
 _COUNTS = dict(
     w=_ints(1, 10, 0, 31),
-    ticks=_ints(0, 3000, -1, 1 << 63),
     ticks_per_day=_ints(1, 32, 0, 1 << 63),
     window_days=_ints(2, 8, 1, 1 << 63),
 )
 _OPTIONAL = dict(
+    ticks=_ints(0, 3000, -1, 1 << 63),
     rule=_ints(0, 255, -1, 256),
     days_per_year=_ints(1, 1 << 63, 0, 1 << 63),
     scale=_floats(1e-6, 1e-2),
@@ -650,8 +668,10 @@ def _argv(draw, folder):
 def test_no_argv_ends_in_a_traceback(data):
     # any subcommand with any flag values exits 0 or 2, never with an
     # uncaught exception, and on 2 writes exactly one error line.  Valid
-    # counts stay small (w <= 10, at most 3,000 ticks, one worker), so
-    # every run is quick and none starts a process pool
+    # counts stay small (w <= 10, so that a default span does too, at most
+    # 3,000 ticks given, one worker), so every run is quick and none starts
+    # a process pool; prick:2**60 makes a default span of about 2**60,
+    # which fails to allocate and exits 2
     with tempfile.TemporaryDirectory() as name:
         argv = data.draw(_argv(Path(name)), label="argv")
         out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()

@@ -13,7 +13,6 @@ from ifamarket.market import (
     WindowState,
     find_cycle,
     initial_window,
-    next_move,
     simulate,
     window_from_literal,
 )
@@ -75,13 +74,6 @@ def test_window_state_validation():
         WindowState(bits=0, width=0)
     with pytest.raises(ValueError):
         WindowState(bits=0, width=31)
-
-
-def test_next_move_constant_and_passthrough():
-    win = WindowState.from_moves([Move.UP, Move.DOWN, Move.DOWN])
-    assert next_move(decode_rule(85), win) is Move.UP
-    # passthrough decision is the oldest move under the resolved read order
-    assert next_move(decode_rule(27), win) is Move.UP
 
 
 def test_simulate_zero_ticks():
@@ -185,6 +177,30 @@ def test_trend_longer_than_window_matches_reference(
     )
     assert (report.transient_length, report.cycle_length) == oracles.orbit(
         decode_rule(k), init_moves, policy
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=255),
+    w=st.integers(min_value=1, max_value=10),
+    init_bits=st.integers(min_value=0, max_value=(1 << 10) - 1),
+    regime=st.sampled_from(["none", "prick", "prop", "both"]),
+    min_ticks=st.integers(min_value=0, max_value=3000),
+    data=st.data(),
+)
+def test_default_span_is_one_orbit_floored(k, w, init_bits, regime, min_ticks, data):
+    # num_ticks=None runs transient + one cycle as find_cycle counts them,
+    # n > w included, floored at min_ticks, with the oracle's moves
+    init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
+    n = data.draw(st.integers(min_value=1, max_value=w + 4), label="n")
+    policy = NONE if regime == "none" else RegulationPolicy(regime, n)
+    report = find_cycle(decode_rule(k), w, init, policy)
+    series = simulate(decode_rule(k), w, init, policy, None, min_ticks=min_ticks)
+    span = report.transient_length + report.cycle_length
+    assert len(series) == max(span, min_ticks)
+    assert series.moves.tolist() == oracles.simulate(
+        decode_rule(k), [int(m) for m in init.to_moves()], policy, len(series)
     )
 
 
@@ -671,26 +687,29 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
 
 
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
-    # a run of the held orbit's own start under none needs no cut index,
-    # no cycle moves and no hop; from another window of the cycle it is a
-    # cut with no firing window
+    # a default span of an orbit the hops walk tiles that one walk, which
+    # the machine then holds: no cut index, no cycle moves and no hop;
+    # from another window of the cycle a run is a cut with no firing window
     from ifamarket import _engine
 
-    w = 12
+    w, rule = 12, decode_rule(54)
     init = initial_window("alternating_up_first", w)
-    machine = _cutting_machine(decode_rule(54), w, init)
-    other = int(machine._held[1][5])
+    init_moves = [int(m) for m in init.to_moves()]
+    machine = _engine.Machine(rule, w)
 
     def no_emit(*args):
         pytest.fail("the run hopped")
 
     monkeypatch.setattr(_engine, "walk_emit", no_emit)
+    series = simulate(rule, w, init, NONE, None, machine=machine)
+    assert len(series) == oracles.order_of_x(w)
+    assert machine._held is not None and machine._cut is None
     for ticks in (1 << w, 3 * (1 << w) + 5):
-        assert machine.run(NONE, init.bits, ticks).tolist() == oracles.simulate(
-            decode_rule(54), [int(m) for m in init.to_moves()], NONE, ticks
-        )
+        series = simulate(rule, w, init, NONE, None, min_ticks=ticks, machine=machine)
+        assert series.moves.tolist() == oracles.simulate(rule, init_moves, NONE, ticks)
         assert machine._cut is None
-    expected = oracles.simulate(decode_rule(54), _oldest_first(other, w), NONE, 5000)
+    other = int(machine._held[1][5])
+    expected = oracles.simulate(rule, _oldest_first(other, w), NONE, 5000)
     assert machine.run(NONE, other, 5000).tolist() == expected
     assert machine._cut is not None
 
