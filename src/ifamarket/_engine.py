@@ -51,6 +51,16 @@ a regulated step table and two step**w temporaries, or a patched copy,
 are held at once.  Hop walks use numpy alone, one Python step per w
 ticks; each tick's window is rebuilt from two consecutive hop states
 with shifts.  All state arrays are uint32, which holds every w <= 30.
+
+The passes over a whole table (the fill of a step table, each gather
+that squares step**w, the rows of a hopped orbit's windows and the cut
+index) run on every core: :func:`_in_pieces` deals their pieces to one
+thread per core of the process's affinity mask, and numpy releases the
+GIL in those calls.  Each pass joins its threads before it returns.  On
+a 2-core x86 host with numpy 2.4, in a fresh process, step**22 squares
+in 92-107 ms against 170-267 ms on one core.  A worker process of
+:func:`ordered_map` runs its passes on one thread, since the pool's
+processes already share the cores.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_left
+from threading import Thread
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,18 +80,25 @@ from .regulation import RegulationPolicy, apply_policy, regulator
 # on a 2-core x86 host a scalar tick cost 1.3-2 us at w = 22, growing with
 # w, and the decision and step tables 25-60 ms, growing with 2**w: the
 # 2**w / (8w) = 23,832 scalar ticks at w = 22 cost about what the tables do.
-# The closed-form decision since cut a scalar tick to about 0.6 of that.
+# The closed-form decision since cut a scalar tick to about 0.6 of that, and
+# the uint8 trie and the step fill on both cores cut the two tables to 14-23
+# ms in a fresh process (numpy 2.4), so this budget is now above their cost;
+# a change of it needs its own before/after benchmark.
 _TABLE_PATH_MIN_TICKS_FACTOR = 8
 
 # Where a tick-by-tick table walk stops paying (2-core x86 host, numpy 2.4,
 # w = 22): a direct walk costs ~0.3-0.4 us per tick against ~0.18 s for the
-# hop path, so runs of 2**w / 8 ticks or more hop.
+# hop path on one core, so runs of 2**w / 8 ticks or more hop.  With step**w
+# squared on both cores (0.09-0.11 s) the break-even is nearer 2**w / 15
+# ticks; the shift stays until a before/after benchmark moves it.
 _DIRECT_EMIT_SHIFT = 3
 
 # How far an orbit search walks the step table directly before it turns to
 # step**w: 2**w / 64 ticks (65,536 at w = 22) at ~0.38 us a tick with the
 # seen bitmap cost about what building the step table did (20-50 ms), as the
-# scalar walk's budget costs about what the tables do.
+# scalar walk's budget costs about what the tables do.  The step table now
+# fills on both cores in 8-16 ms, and squaring it takes 0.09-0.11 s, so the
+# direct walk costs about a quarter of the hop rung it may save.
 _DIRECT_VISIT_SHIFT = 6
 
 # A policy whose step**w differs from the unregulated one on more than this
@@ -88,10 +106,13 @@ _DIRECT_VISIT_SHIFT = 6
 # patch steps each window it rewrites w times, a full build gathers every
 # window about 1.5 * log2(w) times.  Rule 54 at w = 22 on a 2-core x86 host:
 # prick:6 rewrites 8.8% in 0.08 s and prick:5 17% in 0.15 s, against 0.13 s
-# for a full build.
+# for a full build on one core.  The full build's gathers now run on both
+# cores, and in fresh processes (numpy 2.4) prick:6 patches in 0.09-0.13 s
+# against 0.10-0.12 s to square prick:5's own table, so the break-even share
+# is now nearer 1/11; a change of it needs its own before/after benchmark.
 _PATCH_MAX_SHARE = 1 / 8
 
-# entries per gather chunk; see _gather
+# entries per piece of a table pass; see _in_pieces and _gather
 _GATHER_CHUNK = 1 << 18
 
 # bytes per window that the table path may hold at once: the decision
@@ -105,6 +126,56 @@ _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 # tables smaller than this, about what the interpreter with numpy takes
 # already, are built without reading the memory available first
 _MEMORY_CHECK_MIN_BYTES = 32 << 20
+
+
+# set in a worker process of ordered_map, whose table passes run inline
+_inline = False
+
+
+def _threads() -> int:
+    """Threads for one table pass: one per core this process may run on."""
+    if _inline:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _in_pieces(size: int, task: Callable[[int, int], None], width: int = 1) -> None:
+    """Call ``task(lo, hi)`` over range(``size``) in pieces, one thread per core.
+
+    A piece holds ``_GATHER_CHUNK // width`` items (rows of ``width``
+    entries), and the pieces are dealt round-robin to :func:`_threads`
+    threads, this one included, which are joined before this returns: no
+    thread outlives a pass, so a process forked later inherits none.
+    Tasks must write disjoint slices; they run in parallel only where
+    numpy releases the GIL.  A pass of one piece runs inline.
+    """
+    step = max(1, _GATHER_CHUNK // width)
+    pieces = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    count = min(_threads(), len(pieces)) if len(pieces) > 1 else 1
+    if count == 1:
+        for lo, hi in pieces:
+            task(lo, hi)
+        return
+    errors: list[BaseException] = []
+
+    def deal(k: int) -> None:
+        try:
+            for lo, hi in pieces[k::count]:
+                task(lo, hi)
+        except BaseException as exc:  # raised again once every thread is joined
+            errors.append(exc)
+
+    helpers = [Thread(target=deal, args=(k,)) for k in range(1, count)]
+    for thread in helpers:
+        thread.start()
+    deal(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _scalar_budget(w: int) -> int:
@@ -250,25 +321,27 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
             f"its moves {_mib(1 << w)}), "
             f"but only {_mib(available)} is available"
         )
-    # int16 keeps the t0b + s * (t1b - t0b) trick free of uint8 underflow
-    nxt = np.array(
-        [[rule.next_state(s, b) for b in (0, 1)] for s in (0, 1)], dtype=np.int16
-    )
-    out = np.array(
-        [[rule.output(s, b) for b in (0, 1)] for s in (0, 1)], dtype=np.int16
-    )
+    # the maps of a state by the bit read, and by the oldest bit to the move
+    images = [
+        [[f(s, b) for s in (0, 1)] for b in (0, 1)]
+        for f in (rule.next_state, rule.output)
+    ]
     states = np.zeros(1, dtype=np.uint8)
-    for _ in range(w - 1):
-        expanded = np.empty(2 * states.size, dtype=np.uint8)
-        # next state for consumed bit 0 / 1; states are 0/1 so a lookup
-        # T[s, b] is t0b + s * (t1b - t0b) without fancy indexing
-        expanded[: states.size] = nxt[0, 0] + states * (nxt[1, 0] - nxt[0, 0])
-        expanded[states.size :] = nxt[0, 1] + states * (nxt[1, 1] - nxt[0, 1])
+    for level in range(w):
+        n = states.size
+        expanded = np.empty(2 * n, dtype=np.uint8)
+        for b, image in enumerate(images[level == w - 1]):
+            # a map of {0, 1} to itself is a constant, the identity or a
+            # negation, so each half is a fill, a copy or a flip
+            part = expanded[b * n : (b + 1) * n]
+            if image[0] == image[1]:
+                part.fill(image[0])
+            elif image[0]:
+                np.bitwise_xor(states, np.uint8(1), out=part)
+            else:
+                part[:] = states
         states = expanded
-    decisions = np.empty(2 * states.size, dtype=np.uint8)
-    decisions[: states.size] = out[0, 0] + states * (out[1, 0] - out[0, 0])
-    decisions[states.size :] = out[0, 1] + states * (out[1, 1] - out[0, 1])
-    return decisions
+    return states
 
 
 def firing(decisions: np.ndarray, w: int, policy: RegulationPolicy) -> np.ndarray:
@@ -304,29 +377,38 @@ def step_table(
     the decision on the windows where it fires, as :func:`firing` finds.
     """
     step = np.arange(1 << w, dtype=np.uint32)
-    # in place, so that no more uint32 tables are alive than ``step``
-    step <<= np.uint32(1)
-    step &= np.uint32((1 << w) - 1)
-    step |= decisions
-    step[firing(decisions, w, policy)] ^= np.uint32(1)
+    one, mask = np.uint32(1), np.uint32((1 << w) - 1)
+
+    def fill(lo: int, hi: int) -> None:
+        # in place, so that no more uint32 tables are alive than ``step``
+        part = step[lo:hi]
+        part <<= one
+        part &= mask
+        part |= decisions[lo:hi]
+
+    _in_pieces(step.size, fill)
+    step[firing(decisions, w, policy)] ^= one
     return step
 
 
 def _gather(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """``table[indices]``, a chunk at a time.
+    """``table[indices]``, a chunk at a time, the chunks spread over the cores.
 
     numpy copies the indices of a gather to intp first; chunks keep that
-    copy small (a whole uint32 table would take two tables' worth more),
-    and on a 2-core x86 host with numpy 2.4 they also gather about a
-    third faster.  ``clip`` skips the bounds check, which no table here
-    can fail.  A table of one chunk is gathered in one call.
+    copy small (a whole uint32 table would take two tables' worth more;
+    a chunk takes 2 MiB in each thread of :func:`_in_pieces`), and on a
+    2-core x86 host with numpy 2.4 they also gather about a third faster
+    on one core.  ``np.take`` releases the GIL, so the threads gather in
+    parallel: the six gathers that square step**22 take 92-107 ms on both
+    cores of that host against 170-267 ms on one (fresh processes).
+    ``clip`` skips the bounds check, which no table here can fail.
     """
-    if indices.size <= _GATHER_CHUNK:
-        return np.take(table, indices, mode="clip")
     out = np.empty_like(indices)
-    for lo in range(0, indices.size, _GATHER_CHUNK):
-        hi = lo + _GATHER_CHUNK
+
+    def gather(lo: int, hi: int) -> None:
         np.take(table, indices[lo:hi], out=out[lo:hi], mode="clip")
+
+    _in_pieces(indices.size, gather)
     return out
 
 
@@ -367,15 +449,22 @@ def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
     """The first ``count`` window states of the orbit, start included.
 
     Tick kw + j sees the j newest moves of hop k + 1 behind the w - j
-    newest of hop k.
+    newest of hop k.  The rows of w states are built in pieces of about
+    ``_GATHER_CHUNK`` states, spread over the cores.
     """
     w = power.size.bit_length() - 1
     hops = _hops(power, start, -(-count // w))
     older, newer = hops[:-1], hops[1:]
     states = np.empty((older.size, w), dtype=np.uint32)
-    for j in range(w):
-        np.bitwise_or(older << j, newer >> (w - j), out=states[:, j])
-    states &= np.uint32(power.size - 1)
+    mask = np.uint32(power.size - 1)
+
+    def fill(lo: int, hi: int) -> None:
+        rows, old, new = states[lo:hi], older[lo:hi], newer[lo:hi]
+        for j in range(w):
+            np.bitwise_or(old << j, new >> (w - j), out=rows[:, j])
+        rows &= mask
+
+    _in_pieces(older.size, fill, w)
     return states.reshape(-1)[:count]
 
 
@@ -575,11 +664,15 @@ class Machine:
             first, windows = self._held
             cycle = windows[first + 1 :]
             pos = np.full(1 << self.w, -1, dtype=np.int32)
-            for lo in range(0, cycle.size, _GATHER_CHUNK):
-                chunk = cycle[lo : lo + _GATHER_CHUNK]
-                # ``clip`` skips the bounds check, which no window can fail
-                at = np.arange(lo, lo + chunk.size, dtype=np.int32)
-                np.put(pos, chunk, at, mode="clip")
+
+            def index(lo: int, hi: int) -> None:
+                # the cycle's windows are distinct, so the pieces write
+                # disjoint entries; ``clip`` skips the bounds check, which
+                # no window can fail
+                at = np.arange(lo, hi, dtype=np.int32)
+                np.put(pos, cycle[lo:hi], at, mode="clip")
+
+            _in_pieces(cycle.size, index)
             moves = realized(windows[first:])
             pos.setflags(write=False)
             moves.setflags(write=False)
@@ -741,8 +834,9 @@ _worker_fn: Optional[Callable] = None
 
 
 def _start_worker(fn: Callable) -> None:
-    global _worker_fn
-    _worker_fn = fn
+    global _worker_fn, _inline
+    # the pool's processes already share the cores
+    _worker_fn, _inline = fn, True
 
 
 def _run_worker(item: object) -> object:

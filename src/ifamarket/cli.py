@@ -67,11 +67,23 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--days-per-year", type=int, help="annualization (252)")
 
 
-def _config_from_args(
-    args: argparse.Namespace, widths: Sequence[int] = ()
-) -> RunConfig:
+def _sweep_widths(sweep: Optional[str]) -> Sequence[int]:
+    """The widths of a ``LO:HI`` sweep, or none if ``sweep`` is None."""
+    if sweep is None:
+        return ()
+    lo, sep, hi = sweep.partition(":")
+    if not (sep and lo.isdigit() and hi.isdigit()):
+        raise ValueError(f"bad --sweep-w {sweep!r}; expected LO:HI")
+    if not 1 <= int(lo) <= int(hi) <= MAX_WINDOW_WIDTH:
+        raise ValueError(
+            f"bad --sweep-w {sweep!r}; expected 1 <= LO <= HI <= {MAX_WINDOW_WIDTH}"
+        )
+    return range(int(lo), int(hi) + 1)
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file overridden by the flags and validated, a sweep's
-    initial window at each of its ``widths`` in place of w."""
+    initial window at each of its widths in place of w."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     config = config.with_overrides(
         rule=args.rule,
@@ -83,12 +95,16 @@ def _config_from_args(
         scale=args.scale,
         window_days=args.window_days,
         days_per_year=args.days_per_year,
+        sweep_w=getattr(args, "sweep_w", None),
     )
+    if config.sweep_w is not None and args.command != "survey":
+        raise ValueError(f"config key 'sweep_w' is for survey, not {args.command}")
+    widths = _sweep_widths(config.sweep_w)
     for w in widths:
         try:
             config.with_overrides(w=w).initial_window()
         except ValueError as exc:
-            message = f"--init does not fit --sweep-w {args.sweep_w}: {exc}"
+            message = f"--init does not fit --sweep-w {config.sweep_w}: {exc}"
             raise ValueError(message) from None
     config.with_overrides(init="all_up" if widths else None).validate()
     return config
@@ -198,18 +214,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    widths: Sequence[int] = ()
-    if args.sweep_w:
-        lo, sep, hi = args.sweep_w.partition(":")
-        if not (sep and lo.isdigit() and hi.isdigit()):
-            raise ValueError(f"bad --sweep-w {args.sweep_w!r}; expected LO:HI")
-        if not 1 <= int(lo) <= int(hi) <= MAX_WINDOW_WIDTH:
-            raise ValueError(
-                f"bad --sweep-w {args.sweep_w!r}; "
-                f"expected 1 <= LO <= HI <= {MAX_WINDOW_WIDTH}"
-            )
-        widths = range(int(lo), int(hi) + 1)
-    config = _config_from_args(args, widths)
+    config = _config_from_args(args)
+    widths = _sweep_widths(config.sweep_w)
     if config.regulation_policy().regime != "none":
         raise ValueError(
             f"survey classifies unregulated orbits; --policy must be none, "

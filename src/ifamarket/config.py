@@ -41,6 +41,7 @@ _FIELDS = {
     "scale": (int, float),
     "window_days": int,
     "days_per_year": int,
+    "sweep_w": (str, type(None)),
 }
 
 
@@ -55,6 +56,8 @@ class RunConfig:
     scale: float = DEFAULT_SCALE
     window_days: int = DEFAULT_WINDOW_DAYS
     days_per_year: int = DEFAULT_DAYS_PER_YEAR
+    # survey only: "LO:HI", the widths at which to classify ``rule``
+    sweep_w: Optional[str] = None
 
     def validate(self) -> "RunConfig":
         if not 0 <= self.rule <= 255:
@@ -97,8 +100,11 @@ class RunConfig:
         return replace(self, **filtered)
 
     def to_json(self) -> str:
-        """Canonical one-line JSON (sorted keys)."""
-        return json.dumps(asdict(self), sort_keys=True, separators=(", ", ": "))
+        """Canonical one-line JSON (sorted keys); ``sweep_w`` only if set."""
+        data = asdict(self)
+        if self.sweep_w is None:
+            del data["sweep_w"]
+        return json.dumps(data, sort_keys=True, separators=(", ", ": "))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":

@@ -116,6 +116,29 @@ def test_moments_deterministic_and_reproducible_from_echo(tmp_path):
     assert third.read_bytes() == first.read_bytes()
 
 
+def test_sweep_reproducible_from_echo(tmp_path, capsys):
+    # the echo holds the sweep as sweep_w, which no other echo writes
+    first = tmp_path / "s1.csv"
+    argv = ["survey", "--sweep-w", "4:6", "--init", "alternating", "--workers", "1"]
+    assert run_cli(argv + ["--out", str(first)]) == 0
+    embedded = next(
+        line for line in first.read_text().splitlines() if line.startswith("# config:")
+    )
+    assert json.loads(embedded.removeprefix("# config: "))["sweep_w"] == "4:6"
+    config_path = tmp_path / "c.json"
+    config_path.write_text(embedded.removeprefix("# config: ") + "\n")
+    again = tmp_path / "s2.csv"
+    rerun = ["survey", "--config", str(config_path), "--workers", "1"]
+    assert run_cli(rerun + ["--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert "sweep_w" not in RunConfig().to_json()
+    # a sweep is for survey alone
+    assert run_cli(["cycle", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        "ifamarket: error: config key 'sweep_w' is for survey, not cycle\n"
+    )
+
+
 def test_table1_small_run(tmp_path):
     out = tmp_path / "t1.csv"
     code = run_cli(

@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
+import os
 import random
+import sys
 import time
 
 import numpy as np
@@ -373,6 +375,21 @@ def test_scalar_decision_matches_decision_table_and_process_window():
             assert scalar == [
                 int(process_window(rule, _oldest_first(x, w))) for x in range(1 << w)
             ], (k, w)
+
+
+def test_decision_table_matches_the_oracle():
+    # every window of every rule at w = 1..10, read by the oracle's own
+    # automaton pass
+    from ifamarket import _engine
+
+    for k in range(256):
+        rule = decode_rule(k)
+        for w in range(1, 11):
+            table = _engine.decision_table(rule, w)
+            assert table.dtype == np.uint8
+            windows = (_oldest_first(x, w) for x in range(1 << w))
+            expected = [oracles.decide(rule, window) for window in windows]
+            assert table.tolist() == expected, (k, w)
 
 
 def test_scalar_decision_matches_on_random_wide_windows():
@@ -843,6 +860,7 @@ def test_ordered_map_starts_no_more_processes_than_items(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(_engine, "_worker_fn", None)
+    monkeypatch.setattr(_engine, "_inline", False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert _engine.ordered_map(str, range(3), 64) == ["0", "1", "2"]
     assert asked == [3]
@@ -861,3 +879,112 @@ def test_ordered_map_maps_serially_without_an_executor(monkeypatch, items, worke
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert _engine.ordered_map(str, items, workers) == [str(i) for i in items]
+
+
+def _set_cores(monkeypatch, cores):
+    mask = set(range(cores))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+
+
+def _worker_threads(item):
+    from ifamarket import _engine
+
+    return _engine._threads()
+
+
+def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
+    # rule 54 at w = 14 from the alternating window, in pieces of 1,000
+    # entries: 17 pieces of a table, the last of 384, 17 of the orbit's
+    # rows of windows and 12 of its cycle of 11,811; each pass of every
+    # core count gives the arrays of one core, and leaves no thread alive
+    from ifamarket import _engine
+
+    w, rule = 14, decode_rule(54)
+    start = initial_window("alternating_up_first", w).bits
+    policy = RegulationPolicy("prick", 5)
+    made = []
+
+    class Spy(_engine.Thread):
+        def start(self):
+            made.append(self)
+            super().start()
+
+    monkeypatch.setattr(_engine, "_inline", False)
+    monkeypatch.setattr(_engine, "_GATHER_CHUNK", 1000)
+    monkeypatch.setattr(_engine, "Thread", Spy)
+
+    def tables(cores):
+        _set_cores(monkeypatch, cores)
+        made.clear()
+        decisions = _engine.decision_table(rule, w)
+        step = _engine.step_table(decisions, w, policy)
+        power = _engine._power(step, w)
+        machine = _cutting_machine(rule, w, initial_window("alternating_up_first", w))
+        first, windows = _engine.walk_orbit(machine.power(NONE), start)
+        out = [step, power, windows, *machine._cut_state()]
+        assert len(made) == 0 if cores == 1 else len(made) > 0
+        assert not any(thread.is_alive() for thread in made)
+        return first, out
+
+    first, expected = tables(1)
+    assert first == 0 and expected[2].size == 11812
+    # threads switched as often as the interpreter allows, three of them
+    # on a host that may have fewer cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (2, 3):
+            first_now, now = tables(cores)
+            assert first_now == first
+            for got, want in zip(now, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want), cores
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_table1_with_workers_matches_one_worker_on_any_core_count(
+    monkeypatch, tmp_path, cores
+):
+    from ifamarket import _engine
+    from ifamarket.cli import main
+
+    monkeypatch.setattr(_engine, "_inline", False)
+    monkeypatch.setattr(_engine, "_GATHER_CHUNK", 1000)
+    _set_cores(monkeypatch, cores)
+    argv = ["table1", "--w", "14", "--include-both", "--out"]
+    assert main([*argv, str(tmp_path / "one.csv"), "--workers", "1"]) == 0
+    assert main([*argv, str(tmp_path / "two.csv"), "--workers", "2"]) == 0
+    one = (tmp_path / "one.csv").read_bytes()
+    assert one.count(b"\n") > 50 and (tmp_path / "two.csv").read_bytes() == one
+
+
+def test_ordered_map_workers_run_table_passes_inline(monkeypatch):
+    from ifamarket import _engine
+
+    monkeypatch.setattr(_engine, "_inline", False)
+    _set_cores(monkeypatch, 3)
+    assert _engine._threads() == 3
+    assert _engine.ordered_map(_worker_threads, range(4), 2) == [1, 1, 1, 1]
+    assert _engine._threads() == 3
+
+
+def test_a_piece_that_raises_fails_its_pass_once_every_thread_is_joined(monkeypatch):
+    # three threads deal six pieces of 1,000: this one 0 and 3,000, the
+    # others 1,000 and 4,000, and 2,000 and 5,000; the second stops at
+    # its first piece
+    from ifamarket import _engine
+
+    monkeypatch.setattr(_engine, "_inline", False)
+    monkeypatch.setattr(_engine, "_GATHER_CHUNK", 1000)
+    _set_cores(monkeypatch, 3)
+    done = []
+
+    def task(lo, hi):
+        if lo == 1000:
+            raise ZeroDivisionError(lo)
+        done.append((lo, hi))
+
+    with pytest.raises(ZeroDivisionError):
+        _engine._in_pieces(6000, task)
+    assert sorted(done) == [(0, 1000), (2000, 3000), (3000, 4000), (5000, 6000)]
