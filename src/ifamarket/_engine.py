@@ -30,20 +30,21 @@ the windows that :func:`firing` finds, the one place that does) and
 rejoined where the forced move lands.  So a machine whose orbit search
 has hopped an unregulated orbit holds it, and a long run takes a cut
 rung before any regulated table: between two firing windows the run
-follows the held cycle, found by one bisection over the sorted cycle
-positions of the firing windows, and the run is a list of slices of the
-cycle's moves, gathered once.  A run that starts or lands off the held
-cycle hops as it would without one.  For rule 54 where x^w + x + 1 is
-primitive (w = 22 among them) the unregulated cycle holds every nonzero
-window, so no regulated run from a nonzero window leaves it.
+follows the held cycle.  The cycle positions where the policy fires are
+marked one byte each, so the next one is one ``bytearray.find``, and the
+cycle's moves up to it are copied into the run as the walk goes.  A run
+that starts or lands off the held cycle hops as it would without one.
+For rule 54 where x^w + x + 1 is primitive (w = 22 among them) the
+unregulated cycle holds every nonzero window, so no regulated run from a
+nonzero window leaves it.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
 the unregulated step**w, the held unregulated walk and, built for the
 first run that cuts it, its cut state: the cycle position of every
 window and the moves of the cycle, one contiguous 0/1 byte per tick, so
-that a cut run's gathers copy contiguous bytes.  All but the decision
-table are read-only once built.  A regulated policy changes the step
-table only on the windows where it fires, so where it must hop its
+that a cut run copies each arc of the cycle as one slice.  All but the
+decision table are read-only once built.  A regulated policy changes the
+step table only on the windows where it fires, so where it must hop its
 step**w is a copy of the unregulated one, patched over the windows that
 reach such a window within w - 1 ticks; a policy that reaches too many
 squares its own step table.  Besides the machine's own tables, at most
@@ -68,7 +69,6 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from bisect import bisect_left
 from threading import Thread
 from typing import Callable, Optional, Sequence
 
@@ -120,7 +120,10 @@ _GATHER_CHUNK = 1 << 18
 # table (4) with the two temporaries of its step**w (4 each), and the held
 # unregulated cycle (4) with its cut index (4) and its moves (1).  A
 # patched copy of the unregulated step**w squares nothing, so it fits in
-# the regulated step table's 4 bytes, or a temporary's if one is built.
+# the regulated step table's 4 bytes, or a temporary's if one is built.  A
+# cut run holds no regulated table: its firing marks (1) and visited bits,
+# with the firing windows and their positions (4 each) that it marks from,
+# fit in the 12 bytes of the step table and its temporaries.
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 
 # tables smaller than this, about what the interpreter with numpy takes
@@ -529,34 +532,14 @@ def walk_emit(power: np.ndarray, start: int, num_ticks: int) -> np.ndarray:
     return bits[:, 32 - w :].reshape(-1)[:num_ticks]
 
 
-def _add_arc(arcs: array, lo: int, hi: int, size: int) -> None:
-    """Append positions lo..hi - 1 of a cycle of ``size``, taken mod ``size``.
-
-    ``lo`` <= ``size`` and ``hi`` <= 2 * ``size``: an arc wraps at most once.
-    """
-    if hi <= size:
-        arcs.extend((lo, hi))
-    elif lo >= size:
-        arcs.extend((lo - size, hi - size))
-    else:
-        arcs.extend((lo, size, 0, hi - size))
-
-
-def _gather_arcs(source: np.ndarray, arcs: array, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with ``source[lo:hi]`` for each arc (lo, hi) in turn.
-
-    One slice copy per arc; the copies stop once ``out`` is full.
-    """
-    done, size = 0, out.size
-    bounds = iter(arcs)
-    for lo, hi in zip(bounds, bounds):
-        end = done + hi - lo
-        if end >= size:
-            out[done:] = source[lo : lo + size - done]
-            break
-        out[done:end] = source[lo:hi]
-        done = end
-    return out
+def _copy_around(
+    dst: memoryview, at: int, src: memoryview, lo: int, count: int
+) -> None:
+    """Copy ``count`` entries of the cycle ``src`` from position ``lo`` on,
+    wrapping once at its end, to ``dst[at:]``; ``lo`` may be len(``src``)."""
+    head = min(count, len(src) - lo)
+    dst[at : at + head] = src[lo : lo + head]
+    dst[at + head : at + count] = src[: count - head]
 
 
 class Machine:
@@ -565,7 +548,7 @@ class Machine:
     It holds the decision table, the unregulated step**w, and the last
     unregulated orbit its hop rung walked with that orbit's cut state,
     and nothing else of size 2**w, so that every policy walked on it
-    shares them: see :meth:`power` and :meth:`_cuts`.  A machine that
+    shares them: see :meth:`power` and :meth:`_cut_run`.  A machine that
     only serves scalar walks builds nothing.
     """
 
@@ -694,73 +677,94 @@ class Machine:
         else:
             self.power(RegulationPolicy("none"))
 
-    def _cuts(
-        self, policy: RegulationPolicy, start: int, limit: int
-    ) -> Optional[tuple[array, Optional[tuple[int, int]]]]:
-        """The walk of ``start`` as arcs of the held cycle, or None off it.
+    def _cut_run(
+        self, policy: RegulationPolicy, start: int, num_ticks: int
+    ) -> Optional[np.ndarray]:
+        """The run's realized moves, cut from the held cycle, or None off it.
 
-        Returns ``(arcs, closed)``.  The arcs, flat bounds lo, hi of cycle
-        positions lo..hi - 1 in turn, hold the windows of ticks 1, 2, ...
-        of the walk, and so the moves into them.  ``closed`` is ``(first,
-        cycle)`` once the orbit closes; it is None if ``limit`` ticks or
-        more are covered first.  None in place of the pair means that the
-        walk leaves the held cycle.
-
-        Between firing windows the walk follows the held cycle; at one, it
+        Between firing windows the run follows the held cycle; at one, it
         steps to the window the policy forces and goes on from that
-        window's position.  The override at a firing position repeats
-        whatever led there, so the first repeated one closes the orbit.
-        The two arcs that reach it agree back to the later of their two
-        starts and no further, since the window before a start is a firing
-        window that the other walk is not at.  So the transient ends that
-        many ticks before the first visit.
+        window's position.  The firing positions are marked in a
+        ``bytearray``, one byte per cycle position, so the next one is a
+        ``find`` from the current position, wrapping at most once, and
+        the arc of moves up to it is copied into the result as one slice,
+        two where it wraps round the cycle's end.  The override at a
+        firing position repeats whatever led there, so the first repeated
+        one closes the orbit.  The two arcs that reach it agree back to
+        the later of their two starts and no further, since the window
+        before a start is a firing window that the other walk is not at.
+        So the transient ends that many ticks before the first visit, and
+        the cycle is tiled over the ticks left.
 
-        The walk keeps its state in flat int arrays, a few words per
-        firing window it visits, not in Python objects.
+        The walk keeps its state in a visited bitmap and a flat int array
+        of the positions it visits, not in Python objects.
         """
-        pos = self._cut_state()[0]
+        pos, moves = self._cut_state()
         at = int(pos[start])
         if at < 0:
             return None
         first, windows = self._held
         cycle = windows[first + 1 :]
         size = cycle.size
+        # found before the marks are made, so that firing's temporaries
+        # and the marks are never held at once
         fire = pos[firing(self.decisions, self.w, policy)]
-        fire = fire[fire >= 0]
-        fire.sort()  # the cycle positions where the policy fires, in order
-        arcs = array("q")
-        if not fire.size:
-            _add_arc(arcs, at + 1, at + 1 + size, size)
-            return arcs, (0, size)
-        states, index, fires = memoryview(cycle), memoryview(pos), memoryview(fire)
+        # firing windows off the cycle (position -1) mark the last byte,
+        # which no search reads
+        marks = bytearray(size + 1)
+        np.put(np.frombuffer(marks, dtype=np.uint8), fire, 1, mode="wrap")
+        del fire
+        out = np.empty(num_ticks, dtype=np.uint8)
+        dst, src = memoryview(out), memoryview(moves)
+        if marks.find(1, 0, size) < 0:  # the policy never fires on the cycle
+            count = min(size, num_ticks)
+            _copy_around(dst, 0, src, at + 1, count)
+            return _repeat_cycle(out, 0, count)
+        states, index = memoryview(cycle), memoryview(pos)
         mask = (1 << self.w) - 1
-        # which firing positions the walk has visited, by their index in
-        # ``fire``, and for each visit in turn its position, its tick and
-        # the ticks of the arc that led to it, its own window excluded
-        fired = bytearray(fire.size)
+        # the firing positions the walk has visited, a bit each, and each
+        # visit's position in turn
+        seen = bytearray((size >> 3) + 1)
         visits = array("q")
-        lo, t, emit = at, 0, at + 1
+        lo, t = at, 0
         while True:
-            k = bisect_left(fires, lo) % fire.size
-            q = fires[k]
-            back = (q - lo) % size
-            t += back
-            _add_arc(arcs, emit, lo + back + 1, size)
-            if t >= limit:
-                return arcs, None
-            if fired[k]:
-                i = 3 * visits[::3].index(q)
-                tick, arc = visits[i + 1], visits[i + 2]
-                return arcs, (tick - min(arc, back), t - tick)
-            fired[k] = 1
-            visits.extend((q, t, back))
+            # the arc: the moves into positions lo + 1 .. q, taken mod size
+            q = marks.find(1, lo, size)
+            if q < 0:  # it wraps, once per pass of the cycle
+                q = marks.find(1, 0, lo)
+                back = q + size - lo
+            else:
+                back = q - lo
+            end = t + back
+            if end >= num_ticks:
+                _copy_around(dst, t, src, lo + 1, num_ticks - t)
+                return out
+            if q >= lo:
+                dst[t:end] = src[lo + 1 : q + 1]
+            else:
+                _copy_around(dst, t, src, lo + 1, back)
+            t = end
+            if seen[q >> 3] & (1 << (q & 7)):
+                # replay the arcs up to the first visit to q, where each
+                # visit lands one tick later, to its tick
+                k = visits.index(q)
+                visited = np.frombuffer(visits, dtype=np.int64)[: k + 1]
+                x = cycle[visited]
+                landed = pos[((x << 1) & np.uint32(mask)) | (~x & 1)]
+                arcs = (visited - np.append(at, landed[:-1])) % size
+                tick = int(arcs.sum()) + k
+                transient = tick - min(int(arcs[-1]), back)
+                return _repeat_cycle(out, transient, transient + t - tick)
+            seen[q >> 3] |= 1 << (q & 7)
+            visits.append(q)
             # a firing window's move reverses the run it ends
             x = states[q]
-            lo = index[((x << 1) & mask) | (~x & 1)]
+            move = ~x & 1
+            dst[t] = move
+            lo = index[((x << 1) & mask) | move]
             if lo < 0:
                 return None
             t += 1
-            emit = lo
 
     def orbit(
         self, policy: RegulationPolicy, start: int
@@ -804,10 +808,10 @@ class Machine:
         walk closes the orbit or runs out of ticks first; a walk that
         closes tiles its cycle over the ticks left.
         Longer runs are cuts of the held unregulated cycle if the machine
-        holds one and the run stays on it, gathered from the cycle's
-        moves.  Runs off the held cycle hop through step**w, which costs
-        a few passes over the table, or a patch, but then only one Python
-        step per w ticks.
+        holds one and the run stays on it (see :meth:`_cut_run`), copied
+        from the cycle's moves.  Runs off the held cycle hop through
+        step**w, which costs a few passes over the table, or a patch, but
+        then only one Python step per w ticks.
         """
         if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
             budget = min(_scalar_budget(self.w), num_ticks)
@@ -816,16 +820,9 @@ class Machine:
                 first, windows = walk_direct(self.step(policy), windows, num_ticks)
             return tile(first, windows, num_ticks)
         if self._held is not None:
-            cuts = self._cuts(policy, start, num_ticks)
-            if cuts is not None:
-                arcs, closed = cuts
-                moves = self._cut_state()[1]
-                out = np.empty(num_ticks, dtype=np.uint8)
-                if closed is None:
-                    return _gather_arcs(moves, arcs, out)
-                first, cycle = closed
-                _gather_arcs(moves, arcs, out[: first + cycle])
-                return _repeat_cycle(out, first, first + cycle)
+            moves = self._cut_run(policy, start, num_ticks)
+            if moves is not None:
+                return moves
         return walk_emit(self.power(policy), start, num_ticks)
 
 

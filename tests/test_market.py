@@ -662,14 +662,14 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     taken = {"cut": 0, "ladder": 0}
-    cuts = _engine.Machine._cuts
+    cut_run = _engine.Machine._cut_run
 
-    def counted(self, policy, start, limit):
-        found = cuts(self, policy, start, limit)
+    def counted(self, policy, start, num_ticks):
+        found = cut_run(self, policy, start, num_ticks)
         taken["ladder" if found is None else "cut"] += 1
         return found
 
-    monkeypatch.setattr(_engine.Machine, "_cuts", counted)
+    monkeypatch.setattr(_engine.Machine, "_cut_run", counted)
     for kind in ("alternating_up_first", "all_up"):
         init = initial_window(kind, w)
         init_moves = [int(m) for m in init.to_moves()]
@@ -701,6 +701,54 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
         assert taken["ladder"] == 0
     if w == 14:
         assert taken["ladder"] > 0 and taken["cut"] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cut_runs_from_any_cycle_position_match_the_oracle(data):
+    # rule 54 at w = 6..12: a run cut from the held unregulated cycle, from
+    # a drawn cycle position (one within w of the cycle's end among them,
+    # so that an arc wraps), for a span below the first firing window,
+    # about transient + cycle or three times that, gives the oracle's
+    # moves, or None exactly where the oracle's walk leaves the held cycle
+    # within the span.  n = w and ``none`` never fire on the held cycle
+    w = data.draw(st.integers(6, 12), label="w")
+    rule = decode_rule(54)
+    machine = _cutting_machine(rule, w, initial_window("alternating_up_first", w))
+    first, windows = machine._held
+    cycle = [int(x) for x in windows[first + 1 :]]
+    size = len(cycle)
+    at = data.draw(
+        st.integers(0, size - 1) | st.integers(size - w, size - 1), label="position"
+    )
+    regime = data.draw(st.sampled_from(["none", "prick", "prop", "both"]))
+    n = data.draw(st.integers(1, w) | st.just(w), label="n")
+    policy = NONE if regime == "none" else RegulationPolicy(regime, n)
+    init_moves = _oldest_first(cycle[at], w)
+    transient, period, _ = oracles.orbit_moves(rule, init_moves, policy)
+    orbit = transient + period
+    spans = [span for span in (orbit - 1, orbit, orbit + 1, 3 * orbit) if span > 0]
+    expected = oracles.simulate(rule, init_moves, policy, 3 * orbit)
+    history = init_moves + expected
+    fired = [
+        t
+        for t, move in enumerate(expected[:orbit])
+        if oracles.decide(rule, history[t : t + w]) != move
+    ]
+    if fired and fired[0] > 0:
+        spans.append(data.draw(st.integers(1, fired[0]), label="unfired span"))
+    on_cycle = set(cycle)
+    walked = [
+        sum(bit << age for age, bit in enumerate(reversed(history[t : t + w])))
+        for t in range(3 * orbit + 1)
+    ]
+    # the first tick whose window is off the held cycle, if any
+    off = next((t for t, x in enumerate(walked) if x not in on_cycle), math.inf)
+    for num_ticks in spans:
+        moves = machine._cut_run(policy, cycle[at], num_ticks)
+        assert (moves is None) == (off <= num_ticks), num_ticks
+        if moves is not None:
+            assert moves.tolist() == expected[:num_ticks], num_ticks
 
 
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):

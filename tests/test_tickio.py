@@ -110,3 +110,45 @@ def test_rle_body_matches_token_reference_across_chunks():
             tickio.write_rle(_series(moves), buf)
             body = buf.getvalue().split("\n\n", 1)[1]
             assert body == _token_rle(np.asarray(moves, dtype=np.uint8).tolist())
+
+
+def _rle_with_body(ticks, body):
+    # the header of a series of ``ticks`` moves over the given body
+    text = io.StringIO()
+    tickio.write_rle(_series([1] * ticks), text)
+    head = text.getvalue().split("\n\n", 1)[0]
+    return io.StringIO(f"{head}\n\n{body}")
+
+
+@pytest.mark.parametrize(
+    "ticks, body",
+    [
+        (10, "1_0U\n"),  # int() reads underscores
+        (3, "+3U\n"),  # and signs
+        (3, "٣U\n"),  # and Arabic-Indic digits
+        (6, "3U\x1c3D\n"),  # and str.split takes \x1c for whitespace
+        (1, "0U 1D\n"),
+        (1, "-1U\n"),
+        (7, "3U4D\n"),
+        (3, "3\n"),
+        (1, "U\n"),
+        (3, "3X\n"),
+        (1, "1" * 19 + "U\n"),  # longer than any count of 18 digits
+    ],
+    ids=[
+        "underscore", "sign", "arabic-indic", "file-separator", "zero",
+        "negative", "no-space", "no-letter", "no-count", "bad-letter", "19-digits",
+    ],
+)
+def test_rle_counts_are_decimal_digits(ticks, body):
+    # the header counts the ticks that int() reads from each count, so
+    # that only the token itself can be refused
+    with pytest.raises(ValueError, match="bad run token|bad whitespace"):
+        tickio.read_rle(_rle_with_body(ticks, body))
+
+
+def test_rle_reads_leading_zeros_and_any_ascii_whitespace():
+    series = tickio.read_rle(_rle_with_body(7, "  03U\t2D\r\n\n1U\x0b001D\x0c"))
+    assert series.moves.tolist() == [1, 1, 1, 0, 0, 1, 0]
+    with pytest.raises(ValueError, match="body has 7 ticks, header says 6"):
+        tickio.read_rle(_rle_with_body(6, "3U 4D"))
