@@ -38,9 +38,6 @@ COMMANDS = [
     ("table1-workers1", ["table1", *ANCHOR, "--workers", "1"]),
     ("table1-workers2", ["table1", *ANCHOR, "--workers", "2"]),
     ("table1-w20-both", ["table1", "--w", "20", "--include-both", "--workers", "2"]),
-    # at w = 21 the unregulated cycle (5,461 ticks) closes before the hop
-    # rung, so no cycle is held and every regulated run hops
-    ("table1-w21-workers1", ["table1", "--w", "21", "--workers", "1"]),
     ("table1-w14-both", ["table1", "--w", "14", "--include-both", "--workers", "2"]),
     ("table1-rule150", ["table1", "--rule", "150", "--w", "22", "--workers", "2"]),
     ("survey-all-up", ["survey", "--w", "22", "--init", "all_up", "--workers", "2"]),

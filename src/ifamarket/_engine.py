@@ -739,7 +739,7 @@ class Machine:
             if end >= num_ticks:
                 _copy_around(dst, t, src, lo + 1, num_ticks - t)
                 return out
-            if q >= lo:
+            if q >= lo:  # most arcs: copied inline, saving a call a visit
                 dst[t:end] = src[lo + 1 : q + 1]
             else:
                 _copy_around(dst, t, src, lo + 1, back)

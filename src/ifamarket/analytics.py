@@ -111,18 +111,6 @@ def aggregate_days(
     )
 
 
-def _varying_windows(r: np.ndarray, window_days: int) -> np.ndarray:
-    """For each window of ``window_days`` days, whether two of its days differ.
-
-    They do exactly where two neighbouring days inside it differ, as
-    ``max != min`` decides (NaN differs from every day, 0.0 from no
-    -0.0), so one pass over the neighbours decides every window.
-    """
-    changes = np.zeros(r.size, dtype=np.int64)  # differing neighbours up to day t
-    np.cumsum(r[1:] != r[:-1], out=changes[1:])
-    return changes[window_days - 1 :] != changes[: r.size - window_days + 1]
-
-
 def rolling_moments(
     returns: DayReturns | np.ndarray,
     window_days: int = DEFAULT_WINDOW_DAYS,
@@ -141,8 +129,6 @@ def rolling_moments(
     vol = np.empty(num_windows)
     skew = np.empty(num_windows)
     kurt = np.empty(num_windows)
-    # a window of equal values has no variance, whatever rounding left
-    varying = _varying_windows(r, window_days)
     block_windows = max(1, _BLOCK_VALUES // window_days)
     for lo in range(0, num_windows, block_windows):
         hi = min(lo + block_windows, num_windows)
@@ -155,7 +141,8 @@ def rolling_moments(
         # the sum of squared deviations, taken once: mean() is sum() / N
         s2 = dev2.sum(axis=1)
         m2 = s2 / window_days
-        defined = varying[lo:hi]
+        # a window of equal values has no variance, whatever rounding left
+        defined = block.max(axis=1) != block.min(axis=1)
         vol[lo:hi] = np.where(defined, np.sqrt(s2 / (window_days - 1)), 0.0)
         # the third and fourth powers overwrite dev, which is not read again
         m3 = np.multiply(dev2, dev, out=dev).mean(axis=1)

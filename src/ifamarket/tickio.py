@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import BinaryIO, NoReturn
+from typing import BinaryIO
 
 import numpy as np
 
@@ -29,8 +29,8 @@ _MAGIC_RLE = "ifamarket-ticks v1 rle"
 _MAGIC_BITS = "ifamarket-ticks v1 bits"
 _RLE_TOKENS_PER_LINE = 16
 _RUN_TOKEN = re.compile(r"[0-9]{1,18}[UD]")
-# the bytes that separate run tokens: ASCII whitespace
-_SPACE = np.isin(np.arange(256), np.frombuffer(b" \t\n\r\v\f", dtype=np.uint8))
+# what separates run tokens: ASCII whitespace only
+_SPACE = re.compile(r"[ \t\n\r\v\f]+")
 
 
 def _header_lines(series: TickSeries, magic: str) -> list[str]:
@@ -70,60 +70,23 @@ def write_rle(series: TickSeries, stream: io.TextIOBase) -> None:
 
 def read_rle(stream: io.TextIOBase) -> TickSeries:
     header, body = _split_header(stream.read(), _MAGIC_RLE)
-    counts, ups = _parse_runs(body)
-    num_ticks = int(header["num_ticks"])
-    # summed in float64, which no sum of counts overflows, before the
-    # moves are allocated; their exact number is checked on the series
-    total = counts.sum(dtype=np.float64)
-    if total != num_ticks:
-        raise ValueError(f"body has {total:.0f} ticks, header says {num_ticks}")
-    return _series_from_header(header, np.repeat(ups, counts))
-
-
-def _parse_runs(body: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(counts, ups)`` of the body's run tokens, in order, as arrays.
-
-    A token is a count of decimal digits, at most 18 of them and not
-    all zero, then ``U`` or ``D``; tokens are separated by ASCII
-    whitespace.  Each byte of the body is checked against its
-    neighbours, and the counts are read a digit place at a time.
-    """
-    text = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
-    digit = (text >= ord("0")) & (text <= ord("9"))
-    up = text == ord("U")
-    letter = up | (text == ord("D"))
-    space = _SPACE[text]
-    after_digit = np.zeros_like(digit)
-    after_digit[1:] = digit[:-1]
-    before_count_end = np.zeros_like(digit)  # a digit or the letter follows
-    before_count_end[:-1] = digit[1:] | letter[1:]
-    before_space = np.ones_like(digit)  # whitespace or the end follows
-    before_space[:-1] = space[1:]
-    ok = space | (digit & before_count_end) | (letter & after_digit & before_space)
-    if not ok.all():
-        _reject(body)
-    # each count is a run of digits that ends at its letter
-    ends = np.flatnonzero(letter)
-    places = ends - np.flatnonzero(digit & ~after_digit)
-    longest = int(places.max(initial=0))
-    if longest > 18:
-        _reject(body)
-    counts = np.zeros(ends.size, dtype=np.int64)
-    for place in range(1, longest + 1):
-        has = places >= place
-        digits = text[ends[has] - place].astype(np.int64) - ord("0")
-        counts[has] += digits * 10 ** (place - 1)
-    if not counts.all():
-        _reject(body)
-    return counts, up[ends].view(np.uint8)
-
-
-def _reject(body: str) -> NoReturn:
-    """Raise ValueError naming the first bad run token of ``body``."""
-    for token in body.split():
-        if not _RUN_TOKEN.fullmatch(token) or not int(token[:-1]):
+    counts: list[int] = []
+    ups: list[bool] = []
+    for token in _SPACE.split(body):
+        if not token:  # before the first token or after the last
+            continue
+        count = int(token[:-1]) if _RUN_TOKEN.fullmatch(token) else 0
+        if not count:
             raise ValueError(f"bad run token {token!r}")
-    raise ValueError("bad whitespace between run tokens")
+        counts.append(count)
+        ups.append(token[-1] == "U")
+    num_ticks = int(header["num_ticks"])
+    # checked before the moves are allocated
+    total = sum(counts)
+    if total != num_ticks:
+        raise ValueError(f"body has {total} ticks, header says {num_ticks}")
+    moves = np.repeat(np.array(ups, dtype=np.uint8), counts)
+    return _series_from_header(header, moves)
 
 
 def write_bits(series: TickSeries, stream: BinaryIO) -> None:

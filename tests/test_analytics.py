@@ -94,32 +94,6 @@ def test_rolling_equal_values_have_no_variance_despite_rounding():
     assert np.all(np.isnan(rm.skew)) and np.all(np.isnan(rm.kurt))
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    runs=st.lists(
-        st.tuples(
-            st.sampled_from([0.0, -0.0, 0.016, -0.5, math.nan]), st.integers(1, 6)
-        ),
-        min_size=2,
-        max_size=30,
-    ),
-    data=st.data(),
-)
-def test_varying_windows_match_max_against_min(runs, data):
-    # the windows with two differing days, found from neighbouring days,
-    # are those where max != min, over runs of equal values, NaN and
-    # +-0.0; rolling_moments gives exactly the others zero variance
-    from ifamarket import analytics
-
-    r = np.repeat([value for value, _ in runs], [length for _, length in runs])
-    window = data.draw(st.integers(2, r.size), label="window")
-    blocks = np.lib.stride_tricks.sliding_window_view(r, window)
-    expected = blocks.max(axis=1) != blocks.min(axis=1)
-    assert analytics._varying_windows(r, window).tolist() == expected.tolist()
-    rm = rolling_moments(r, window)
-    assert ((rm.vol == 0.0) == ~expected).all()
-
-
 def test_rolling_requires_enough_days():
     with pytest.raises(ValueError):
         rolling_moments(DayReturns(returns=np.zeros(5)), window_days=6)

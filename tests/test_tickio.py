@@ -143,7 +143,7 @@ def _rle_with_body(ticks, body):
 def test_rle_counts_are_decimal_digits(ticks, body):
     # the header counts the ticks that int() reads from each count, so
     # that only the token itself can be refused
-    with pytest.raises(ValueError, match="bad run token|bad whitespace"):
+    with pytest.raises(ValueError, match="bad run token"):
         tickio.read_rle(_rle_with_body(ticks, body))
 
 
