@@ -3,7 +3,7 @@ two-symbol iterated finite automata, with trend-reversal regulation
 overlays and rolling-moment analytics.
 """
 
-from .ifa import Move, IfaRule, decode_rule, encode_rule, enumerate_rules, process_window
+from .ifa import Move, IfaRule, decode_rule, encode_rule
 from .market import (
     CycleReport,
     TickSeries,
@@ -36,8 +36,6 @@ __all__ = [
     "IfaRule",
     "decode_rule",
     "encode_rule",
-    "enumerate_rules",
-    "process_window",
     "WindowState",
     "TickSeries",
     "CycleReport",

@@ -138,35 +138,28 @@ def _write_output(path: Optional[str], text: str) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, series = _simulate_config(_config_from_args(args))
-    wrote = False
-    if args.ticks_out is not None:
+    ticks_out = args.ticks_out
+    if ticks_out is None and args.returns_out is None:
+        ticks_out = "-"
+    if ticks_out is not None:
         fmt_name = args.ticks_format or (
-            "bits" if args.ticks_out.endswith(".bits") else "rle"
+            "bits" if ticks_out.endswith(".bits") else "rle"
         )
-        if fmt_name == "bits":
-            buffer = io.BytesIO()
-            tickio.write_bits(series, buffer)
-            if args.ticks_out == "-":
-                sys.stdout.buffer.write(buffer.getvalue())
-            else:
-                with open(args.ticks_out, "wb") as handle:
-                    handle.write(buffer.getvalue())
+        if fmt_name == "bits" and ticks_out == "-":
+            tickio.write_bits(series, sys.stdout.buffer)
+        elif fmt_name == "bits":
+            with open(ticks_out, "wb") as handle:
+                tickio.write_bits(series, handle)
         else:
             text = io.StringIO()
             tickio.write_rle(series, text)
-            _write_output(args.ticks_out, text.getvalue())
-        wrote = True
+            _write_output(ticks_out, text.getvalue())
     if args.returns_out is not None:
         days = aggregate_days(series, config.ticks_per_day, config.scale)
         lines = [f"# config: {config.to_json()}", "day,return"]
         for i, r in enumerate(days.returns):
             lines.append(f"{i},{fmt(r)}")
         _write_output(args.returns_out, "\n".join(lines) + "\n")
-        wrote = True
-    if not wrote:
-        text = io.StringIO()
-        tickio.write_rle(series, text)
-        sys.stdout.write(text.getvalue())
     return 0
 
 

@@ -11,7 +11,6 @@ envelope per moment.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -92,16 +91,6 @@ def _parse_price_csv(handle, date_format: str, label: str) -> PriceSeries:
         closes=np.array(closes, dtype=np.float64),
         label=label,
     )
-
-
-def dump_price_csv(prices: PriceSeries, date_format: str = "%Y-%m-%d") -> str:
-    """Serialize back to CSV text (closes via repr, so loads round-trip)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "close"])
-    for day, close in zip(prices.dates, prices.closes):
-        writer.writerow([day.strftime(date_format), repr(float(close))])
-    return out.getvalue()
 
 
 def to_returns(prices: PriceSeries, kind: str = "log") -> DayReturns:

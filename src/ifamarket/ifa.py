@@ -12,19 +12,19 @@ significant digit to the least.
 
 The trading decision for a lookback window is produced by a single pass
 of the automaton over the window.  The pass reads the *most recent* move
-first and walks back in time; the automaton starts in state 0 (unless
-overridden) and the symbol it emits at the final cell -- the oldest move
-in the window -- is the decision.  Buy maps to UP (1), sell to DOWN (0).
-This read order is the one validated by the cycle-length oracle: under
-it, and only it, rule 54 drives the maximal 4,194,303-tick orbit at
-w = 22 that the whole toolkit is anchored on.
+first and walks back in time; the automaton starts in state 0 and the
+symbol it emits at the final cell -- the oldest move in the window -- is
+the decision; ``_engine.decision_table`` and ``scalar_decision`` compute
+it.  Buy maps to UP (1), sell to DOWN (0).  This read order is the one
+validated by the cycle-length oracle: under it, and only it, rule 54
+drives the maximal 4,194,303-tick orbit at w = 22 that the whole toolkit
+is anchored on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Sequence
 
 
 class Move(IntEnum):
@@ -32,9 +32,6 @@ class Move(IntEnum):
 
     DOWN = 0
     UP = 1
-
-    def mirror(self) -> "Move":
-        return Move(1 - self.value)
 
     def __str__(self) -> str:  # "U" / "D", used by exports and the CLI
         return "U" if self is Move.UP else "D"
@@ -93,34 +90,3 @@ def encode_rule(rule: IfaRule) -> int:
             raise ValueError(f"malformed table entry {(next_state, output)!r}")
         k = (k << 2) | (next_state << 1) | output
     return k
-
-
-def enumerate_rules() -> Iterator[IfaRule]:
-    """All 256 rules in ascending rule-number order."""
-    for k in range(256):
-        yield decode_rule(k)
-
-
-def process_window(
-    rule: IfaRule,
-    window: Sequence[Move | int],
-    initial_state: int = 0,
-) -> Move:
-    """Run one automaton pass over a lookback window and return the decision.
-
-    ``window`` is ordered oldest-first, as realized in time.  The pass
-    consumes it newest-first; the output emitted at the last cell (the
-    oldest move) is the decision.
-    """
-    if len(window) == 0:
-        raise ValueError("window must contain at least one move")
-    if initial_state not in (0, 1):
-        raise ValueError(f"initial state must be 0 or 1, got {initial_state}")
-    state = initial_state
-    output = 0
-    for move in reversed(window):
-        symbol = int(move)
-        if symbol not in (0, 1):
-            raise ValueError(f"window contains a non-binary move: {move!r}")
-        state, output = rule.table[state][symbol]
-    return Move(output)

@@ -56,13 +56,6 @@ class WindowState:
             for age in range(self.width - 1, -1, -1)
         ]
 
-    def slide(self, realized: Move | int) -> "WindowState":
-        """Append a realized move as the newest, dropping the oldest."""
-        mask = (1 << self.width) - 1
-        return WindowState(
-            bits=((self.bits << 1) & mask) | int(realized), width=self.width
-        )
-
 
 @dataclass(frozen=True)
 class TickSeries:

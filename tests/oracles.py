@@ -131,6 +131,18 @@ def day_returns(moves: Sequence[int], ticks_per_day: int, scale: float) -> list[
     return out
 
 
+def pack_bits(moves: Sequence[int]) -> bytes:
+    """Moves 8 to a byte, the oldest in the most significant bit, the last
+    byte padded with zeros."""
+    out = bytearray()
+    for start in range(0, len(moves), 8):
+        byte = 0
+        for i, move in enumerate(moves[start : start + 8]):
+            byte |= int(move) << (7 - i)
+        out.append(byte)
+    return bytes(out)
+
+
 def gf2_mul(a: int, b: int, modulus: int) -> int:
     """Product of two GF(2) polynomials (bit i = coefficient of x^i) mod ``modulus``."""
     degree = modulus.bit_length() - 1

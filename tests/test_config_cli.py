@@ -292,8 +292,11 @@ def test_simulate_bits_to_stdout(tmp_path, monkeypatch, capsysbinary):
     monkeypatch.chdir(tmp_path)
     argv = ["simulate", "--w", "10", "--ticks", "100", "--ticks-format", "bits"]
     assert run_cli(argv + ["--ticks-out", "t.bits"]) == 0
-    assert run_cli(argv + ["--ticks-out", "-"]) == 0
-    assert capsysbinary.readouterr().out == (tmp_path / "t.bits").read_bytes()
+    expected = (tmp_path / "t.bits").read_bytes()
+    # with no output flag the series goes to stdout in the named format
+    for flags in (["--ticks-out", "-"], []):
+        assert run_cli(argv + flags) == 0
+        assert capsysbinary.readouterr().out == expected
     assert not (tmp_path / "-").exists()
 
 

@@ -10,7 +10,6 @@ from ifamarket.empirical import (
     PriceSeries,
     _parse_price_csv,
     compare_report,
-    dump_price_csv,
     load_price_csv,
     to_returns,
 )
@@ -52,15 +51,6 @@ def test_malformed_rows_name_their_row():
         _parse("date,close\n2020-01-02,100,extra\n")
     with pytest.raises(ValueError, match="header"):
         _parse("time,price\n2020-01-02,100\n")
-
-
-def test_round_trip_serialization():
-    text = "date,close\n2020-01-02,100.25\n2020-01-03,99.875\n2020-01-06,101.0\n"
-    series = _parse(text)
-    dumped = dump_price_csv(series)
-    again = _parse(dumped)
-    assert again.dates == series.dates
-    assert again.closes.tolist() == series.closes.tolist()
 
 
 def test_returns_examples():

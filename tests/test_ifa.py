@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from ifamarket.ifa import Move, decode_rule, encode_rule, enumerate_rules, process_window
-
-import oracles
+import ifamarket
+from ifamarket import _engine, empirical, ifa, tickio
+from ifamarket.ifa import Move, decode_rule, encode_rule
+from ifamarket.market import WindowState
 
 
 def test_decode_54_base4_digits():
@@ -29,14 +29,13 @@ def test_encode_decode_round_trip(k):
 
 
 def test_bijection_over_all_rules():
-    assert [encode_rule(r) for r in enumerate_rules()] == list(range(256))
+    assert [encode_rule(decode_rule(k)) for k in range(256)] == list(range(256))
 
 
 def test_enumerate_rules_count_and_order():
-    rules = list(enumerate_rules())
-    assert len(rules) == 256
-    assert rules[0].rule_number == 0
-    assert len({r.rule_number for r in rules}) == 256
+    rules = [decode_rule(k) for k in range(256)]
+    assert [r.rule_number for r in rules] == list(range(256))
+    assert len({r.table for r in rules}) == 256
 
 
 @pytest.mark.parametrize("bad", [-1, 256, 1000])
@@ -45,12 +44,22 @@ def test_decode_out_of_range(bad):
         decode_rule(bad)
 
 
+def _decide(rule, window):
+    # the engine's pass over an oldest-first window, read by both
+    # scalar_decision and decision_table, which must agree
+    w = len(window)
+    bits = WindowState.from_moves(window).bits
+    decision = _engine.scalar_decision(rule, w)(bits)
+    assert decision == _engine.decision_table(rule, w)[bits]
+    return Move(decision)
+
+
 def test_process_window_constant_rule():
     # rule 85: every digit 1, i.e. always (next 0, output UP)
     rule = decode_rule(85)
     assert all(rule.output(s, b) == 1 for s in (0, 1) for b in (0, 1))
-    assert process_window(rule, [Move.DOWN] * 7) is Move.UP
-    assert process_window(rule, [Move.UP, Move.DOWN]) is Move.UP
+    assert _decide(rule, [Move.DOWN] * 7) is Move.UP
+    assert _decide(rule, [Move.UP, Move.DOWN]) is Move.UP
 
 
 def test_process_window_passthrough_rule():
@@ -60,9 +69,9 @@ def test_process_window_passthrough_rule():
     assert all(
         rule.table[s][b] == (s, b) for s in (0, 1) for b in (0, 1)
     )
-    assert process_window(rule, [Move.DOWN]) is Move.DOWN
-    assert process_window(rule, [Move.DOWN, Move.UP, Move.UP]) is Move.DOWN
-    assert process_window(rule, [Move.UP, Move.DOWN, Move.DOWN]) is Move.UP
+    assert _decide(rule, [Move.DOWN]) is Move.DOWN
+    assert _decide(rule, [Move.DOWN, Move.UP, Move.UP]) is Move.DOWN
+    assert _decide(rule, [Move.UP, Move.DOWN, Move.DOWN]) is Move.UP
 
 
 def test_process_window_rule54_alternating():
@@ -70,33 +79,30 @@ def test_process_window_rule54_alternating():
     # acceptance suite is what validates the convention itself
     rule = decode_rule(54)
     window = [Move.UP if i % 2 == 0 else Move.DOWN for i in range(22)]
-    assert process_window(rule, window) is Move.UP
-
-
-def test_process_window_empty_window():
-    with pytest.raises(ValueError):
-        process_window(decode_rule(54), [])
-
-
-def test_process_window_bad_initial_state():
-    with pytest.raises(ValueError):
-        process_window(decode_rule(54), [Move.UP], initial_state=2)
-
-
-@given(
-    k=st.integers(min_value=0, max_value=255),
-    window=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40),
-    init_state=st.integers(min_value=0, max_value=1),
-)
-def test_process_window_matches_reference_and_is_pure(k, window, init_state):
-    rule = decode_rule(k)
-    first = process_window(rule, window, init_state)
-    second = process_window(rule, window, init_state)
-    assert first is second
-    assert int(first) == oracles.decide(rule, window, init_state)
+    assert _decide(rule, window) is Move.UP
 
 
 def test_move_values_and_mirror():
     assert int(Move.UP) == 1 and int(Move.DOWN) == 0
-    assert Move.UP.mirror() is Move.DOWN
+    assert Move(1 - Move.UP) is Move.DOWN and Move(1 - Move.DOWN) is Move.UP
     assert str(Move.UP) == "U" and str(Move.DOWN) == "D"
+
+
+def test_public_surface():
+    # every export resolves, none twice, and the names that no command
+    # ran stay out of the package
+    names = ifamarket.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(ifamarket, name)
+    removed = {
+        ifa: ("process_window", "enumerate_rules"),
+        tickio: ("read_rle", "read_bits"),
+        empirical: ("dump_price_csv",),
+        Move: ("mirror",),
+        WindowState: ("slide",),
+    }
+    for owner, gone in removed.items():
+        for name in gone:
+            assert name not in names, name
+            assert not hasattr(owner, name) and not hasattr(ifamarket, name), name

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifamarket.ifa import Move, decode_rule, process_window
+from ifamarket.ifa import Move, decode_rule
 from ifamarket.market import (
     CycleReport,
     WindowState,
@@ -57,16 +57,6 @@ def test_window_state_round_trip(moves):
     win = WindowState.from_moves(moves)
     assert [int(m) for m in win.to_moves()] == moves
     assert win.width == len(moves)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
-    st.integers(min_value=0, max_value=1),
-)
-def test_window_slide_matches_list_shift(moves, new):
-    win = WindowState.from_moves(moves)
-    slid = win.slide(Move(new))
-    assert [int(m) for m in slid.to_moves()] == moves[1:] + [new]
 
 
 def test_window_state_validation():
@@ -363,7 +353,8 @@ def _oldest_first(window, w):
 
 
 def test_scalar_decision_matches_decision_table_and_process_window():
-    # every window of every rule at w = 1..10
+    # every window of every rule at w = 1..10, against the table and the
+    # oracle's automaton pass over the window
     from ifamarket import _engine
 
     for k in range(256):
@@ -373,7 +364,7 @@ def test_scalar_decision_matches_decision_table_and_process_window():
             scalar = [decide(x) for x in range(1 << w)]
             assert scalar == _engine.decision_table(rule, w).tolist(), (k, w)
             assert scalar == [
-                int(process_window(rule, _oldest_first(x, w))) for x in range(1 << w)
+                oracles.decide(rule, _oldest_first(x, w)) for x in range(1 << w)
             ], (k, w)
 
 
@@ -402,8 +393,8 @@ def test_scalar_decision_matches_on_random_wide_windows():
         for _ in range(2000):
             rule = decode_rule(rng.randrange(256))
             window = rng.getrandbits(w)
-            assert _engine.scalar_decision(rule, w)(window) == int(
-                process_window(rule, _oldest_first(window, w))
+            assert _engine.scalar_decision(rule, w)(window) == oracles.decide(
+                rule, _oldest_first(window, w)
             ), (rule, w, window)
     for k in (54, 99, 156, 201):
         rule = decode_rule(k)

@@ -81,7 +81,7 @@ def test_mirror_symmetry_of_mechanism(regime, n, w, bits, intended):
     window = bits & mask
     mirrored_regime = {"prick": "prop", "prop": "prick", "both": "both"}[regime]
     lhs = apply_policy(
-        RegulationPolicy(mirrored_regime, n), window ^ mask, w, intended.mirror()
+        RegulationPolicy(mirrored_regime, n), window ^ mask, w, Move(1 - intended)
     )
     rhs = 1 - apply_policy(RegulationPolicy(regime, n), window, w, intended)
     assert lhs == rhs
