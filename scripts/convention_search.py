@@ -25,7 +25,7 @@ import numpy as np
 
 from ifamarket._engine import _power, walk_orbit
 from ifamarket.ifa import decode_rule
-from ifamarket.market import initial_window
+from ifamarket.market import window_from_literal
 
 SCREEN_W = 14
 FULL_W = 22
@@ -64,7 +64,7 @@ def orbit_cycles(rule_number, w, read_newest_first, decide_by_output):
     power = _power(step, w)
     cycles = []
     for kind in ("alternating_up_first", "all_up"):
-        first, windows = walk_orbit(power, initial_window(kind, w).bits)
+        first, windows = walk_orbit(power, window_from_literal(kind, w).bits)
         cycles.append(len(windows) - 1 - first)
     return tuple(cycles)
 

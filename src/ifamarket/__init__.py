@@ -9,10 +9,10 @@ from .market import (
     TickSeries,
     WindowState,
     find_cycle,
-    initial_window,
     simulate,
+    window_from_literal,
 )
-from .regulation import RegulationPolicy, apply_policy
+from .regulation import RegulationPolicy, regulator
 from .analytics import (
     DayReturns,
     RegimeSummary,
@@ -39,11 +39,11 @@ __all__ = [
     "WindowState",
     "TickSeries",
     "CycleReport",
-    "initial_window",
+    "window_from_literal",
     "simulate",
     "find_cycle",
     "RegulationPolicy",
-    "apply_policy",
+    "regulator",
     "DayReturns",
     "RollingMoments",
     "RegimeSummary",

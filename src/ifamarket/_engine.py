@@ -75,41 +75,39 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ifa import IfaRule
-from .regulation import RegulationPolicy, apply_policy, regulator
+from .regulation import RegulationPolicy, regulator
 
-# on a 2-core x86 host a scalar tick cost 1.3-2 us at w = 22, growing with
-# w, and the decision and step tables 25-60 ms, growing with 2**w: the
-# 2**w / (8w) = 23,832 scalar ticks at w = 22 cost about what the tables do.
-# The closed-form decision since cut a scalar tick to about 0.6 of that, and
-# the uint8 trie and the step fill on both cores cut the two tables to 14-23
-# ms in a fresh process (numpy 2.4), so this budget is now above their cost;
-# a change of it needs its own before/after benchmark.
+# The scalar walk's budget, 2**w / (8w) ticks, weighs a table-free walk
+# against the decision and step tables it would otherwise build.  At
+# w = 22 on a 2-core x86 host (numpy 2.4, one process) its 23,832 ticks
+# take 1.1-1.2 us each, 26-29 ms, against 12-26 ms for the two tables; a
+# change of it needs its own before/after benchmark.
 _TABLE_PATH_MIN_TICKS_FACTOR = 8
 
-# Where a tick-by-tick table walk stops paying (2-core x86 host, numpy 2.4,
-# w = 22): a direct walk costs ~0.3-0.4 us per tick against ~0.18 s for the
-# hop path on one core, so runs of 2**w / 8 ticks or more hop.  With step**w
-# squared on both cores (0.09-0.11 s) the break-even is nearer 2**w / 15
-# ticks; the shift stays until a before/after benchmark moves it.
+# A run of 2**w >> 3 ticks or more hops through step**w rather than walk
+# the step table a tick at a time: the hops pay for the squaring up
+# front, the direct walk by the tick.  At w = 22 on a 2-core x86 host
+# (numpy 2.4) a direct tick costs 0.40 us and squaring step**w on both
+# cores 76-93 ms, so the break-even is near 2**w / 20 ticks; a change of
+# the shift needs its own before/after benchmark.
 _DIRECT_EMIT_SHIFT = 3
 
-# How far an orbit search walks the step table directly before it turns to
-# step**w: 2**w / 64 ticks (65,536 at w = 22) at ~0.38 us a tick with the
-# seen bitmap cost about what building the step table did (20-50 ms), as the
-# scalar walk's budget costs about what the tables do.  The step table now
-# fills on both cores in 8-16 ms, and squaring it takes 0.09-0.11 s, so the
-# direct walk costs about a quarter of the hop rung it may save.
+# An orbit search walks the step table directly for up to 2**w >> 6
+# ticks before it squares step**w: the direct walk may close the orbit
+# for a fraction of the squaring's cost, and wastes that fraction if it
+# does not.  At w = 22 on a 2-core x86 host (numpy 2.4) its 65,536 ticks
+# take 26-27 ms with the seen bitmap, against 76-93 ms to square.
 _DIRECT_VISIT_SHIFT = 6
 
-# A policy whose step**w differs from the unregulated one on more than this
-# share of the windows squares its own step table instead of patching: a
-# patch steps each window it rewrites w times, a full build gathers every
-# window about 1.5 * log2(w) times.  Rule 54 at w = 22 on a 2-core x86 host:
-# prick:6 rewrites 8.8% in 0.08 s and prick:5 17% in 0.15 s, against 0.13 s
-# for a full build on one core.  The full build's gathers now run on both
-# cores, and in fresh processes (numpy 2.4) prick:6 patches in 0.09-0.13 s
-# against 0.10-0.12 s to square prick:5's own table, so the break-even share
-# is now nearer 1/11; a change of it needs its own before/after benchmark.
+# A policy whose step**w differs from the unregulated one on more than
+# this share of the windows squares its own step table instead of
+# patching a copy: a patch steps each window it rewrites w times on one
+# core, a full build gathers every window about 1.5 * log2(w) times on
+# every core.  Rule 54 at w = 22 on a 2-core x86 host (numpy 2.4, one
+# process): prick:6 rewrites 8.8% of the windows in 96-100 ms, and
+# building and squaring its own step table takes 86-105 ms, so the
+# break-even share is near 1/11; a change of it needs its own
+# before/after benchmark.
 _PATCH_MAX_SHARE = 1 / 8
 
 # entries per piece of a table pass; see _in_pieces and _gather
@@ -222,9 +220,8 @@ def walk_scalar(
     """``(first, windows)`` of the orbit of ``start``, at most ``limit`` ticks.
 
     The scalar rung: see the module docstring for the contract.  Moves
-    pass through :func:`~ifamarket.regulation.apply_policy` as in
-    :func:`step_table`, with the policy bound once by
-    :func:`~ifamarket.regulation.regulator`.
+    pass through :func:`~ifamarket.regulation.regulator`, bound once, as
+    in :func:`step_table`.
     """
     decide = scalar_decision(rule, w)
     regulate = regulator(policy, w)
@@ -350,18 +347,19 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
 def firing(decisions: np.ndarray, w: int, policy: RegulationPolicy) -> np.ndarray:
     """The windows, as uint32 in no set order, where ``policy`` fires.
 
-    There :func:`~ifamarket.regulation.apply_policy` changes the move
-    that the rule's ``decisions`` intend.  Only run windows can fire:
-    the newest min(n, w) bits all UP if it pricks, all DOWN if it props.
-    Those bits are the only ones apply_policy reads, so the first run
+    There :func:`~ifamarket.regulation.regulator` changes the move that
+    the rule's ``decisions`` intend.  Only run windows can fire: the
+    newest min(n, w) bits all UP if it pricks, all DOWN if it props.
+    Those bits are the only ones the regulator reads, so the first run
     window of each kind stands for all of that kind.
     """
     found = [np.empty(0, dtype=np.uint32)]
     bits = w if policy.regime == "none" else min(policy.trend_length, w)
+    regulate = regulator(policy, w)
     for first, acts in (((1 << bits) - 1, policy.pricks), (0, policy.props)):
         if acts:
             intended = decisions[first :: 1 << bits]
-            fires = apply_policy(policy, first, w, intended) != intended
+            fires = regulate(first, intended) != intended
             # shifted in place: a firing set can hold 2**(w - 1) windows
             at = np.flatnonzero(fires).astype(np.uint32)
             at <<= np.uint32(bits)
@@ -376,7 +374,7 @@ def step_table(
     """Next-window map over all 2**w states, regulation applied.
 
     For a trend length n > w this is the machine clamped to n = w (see
-    :func:`~ifamarket.regulation.apply_policy`).  The policy reverses
+    :func:`~ifamarket.regulation.regulator`).  The policy reverses
     the decision on the windows where it fires, as :func:`firing` finds.
     """
     step = np.arange(1 << w, dtype=np.uint32)
@@ -624,13 +622,11 @@ class Machine:
         affected = None if self._base is None else self._affected(policy)
         if affected is None:
             return _power(self.step(policy) if step is None else step, self.w)
-        w, decisions = self.w, self.decisions
+        decisions, regulate = self.decisions, regulator(policy, self.w)
         mask, one = np.uint32(self._base.size - 1), np.uint32(1)
         ends = affected
-        for _ in range(w):
-            ends = ((ends << one) & mask) | apply_policy(
-                policy, ends, w, decisions[ends]
-            )
+        for _ in range(self.w):
+            ends = ((ends << one) & mask) | regulate(ends, decisions[ends])
         patched = self._base.copy()
         patched[affected] = ends
         return patched

@@ -10,7 +10,6 @@ output file reproduces that file byte for byte.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from .config import RunConfig
 from .empirical import compare_report, load_price_csv, to_returns
 from .ifa import decode_rule
 from .market import MAX_WINDOW_WIDTH, TickSeries, find_cycle, simulate
-from .regulation import MAX_TREND_LENGTH, RegulationPolicy
+from .regulation import MAX_TREND_LENGTH
 from .reports import (
     fmt,
     render_compare_csv,
@@ -145,15 +144,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fmt_name = args.ticks_format or (
             "bits" if ticks_out.endswith(".bits") else "rle"
         )
-        if fmt_name == "bits" and ticks_out == "-":
-            tickio.write_bits(series, sys.stdout.buffer)
-        elif fmt_name == "bits":
-            with open(ticks_out, "wb") as handle:
-                tickio.write_bits(series, handle)
+        binary = fmt_name == "bits"
+        write = tickio.write_bits if binary else tickio.write_rle
+        if ticks_out == "-":
+            write(series, sys.stdout.buffer if binary else sys.stdout)
         else:
-            text = io.StringIO()
-            tickio.write_rle(series, text)
-            _write_output(ticks_out, text.getvalue())
+            mode, newline = ("wb", None) if binary else ("w", "")
+            with open(ticks_out, mode, newline=newline) as handle:
+                write(series, handle)
     if args.returns_out is not None:
         days = aggregate_days(series, config.ticks_per_day, config.scale)
         lines = [f"# config: {config.to_json()}", "day,return"]

@@ -9,7 +9,7 @@ the realized move is appended, and the window slides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,17 +37,6 @@ class WindowState:
             raise ValueError(
                 f"bits {self.bits:#x} do not fit in {self.width} bits"
             )
-
-    @classmethod
-    def from_moves(cls, moves: Sequence[Move | int]) -> "WindowState":
-        """Pack an oldest-first move sequence."""
-        width = len(moves)
-        bits = 0
-        for age, move in enumerate(reversed(moves)):
-            if int(move) not in (0, 1):
-                raise ValueError(f"non-binary move {move!r}")
-            bits |= int(move) << age
-        return cls(bits=bits, width=width)
 
     def to_moves(self) -> list[Move]:
         """Unpack to an oldest-first move sequence."""
@@ -88,35 +77,6 @@ class CycleReport:
 
     transient_length: int
     cycle_length: int
-
-
-def initial_window(
-    kind: str, w: int, moves: Optional[Sequence[Move | int]] = None
-) -> WindowState:
-    """Build a starting window.
-
-    ``alternating_up_first`` is UP, DOWN, UP, ... oldest-first;
-    ``all_up`` is w UPs; ``custom`` packs ``moves`` (length must be w).
-    """
-    if w < 1:
-        raise ValueError(f"window width must be >= 1, got {w}")
-    if kind == "alternating_up_first":
-        seq = [Move.UP if i % 2 == 0 else Move.DOWN for i in range(w)]
-        return WindowState.from_moves(seq)
-    if kind == "all_up":
-        return WindowState(bits=(1 << w) - 1, width=w)
-    if kind == "custom":
-        if moves is None:
-            raise ValueError("custom initial window requires a move sequence")
-        if len(moves) != w:
-            raise ValueError(
-                f"custom initial window has {len(moves)} moves, expected {w}"
-            )
-        return WindowState.from_moves(moves)
-    raise ValueError(
-        f"unknown initial-window kind {kind!r}; expected "
-        "'alternating_up_first', 'all_up' or 'custom'"
-    )
 
 
 def _machine_for(
@@ -263,19 +223,24 @@ def describe_window(init: WindowState) -> str:
 
 
 def window_from_literal(literal: str, w: int) -> WindowState:
-    """Parse an initial-window literal: a kind name or a U/D string."""
+    """Parse an initial-window literal: a kind name or a U/D string.
+
+    ``alternating`` (or ``alternating_up_first``) is UP, DOWN, UP, ...
+    oldest-first, ``all_up`` is w UPs, and a U/D string of length w gives
+    the moves oldest-first.  This is the one way to build a start window.
+    """
     text = literal.strip()
-    aliases = {
-        "alternating": "alternating_up_first",
-        "alternating_up_first": "alternating_up_first",
-        "all_up": "all_up",
-    }
-    if text in aliases:
-        return initial_window(aliases[text], w)
-    if text and set(text) <= {"U", "D"}:
-        moves = [Move.UP if ch == "U" else Move.DOWN for ch in text]
-        return initial_window("custom", w, moves)
-    raise ValueError(
-        f"bad initial-window literal {literal!r}; expected 'alternating', "
-        "'all_up' or a string of U/D characters of length w"
-    )
+    if text in ("alternating", "alternating_up_first"):
+        text = ("UD" * w)[:w]
+    elif text == "all_up":
+        text = "U" * w
+    elif not text or set(text) - {"U", "D"}:
+        raise ValueError(
+            f"bad initial-window literal {literal!r}; expected 'alternating', "
+            "'all_up' or a string of U/D characters of length w"
+        )
+    elif len(text) != w:
+        raise ValueError(f"custom initial window has {len(text)} moves, expected {w}")
+    # the oldest move is the top bit; a width out of range is WindowState's error
+    bits = int(text.replace("U", "1").replace("D", "0") or "0", 2)
+    return WindowState(bits=bits, width=w)

@@ -79,23 +79,17 @@ class RegulationPolicy:
         return cls(regime, n)
 
 
-def apply_policy(policy: RegulationPolicy, window, w: int, intended):
-    """Realized move(s) for w-bit window(s) and the intended move(s).
+def regulator(policy: RegulationPolicy, w: int) -> Callable:
+    """``regulate(window, intended)``: the realized move(s) under ``policy``.
 
-    The newest min(n, w) window bits stand for the trailing run: the
-    trigger fires when they are all UP (prick) or all DOWN (prop).  For
-    n > w this is the machine clamped to n = w; ``market`` stretches its
-    orbit back to the true one.  The override sets the move opposite to
-    the run, a no-op when the investor already intended that.  Only
+    ``regulate`` takes w-bit window(s) and the move(s) the rule intends
+    there.  The newest min(n, w) window bits stand for the trailing run:
+    the trigger fires when they are all UP (prick) or all DOWN (prop).
+    For n > w this is the machine clamped to n = w; ``market`` stretches
+    its orbit back to the true one.  The override sets the move opposite
+    to the run, a no-op when the investor already intended that.  Only
     operators that a Python int and a numpy array (uint32 windows, uint8
     moves) share are used, so one function serves a tick and a table.
-    """
-    return regulator(policy, w)(window, intended)
-
-
-def regulator(policy: RegulationPolicy, w: int) -> Callable:
-    """``regulate(window, intended)``: :func:`apply_policy` for ``policy`` at ``w``.
-
     Binding the policy once keeps a walk that regulates one window at a
     time from looking it up again on every tick.
     """

@@ -23,7 +23,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 

@@ -20,12 +20,12 @@ from ifamarket import (
     annualize,
     decode_rule,
     find_cycle,
-    initial_window,
     max_deviation,
     rolling_moments,
     simulate,
     summarize_regime,
     survey_rules,
+    window_from_literal,
 )
 from ifamarket.cli import main as cli_main
 
@@ -44,12 +44,12 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def init_alt():
-    return initial_window("alternating_up_first", W)
+    return window_from_literal("alternating_up_first", W)
 
 
 @pytest.fixture(scope="module")
 def init_all_up():
-    return initial_window("all_up", W)
+    return window_from_literal("all_up", W)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from ifamarket.analytics import (
     table1,
 )
 from ifamarket.ifa import decode_rule
-from ifamarket.market import initial_window
+from ifamarket.market import window_from_literal
 from ifamarket.regulation import RegulationPolicy
 
 import oracles
@@ -225,7 +225,7 @@ def test_table1_builds_one_decision_table(monkeypatch):
     # summarized one at a time
     from ifamarket import _engine
 
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     small = dict(ticks_per_day=64, window_days=8)
     calls = []
     decision_table = _engine.decision_table
@@ -260,7 +260,7 @@ def test_table1_rows_without_a_defined_window_report_nan_shapes():
     # rule 255 always decides UP: unregulated, every day returns the same
     # 64 ticks, so no rolling window has a shape, while mean and vol are
     # defined; prick:2 breaks the runs and its row has shapes
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     rows = table1(
         255, 12, init, n_range=range(2, 3), ticks_per_day=64, window_days=8
     )
@@ -284,14 +284,14 @@ def test_table1_rows_share_the_cut_index(monkeypatch):
         return list(map(fn, items))
 
     monkeypatch.setattr(analytics, "ordered_map", inline)
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     rows = table1(54, 12, init, n_range=range(2, 5), ticks_per_day=64, window_days=8)
     assert len(rows) == 7
 
 
 def test_table1_rows_do_not_depend_on_workers():
     # one machine per worker process gives the rows of one shared machine
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     small = dict(ticks_per_day=64, window_days=8, include_both=True)
     serial = table1(54, 12, init, n_range=range(2, 14), workers=1, **small)
     parallel = table1(54, 12, init, n_range=range(2, 14), workers=2, **small)
@@ -303,7 +303,7 @@ def test_table1_rows_do_not_depend_on_workers():
 def test_table1_rows_come_in_policy_order(workers):
     # none first, then each regime by name, each at n in increasing
     # order, whatever order n_range gives them in
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     small = dict(ticks_per_day=64, window_days=8)
     rows = table1(
         54, 12, init, n_range=[4, 2, 3], include_both=True, workers=workers, **small
@@ -322,7 +322,7 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
 
     w = 12
     rule = decode_rule(54)
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     machine = Machine(rule, w)
     base = machine.power(RegulationPolicy("none")).copy()
     for n in range(1, w + 3):
@@ -348,7 +348,7 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
 def test_machine_must_match_rule_and_width():
     from ifamarket.market import Machine
 
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     with pytest.raises(ValueError, match="machine of rule 30 at w 12"):
         summarize_regime(54, 12, init, RegulationPolicy("none"),
                          machine=Machine(decode_rule(30), 12))

@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import ifamarket
-from ifamarket import _engine, empirical, ifa, tickio
+from ifamarket import _engine, empirical, ifa, market, regulation, tickio
 from ifamarket.ifa import Move, decode_rule, encode_rule
-from ifamarket.market import WindowState
+from ifamarket.market import WindowState, window_from_literal
 
 
 def test_decode_54_base4_digits():
@@ -48,13 +51,13 @@ def _decide(rule, window):
     # the engine's pass over an oldest-first window, read by both
     # scalar_decision and decision_table, which must agree
     w = len(window)
-    bits = WindowState.from_moves(window).bits
+    bits = window_from_literal("".join(map(str, window)), w).bits
     decision = _engine.scalar_decision(rule, w)(bits)
     assert decision == _engine.decision_table(rule, w)[bits]
     return Move(decision)
 
 
-def test_process_window_constant_rule():
+def test_decision_of_a_constant_rule():
     # rule 85: every digit 1, i.e. always (next 0, output UP)
     rule = decode_rule(85)
     assert all(rule.output(s, b) == 1 for s in (0, 1) for b in (0, 1))
@@ -62,7 +65,7 @@ def test_process_window_constant_rule():
     assert _decide(rule, [Move.UP, Move.DOWN]) is Move.UP
 
 
-def test_process_window_passthrough_rule():
+def test_decision_of_a_passthrough_rule():
     # rule 27: output = input, state unchanged.  The pass reads the window
     # newest-first, so the decision is the rewritten *oldest* move.
     rule = decode_rule(27)
@@ -74,7 +77,7 @@ def test_process_window_passthrough_rule():
     assert _decide(rule, [Move.UP, Move.DOWN, Move.DOWN]) is Move.UP
 
 
-def test_process_window_rule54_alternating():
+def test_decision_of_rule54_at_the_alternating_window():
     # frozen from the resolved convention; the cycle-length anchor in the
     # acceptance suite is what validates the convention itself
     rule = decode_rule(54)
@@ -99,10 +102,50 @@ def test_public_surface():
         ifa: ("process_window", "enumerate_rules"),
         tickio: ("read_rle", "read_bits"),
         empirical: ("dump_price_csv",),
+        market: ("initial_window",),
+        regulation: ("apply_policy",),
         Move: ("mirror",),
-        WindowState: ("slide",),
+        WindowState: ("slide", "from_moves"),
     }
     for owner, gone in removed.items():
         for name in gone:
             assert name not in names, name
             assert not hasattr(owner, name) and not hasattr(ifamarket, name), name
+    # one way to build a start window, one way to apply a policy
+    assert {"window_from_literal", "regulator"} <= set(names)
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the code reads, string annotations included."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            for part in ast.walk(note) if note else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    read |= _names_read(ast.parse(part.value, mode="eval"))
+    return read
+
+
+@pytest.mark.parametrize(
+    "path",
+    # __init__ imports to export, so it is left out
+    [
+        path
+        for path in sorted(Path(ifamarket.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    ],
+    ids=lambda path: path.name,
+)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    assert sorted(imported - _names_read(tree)) == []

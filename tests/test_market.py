@@ -13,8 +13,8 @@ from ifamarket.ifa import Move, decode_rule
 from ifamarket.market import (
     CycleReport,
     WindowState,
+    describe_window,
     find_cycle,
-    initial_window,
     simulate,
     window_from_literal,
 )
@@ -26,20 +26,20 @@ NONE = RegulationPolicy("none")
 
 
 def test_initial_window_alternating():
-    win = initial_window("alternating_up_first", 4)
+    win = window_from_literal("alternating_up_first", 4)
     assert win.to_moves() == [Move.UP, Move.DOWN, Move.UP, Move.DOWN]
 
 
 def test_initial_window_all_up():
-    assert initial_window("all_up", 3).to_moves() == [Move.UP] * 3
+    assert window_from_literal("all_up", 3).to_moves() == [Move.UP] * 3
 
 
 def test_initial_window_custom():
-    assert initial_window("custom", 1, [Move.DOWN]).to_moves() == [Move.DOWN]
+    assert window_from_literal("D", 1).to_moves() == [Move.DOWN]
     with pytest.raises(ValueError):
-        initial_window("custom", 3, [Move.DOWN])
+        window_from_literal("D", 3)
     with pytest.raises(ValueError):
-        initial_window("diagonal", 3)
+        window_from_literal("diagonal", 3)
 
 
 def test_window_literals():
@@ -52,11 +52,35 @@ def test_window_literals():
         window_from_literal("UD", 3)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30))
-def test_window_state_round_trip(moves):
-    win = WindowState.from_moves(moves)
-    assert [int(m) for m in win.to_moves()] == moves
-    assert win.width == len(moves)
+@given(st.text(alphabet="UD", min_size=1, max_size=30))
+def test_window_state_round_trip(literal):
+    bits = 0
+    for move in literal:  # oldest first, so the newest lands in bit 0
+        bits = 2 * bits + (move == "U")
+    win = window_from_literal(literal, len(literal))
+    assert (win.bits, win.width) == (bits, len(literal))
+    assert describe_window(win) == literal
+
+
+def test_window_kinds_are_their_literals():
+    for w in range(1, 31):
+        alternating = "".join("UD"[i % 2] for i in range(w))
+        for kind, literal in [
+            ("alternating", alternating),
+            ("alternating_up_first", alternating),
+            ("all_up", "U" * w),
+        ]:
+            assert window_from_literal(kind, w) == window_from_literal(literal, w)
+
+
+@pytest.mark.parametrize(
+    "literal, w",
+    [("", 3), ("UDX", 3), ("UDUD", 3), ("UD", 3), ("alternating", 0),
+     ("all_up", 0), ("alternating", 31), ("U" * 31, 31)],
+)
+def test_bad_window_literals(literal, w):
+    with pytest.raises(ValueError):
+        window_from_literal(literal, w)
 
 
 def test_window_state_validation():
@@ -69,13 +93,13 @@ def test_window_state_validation():
 
 
 def test_simulate_zero_ticks():
-    series = simulate(decode_rule(54), 4, initial_window("all_up", 4), NONE, 0)
+    series = simulate(decode_rule(54), 4, window_from_literal("all_up", 4), NONE, 0)
     assert len(series) == 0
     assert series.policy == "none"
 
 
 def test_simulate_rejects_bad_args():
-    init = initial_window("all_up", 4)
+    init = window_from_literal("all_up", 4)
     with pytest.raises(ValueError):
         simulate(decode_rule(54), 5, init, NONE, 3)
     with pytest.raises(ValueError):
@@ -197,20 +221,20 @@ def test_default_span_is_one_orbit_floored(k, w, init_bits, regime, min_ticks, d
 
 
 def test_find_cycle_constant_rule_fixed_point():
-    report = find_cycle(decode_rule(85), 6, initial_window("all_up", 6), NONE)
+    report = find_cycle(decode_rule(85), 6, window_from_literal("all_up", 6), NONE)
     assert report == CycleReport(transient_length=0, cycle_length=1)
 
 
 def test_find_cycle_supports_run_state_wider_than_window():
     rule = decode_rule(54)
-    init = initial_window("all_up", 4)
+    init = window_from_literal("all_up", 4)
     policy = RegulationPolicy("prick", 5)
     report = find_cycle(rule, 4, init, policy)
     assert (report.transient_length, report.cycle_length) == oracles.orbit(
         rule, [1, 1, 1, 1], policy
     )
     # constant UP holds all-UP for n - w = 2 ticks past the clamped machine
-    report = find_cycle(decode_rule(85), 3, initial_window("all_up", 3), policy)
+    report = find_cycle(decode_rule(85), 3, window_from_literal("all_up", 3), policy)
     assert report == CycleReport(transient_length=0, cycle_length=6)
     assert oracles.orbit(decode_rule(85), [1, 1, 1], policy) == (0, 6)
 
@@ -219,7 +243,7 @@ def test_simulate_supports_run_state_wider_than_window():
     # trend length beyond w: all-UP is held n - w ticks past the clamped machine
     rule = decode_rule(85)  # constant UP
     series = simulate(
-        rule, 3, initial_window("all_up", 3), RegulationPolicy("prick", 5), 8
+        rule, 3, window_from_literal("all_up", 3), RegulationPolicy("prick", 5), 8
     )
     # history starts with 3 UPs; runs reach 5 then get pricked
     assert series.moves.tolist() == [1, 1, 0, 1, 1, 1, 1, 1]
@@ -230,7 +254,7 @@ def test_simulate_huge_trend_length_returns_quickly():
     for n in (10**9, 10**18):
         start = time.perf_counter()
         series = simulate(
-            decode_rule(85), 3, initial_window("all_up", 3),
+            decode_rule(85), 3, window_from_literal("all_up", 3),
             RegulationPolicy("prick", n), 50,
         )
         assert series.moves.tolist() == [1] * 50
@@ -239,7 +263,7 @@ def test_simulate_huge_trend_length_returns_quickly():
 
 def test_determinism_same_inputs_same_series():
     rule = decode_rule(54)
-    init = initial_window("alternating_up_first", 12)
+    init = window_from_literal("alternating_up_first", 12)
     policy = RegulationPolicy("both", 3)
     a = simulate(rule, 12, init, policy, 5000)
     b = simulate(rule, 12, init, policy, 5000)
@@ -249,13 +273,13 @@ def test_determinism_same_inputs_same_series():
 def test_state_sufficiency_restart_mid_stream():
     rule = decode_rule(54)
     w = 12
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     policy = RegulationPolicy("prick", 4)
     full = simulate(rule, w, init, policy, 600)
     cut = 250
     # rebuild the window from the realized prefix and resume
     prefix = [int(m) for m in init.to_moves()] + full.moves[:cut].tolist()
-    mid = WindowState.from_moves(prefix[-w:])
+    mid = window_from_literal("".join("DU"[m] for m in prefix[-w:]), w)
     tail = simulate(rule, w, mid, policy, 600 - cut)
     assert tail.moves.tolist() == full.moves[cut:].tolist()
 
@@ -263,7 +287,7 @@ def test_state_sufficiency_restart_mid_stream():
 def test_run_length_bound_under_prick_and_prop():
     rule = decode_rule(54)
     w = 14
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     for n in (2, 5, 9):
         for regime, direction in (("prick", 1), ("prop", 0)):
             policy = RegulationPolicy(regime, n)
@@ -283,7 +307,7 @@ def _run_lengths(moves: np.ndarray, value: int) -> np.ndarray:
     return ends - starts
 
 
-def test_pure_python_walk_fallback(monkeypatch):
+def test_every_rung_matches_the_oracles(monkeypatch):
     # the orbit engine against the brute-force oracles, first with its own
     # limits, then forced onto each path: the scalar walk alone (an
     # unbounded budget) for every walk but runs of 2**w / 8 ticks or more,
@@ -313,7 +337,7 @@ def test_pure_python_walk_fallback(monkeypatch):
             monkeypatch.setattr(_engine, "_DIRECT_EMIT_SHIFT", shift)
         for k, kind, ticks, policy in cases:
             rule = decode_rule(k)
-            init = initial_window(kind, w)
+            init = window_from_literal(kind, w)
             init_moves = [int(m) for m in init.to_moves()]
             report = find_cycle(rule, w, init, policy)
             assert (report.transient_length, report.cycle_length) == oracles.orbit(
@@ -324,9 +348,9 @@ def test_pure_python_walk_fallback(monkeypatch):
                 rule, init_moves, policy, ticks
             )
     rule = decode_rule(54)
-    long_orbit = find_cycle(rule, w, initial_window("all_up", w), prick3)
+    long_orbit = find_cycle(rule, w, window_from_literal("all_up", w), prick3)
     assert long_orbit.transient_length > 0 and long_orbit.cycle_length % w != 0
-    held = find_cycle(decode_rule(156), w, initial_window("all_up", w), prick13)
+    held = find_cycle(decode_rule(156), w, window_from_literal("all_up", w), prick13)
     assert held == CycleReport(transient_length=4, cycle_length=889)
 
 
@@ -334,7 +358,7 @@ def test_cycle_validity_window_recurrence():
     # the reported (t, c) really is a recurrence of the window state
     rule = decode_rule(54)
     w = 10
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     report = find_cycle(rule, w, init, NONE)
     t, c = report.transient_length, report.cycle_length
     realized = simulate(rule, w, init, NONE, t + 2 * c).moves.tolist()
@@ -352,7 +376,7 @@ def _oldest_first(window, w):
     return [(window >> age) & 1 for age in range(w - 1, -1, -1)]
 
 
-def test_scalar_decision_matches_decision_table_and_process_window():
+def test_scalar_decision_matches_decision_table_and_oracle():
     # every window of every rule at w = 1..10, against the table and the
     # oracle's automaton pass over the window
     from ifamarket import _engine
@@ -437,7 +461,7 @@ def test_scalar_walk_stops_at_budget_or_first_repeat():
     from ifamarket import _engine
 
     rule = decode_rule(54)
-    start = initial_window("alternating_up_first", 10).bits
+    start = window_from_literal("alternating_up_first", 10).bits
     first, windows = _engine.walk_scalar(rule, 10, NONE, start, 5)
     assert first is None and len(windows) == 6 and windows[0] == start
     transient, cycle = oracles.orbit(rule, _oldest_first(start, 10), NONE)
@@ -514,7 +538,7 @@ def test_machine_patches_only_a_table_it_holds(monkeypatch):
     assert len(squared) == 1
     # an orbit search past the direct walk (prop:8 from alternating has
     # cycle 2,441 > 2**12 / 64) leaves no table behind either
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     report = find_cycle(
         decode_rule(54), w, init, RegulationPolicy("prop", 8), machine=machine
     )
@@ -535,7 +559,7 @@ def test_direct_walk_continues_the_scalar_walk():
     w = 10
     rule = decode_rule(54)
     policy = RegulationPolicy("prick", 3)
-    start = initial_window("all_up", w).bits
+    start = window_from_literal("all_up", w).bits
     transient, cycle = oracles.orbit(rule, _oldest_first(start, w), policy)
     step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
     whole = _engine.walk_scalar(rule, w, policy, start, transient + cycle)[1]
@@ -593,7 +617,7 @@ def test_short_run_closed_by_the_scalar_walk_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(_engine, "decision_table", no_table)
     w, ticks, policy = 16, 4000, RegulationPolicy("prick", 3)
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     series = simulate(decode_rule(54), w, init, policy, ticks)
     assert series.moves.tolist() == oracles.simulate(
         decode_rule(54), [int(m) for m in init.to_moves()], policy, ticks
@@ -604,7 +628,7 @@ def test_short_run_past_the_scalar_budget_continues_directly():
     # prop:2 at the same size has a cycle of 14,691 ticks: the scalar walk
     # runs out at 512 ticks and the direct walk takes the run to 4,000
     w, ticks, policy = 16, 4000, RegulationPolicy("prop", 2)
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     series = simulate(decode_rule(54), w, init, policy, ticks)
     assert series.moves.tolist() == oracles.simulate(
         decode_rule(54), [int(m) for m in init.to_moves()], policy, ticks
@@ -620,7 +644,7 @@ def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
         pytest.fail("step**w was built")
 
     monkeypatch.setattr(_engine, "_power", no_power)
-    init = initial_window("alternating_up_first", 22)
+    init = window_from_literal("alternating_up_first", 22)
     lengths = [
         find_cycle(decode_rule(54), 22, init, RegulationPolicy("prick", n))
         for n in (7, 8, 9, 10)
@@ -662,7 +686,7 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
 
     monkeypatch.setattr(_engine.Machine, "_cut_run", counted)
     for kind in ("alternating_up_first", "all_up"):
-        init = initial_window(kind, w)
+        init = window_from_literal(kind, w)
         init_moves = [int(m) for m in init.to_moves()]
         machines = [_cutting_machine(decode_rule(k), w, init) for k in (54, 201)]
         runs = []
@@ -705,7 +729,7 @@ def test_cut_runs_from_any_cycle_position_match_the_oracle(data):
     # within the span.  n = w and ``none`` never fire on the held cycle
     w = data.draw(st.integers(6, 12), label="w")
     rule = decode_rule(54)
-    machine = _cutting_machine(rule, w, initial_window("alternating_up_first", w))
+    machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
     first, windows = machine._held
     cycle = [int(x) for x in windows[first + 1 :]]
     size = len(cycle)
@@ -749,7 +773,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     from ifamarket import _engine
 
     w, rule = 12, decode_rule(54)
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     init_moves = [int(m) for m in init.to_moves()]
     machine = _engine.Machine(rule, w)
 
@@ -776,7 +800,7 @@ def test_cycle_moves_follow_the_held_orbit():
     # then hop-walks 7's unregulated orbit of 3,937 holds the new cycle,
     # and its regulated runs gather from that cycle's moves, rebuilt
     w, rule, ticks = 14, decode_rule(54), 5000
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     machine = _cutting_machine(rule, w, init)
     policy = RegulationPolicy("prick", 10)  # a walk that stays on the cycle
     expected = oracles.simulate(rule, _oldest_first(init.bits, w), policy, ticks)
@@ -809,12 +833,12 @@ def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
 
     monkeypatch.setattr(_engine.Machine, "_cut_state", no_index)
     w = 12
-    init = initial_window("alternating_up_first", w)
+    init = window_from_literal("alternating_up_first", w)
     machine = _cutting_machine(decode_rule(54), w, init)
     assert find_cycle(decode_rule(54), w, init, NONE, machine=machine) == CycleReport(
         transient_length=0, cycle_length=oracles.order_of_x(w)
     )
-    assert len(survey_rules(w, initial_window("all_up", w))) == 256
+    assert len(survey_rules(w, window_from_literal("all_up", w))) == 256
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -841,7 +865,7 @@ def test_rule54_cycles_are_the_order_of_x_mod_the_trinomial():
         for p in _prime_factors(order):
             assert oracles.gf2_pow(0b10, order // p, modulus) != 1
         for kind in ("alternating_up_first", "all_up"):
-            report = find_cycle(decode_rule(54), w, initial_window(kind, w), NONE)
+            report = find_cycle(decode_rule(54), w, window_from_literal(kind, w), NONE)
             assert (report.transient_length, report.cycle_length) == (0, order)
     assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
 
@@ -857,7 +881,7 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
 
     w, rule = 22, decode_rule(54)
     modulus = (1 << w) | 0b11
-    history = _oldest_first(initial_window("alternating_up_first", w).bits, w)
+    history = _oldest_first(window_from_literal("alternating_up_first", w).bits, w)
     basis = []
     for _ in range(w):
         basis.append(sum(bit << age for age, bit in enumerate(reversed(history))))
@@ -939,7 +963,7 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
     from ifamarket import _engine
 
     w, rule = 14, decode_rule(54)
-    start = initial_window("alternating_up_first", w).bits
+    start = window_from_literal("alternating_up_first", w).bits
     policy = RegulationPolicy("prick", 5)
     made = []
 
@@ -958,7 +982,7 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
         decisions = _engine.decision_table(rule, w)
         step = _engine.step_table(decisions, w, policy)
         power = _engine._power(step, w)
-        machine = _cutting_machine(rule, w, initial_window("alternating_up_first", w))
+        machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
         first, windows = _engine.walk_orbit(machine.power(NONE), start)
         out = [step, power, windows, *machine._cut_state()]
         assert len(made) == 0 if cores == 1 else len(made) > 0

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from ifamarket._engine import firing
 from ifamarket.ifa import Move
-from ifamarket.regulation import RegulationPolicy, apply_policy
+from ifamarket.regulation import RegulationPolicy, regulator
 
 
 def _window(oldest_first: str) -> int:
@@ -19,22 +19,22 @@ def _up_run(window: int) -> int:
 
 def test_apply_prick_fires_at_threshold():
     policy = RegulationPolicy("prick", 3)
-    assert apply_policy(policy, _window("DDUUU"), 5, Move.UP) == Move.DOWN
-    assert apply_policy(policy, _window("UDDUU"), 5, Move.UP) == Move.UP
+    assert regulator(policy, 5)(_window("DDUUU"), Move.UP) == Move.DOWN
+    assert regulator(policy, 5)(_window("UDDUU"), Move.UP) == Move.UP
     # above threshold also fires (robust to long initial runs)
-    assert apply_policy(policy, _window("UUUUUUU"), 7, Move.UP) == Move.DOWN
+    assert regulator(policy, 7)(_window("UUUUUUU"), Move.UP) == Move.DOWN
     # no-op reversal when the investor already reverses
-    assert apply_policy(policy, _window("DDUUU"), 5, Move.DOWN) == Move.DOWN
+    assert regulator(policy, 5)(_window("DDUUU"), Move.DOWN) == Move.DOWN
     # n > w reads the whole window: the clamped machine fires at all-UP only
     wide = RegulationPolicy("prick", 9)
-    assert apply_policy(wide, _window("UUUU"), 4, Move.UP) == Move.DOWN
-    assert apply_policy(wide, _window("DUUU"), 4, Move.UP) == Move.UP
+    assert regulator(wide, 4)(_window("UUUU"), Move.UP) == Move.DOWN
+    assert regulator(wide, 4)(_window("DUUU"), Move.UP) == Move.UP
 
 
 def test_apply_prop_fires_at_threshold():
     policy = RegulationPolicy("prop", 3)
-    assert apply_policy(policy, _window("UUDDD"), 5, Move.DOWN) == Move.UP
-    assert apply_policy(policy, _window("DUUDD"), 5, Move.DOWN) == Move.DOWN
+    assert regulator(policy, 5)(_window("UUDDD"), Move.DOWN) == Move.UP
+    assert regulator(policy, 5)(_window("DUUDD"), Move.DOWN) == Move.DOWN
 
 
 def test_apply_none_is_identity():
@@ -42,7 +42,7 @@ def test_apply_none_is_identity():
     for w in (1, 4, 9):
         for window in range(1 << w):
             for intended in (Move.UP, Move.DOWN):
-                assert apply_policy(policy, window, w, intended) is intended
+                assert regulator(policy, w)(window, intended) is intended
 
 
 def test_apply_policy_tables_match_single_windows():
@@ -54,9 +54,9 @@ def test_apply_policy_tables_match_single_windows():
     for regime in ("none", "prick", "prop", "both"):
         for n in range(1, w + 3):
             policy = RegulationPolicy(regime, None if regime == "none" else n)
-            table = apply_policy(policy, windows, w, decisions)
+            table = regulator(policy, w)(windows, decisions)
             ticks = [
-                int(apply_policy(policy, int(x), w, int(d)))
+                int(regulator(policy, w)(int(x), int(d)))
                 for x, d in zip(windows, decisions)
             ]
             assert table.tolist() == ticks
@@ -80,10 +80,9 @@ def test_mirror_symmetry_of_mechanism(regime, n, w, bits, intended):
     mask = (1 << w) - 1
     window = bits & mask
     mirrored_regime = {"prick": "prop", "prop": "prick", "both": "both"}[regime]
-    lhs = apply_policy(
-        RegulationPolicy(mirrored_regime, n), window ^ mask, w, Move(1 - intended)
-    )
-    rhs = 1 - apply_policy(RegulationPolicy(regime, n), window, w, intended)
+    mirrored = regulator(RegulationPolicy(mirrored_regime, n), w)
+    lhs = mirrored(window ^ mask, Move(1 - intended))
+    rhs = 1 - regulator(RegulationPolicy(regime, n), w)(window, intended)
     assert lhs == rhs
 
 
@@ -95,9 +94,9 @@ def test_mirror_symmetry_of_mechanism(regime, n, w, bits, intended):
 )
 def test_both_agrees_with_whichever_single_regime_fires(n, w, bits, intended):
     window = bits & ((1 << w) - 1)
-    both = apply_policy(RegulationPolicy("both", n), window, w, intended)
-    prick = apply_policy(RegulationPolicy("prick", n), window, w, intended)
-    prop = apply_policy(RegulationPolicy("prop", n), window, w, intended)
+    both = regulator(RegulationPolicy("both", n), w)(window, intended)
+    prick = regulator(RegulationPolicy("prick", n), w)(window, intended)
+    prop = regulator(RegulationPolicy("prop", n), w)(window, intended)
     # a trailing run has one direction, so at most one trigger fires
     assert both == (prick if prick != intended else prop)
 
@@ -106,7 +105,7 @@ def test_prick_caps_new_run_length():
     policy = RegulationPolicy("prick", 4)
     for w in range(1, 13):
         for window in range(1 << w):
-            realized = apply_policy(policy, window, w, Move.UP)
+            realized = regulator(policy, w)(window, Move.UP)
             new_run = _up_run(window) + 1 if realized == Move.UP else 0
             assert new_run <= 4 or realized == Move.DOWN
 

@@ -1,7 +1,7 @@
 import pytest
 
 from ifamarket.ifa import decode_rule
-from ifamarket.market import initial_window
+from ifamarket.market import window_from_literal
 from ifamarket.survey import (
     classify_rule,
     compression_ratio,
@@ -16,26 +16,26 @@ import numpy as np
 
 
 def test_constant_rule_is_fixed():
-    row = classify_rule(85, 10, initial_window("all_up", 10))
+    row = classify_rule(85, 10, window_from_literal("all_up", 10))
     assert row.rule_class == "fixed"
     assert row.cycle_length == 1
 
 
 def test_passthrough_rule_from_all_up_is_fixed():
     # output = input keeps an all-UP window all-UP forever
-    row = classify_rule(27, 8, initial_window("all_up", 8))
+    row = classify_rule(27, 8, window_from_literal("all_up", 8))
     assert row.rule_class == "fixed"
     assert row.cycle_length == 1
 
 
 def test_rule54_complex_at_small_w():
-    row = classify_rule(54, 12, initial_window("all_up", 12))
+    row = classify_rule(54, 12, window_from_literal("all_up", 12))
     assert row.rule_class == "complex"
     assert row.cycle_length >= (1 << 12) // 4
 
 
 def test_survey_small_w_complete_cover():
-    rows = survey_rules(8, initial_window("all_up", 8))
+    rows = survey_rules(8, window_from_literal("all_up", 8))
     assert len(rows) == 256
     assert [r.rule_number for r in rows] == list(range(256))
     for row in rows:
@@ -47,7 +47,7 @@ def test_survey_small_w_complete_cover():
 
 
 def test_survey_deterministic_given_thresholds():
-    init = initial_window("all_up", 8)
+    init = window_from_literal("all_up", 8)
     a = survey_rules(8, init)
     b = survey_rules(8, init)
     assert a == b
@@ -67,7 +67,7 @@ def test_sweep_window_takes_the_init_alias():
 
 
 def test_survey_rows_do_not_depend_on_workers():
-    init = initial_window("all_up", 10)
+    init = window_from_literal("all_up", 10)
     assert survey_rules(10, init, workers=2) == survey_rules(10, init, workers=1)
 
 
@@ -107,7 +107,7 @@ def test_decides_alike_is_decision_table_equality(w):
 @pytest.mark.parametrize("w", range(1, 13))
 def test_survey_rows_are_the_rows_of_each_rule(w, kind):
     # one row per machine, fanned out, is the row of every rule number
-    init = initial_window(kind, w)
+    init = window_from_literal(kind, w)
     each = [classify_rule(k, w, init) for k in range(256)]
     assert survey_rules(w, init, workers=1) == each
     assert survey_rules(w, init, workers=2) == each
@@ -127,7 +127,7 @@ def test_rule54_sweep_exceptional_windows():
 
 def test_any_rule_w1_cycle_at_most_two():
     for k in (0, 54, 85, 170, 255):
-        row = classify_rule(k, 1, initial_window("all_up", 1))
+        row = classify_rule(k, 1, window_from_literal("all_up", 1))
         assert row.cycle_length <= 2
 
 
@@ -167,7 +167,7 @@ def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
 
     monkeypatch.setattr(_engine, "decision_table", counting_decision_table)
     monkeypatch.setattr(_engine, "step_table", counting_step_table)
-    rows = survey_rules(22, initial_window("all_up", 22))
+    rows = survey_rules(22, window_from_literal("all_up", 22))
     assert built == [54, "step"]
     long_orbits = [
         row.rule_number
@@ -193,7 +193,7 @@ def test_classify_rule_ratio_from_the_cycle_moves(monkeypatch, path):
     none = RegulationPolicy("none")
     for k in (27, 30, 54, 99, 110, 156):
         rule = decode_rule(k)
-        init = initial_window("alternating_up_first", 9)
+        init = window_from_literal("alternating_up_first", 9)
         init_moves = [int(m) for m in init.to_moves()]
         transient, cycle = oracles.orbit(rule, init_moves, none)
         moves = oracles.simulate(rule, init_moves, none, transient + cycle)
