@@ -49,6 +49,16 @@ COMMANDS = [
         "--policy", "prick:13",
     ]),
     ("compare-rule30", ["compare", "--rule", "30", "--w", "12"]),
+    # runs of 2**w / 8 ticks or more at a small w: the first closes within
+    # the 4w-tick scalar probe (29 ticks), the second outlasts it and hops
+    ("simulate-rule110-both2", [
+        "simulate", "--rule", "110", "--w", "10", "--init", "all_up",
+        "--policy", "both:2", "--ticks", "2000",
+    ]),
+    ("simulate-rule54-prick4", [
+        "simulate", "--rule", "54", "--w", "10", "--policy", "prick:4",
+        "--ticks", "2000",
+    ]),
 ]
 
 

@@ -23,7 +23,12 @@ one cycle, is that one walk, whose windows :func:`tile` turns into
 moves.  The second takes a run of a given span: a short one as a scalar
 then direct walk of at most its ticks, tiled in the same way, and a long
 one as a cut of the held cycle (below) or as :func:`walk_emit`, the hop
-walk of a run, which returns the moves alone.
+walk of a run, which returns the moves alone.  Neither builds a table
+for an orbit that closes within 4w ticks: the orbit search and a short
+run never take the scalar walk for fewer ticks, and a long run first
+probes its orbit with 4w scalar ticks, about 50 us at w = 22, against
+a decision table, a step table and step**w; :meth:`Machine.share`
+builds nothing for runs whose probes all close.
 
 A regulated walk is the unregulated one, cut where the policy fires (at
 the windows that :func:`firing` finds, the one place that does) and
@@ -79,10 +84,20 @@ from .regulation import RegulationPolicy, regulator
 
 # The scalar walk's budget, 2**w / (8w) ticks, weighs a table-free walk
 # against the decision and step tables it would otherwise build.  At
-# w = 22 on a 2-core x86 host (numpy 2.4, one process) its 23,832 ticks
-# take 1.1-1.2 us each, 26-29 ms, against 12-26 ms for the two tables; a
-# change of it needs its own before/after benchmark.
+# w = 22 on a 2-core x86 host (Python 3.11, numpy 2.4) its 23,832 ticks
+# take 12.8-15.0 ms, 0.54-0.63 us a tick (rule 54 from alternating, none
+# and prick:12, min and median of 7 walks in each of 2 processes),
+# against 12-26 ms for the two tables; a change of it needs its own
+# before/after benchmark.
 _TABLE_PATH_MIN_TICKS_FACTOR = 8
+
+# No router builds a table before the scalar walk has taken this many
+# ticks per window bit: 4w ticks, 88 at w = 22, cost about 50 us, and
+# below w = 13 they are more than 2**w / (8w).  A long run probes this
+# far before it cuts or hops.  An O(w) probe stays cheap against the
+# tables at every w; a 4w**2 one (1,936 ticks) cost ``table1 --w 22``
+# 0.17 s over its 38 regulated rows.
+_PROBE_TICKS_PER_BIT = 4
 
 # A run of 2**w >> 3 ticks or more hops through step**w rather than walk
 # the step table a tick at a time: the hops pay for the squaring up
@@ -180,8 +195,10 @@ def _in_pieces(size: int, task: Callable[[int, int], None], width: int = 1) -> N
 
 
 def _scalar_budget(w: int) -> int:
-    """Ticks a table-free walk may take: about the cost of the tables."""
-    return -(-(1 << w) // (_TABLE_PATH_MIN_TICKS_FACTOR * w))
+    """Ticks a table-free walk may take: about the cost of the tables, and
+    never fewer than the probe's 4w (so from w = 13 on, the cost alone)."""
+    tables = -(-(1 << w) // (_TABLE_PATH_MIN_TICKS_FACTOR * w))
+    return max(tables, _PROBE_TICKS_PER_BIT * w)
 
 
 def scalar_decision(rule: IfaRule, w: int) -> Callable[[int], int]:
@@ -658,15 +675,25 @@ class Machine:
             self._cut = pos, moves
         return self._cut
 
-    def share(self, num_ticks: int) -> None:
-        """Build now what runs of ``num_ticks`` ticks on the machine share.
+    def share(
+        self, policies: Sequence[RegulationPolicy], start: int, num_ticks: int
+    ) -> None:
+        """Build now what the runs of ``policies`` from ``start``, of
+        ``num_ticks`` ticks each, share.
 
         A long run cuts the held cycle, with its cut state, or else hops
         through a patch of the unregulated step**w (see :meth:`power`).
         Processes forked after this inherit these instead of each building
-        its own; for short runs nothing is built.
+        its own.  Nothing is built for short runs, nor where the probe of
+        :meth:`run` closes every policy's orbit.
         """
-        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
+        probe = _PROBE_TICKS_PER_BIT * self.w
+        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT or num_ticks <= probe:
+            return
+        if all(
+            walk_scalar(self.rule, self.w, policy, start, probe)[0] is not None
+            for policy in policies
+        ):
             return
         if self._held is not None:
             self._cut_state()
@@ -797,23 +824,26 @@ class Machine:
         """Realized moves of ``num_ticks`` ticks from ``start``.
 
         A span the caller gives: a default one, transient + one cycle, is
-        the walk of :meth:`orbit`, tiled.  Runs shorter than 2**w >>
-        ``_DIRECT_EMIT_SHIFT`` ticks take the scalar walk for as many of
-        their ticks as ``_scalar_budget(w)`` allows and the step table
-        walked directly for the rest, so they build no table if the scalar
-        walk closes the orbit or runs out of ticks first; a walk that
-        closes tiles its cycle over the ticks left.
-        Longer runs are cuts of the held unregulated cycle if the machine
-        holds one and the run stays on it (see :meth:`_cut_run`), copied
-        from the cycle's moves.  Runs off the held cycle hop through
+        the walk of :meth:`orbit`, tiled.  Every run takes the scalar walk
+        first: a run shorter than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks for
+        as many of its ticks as ``_scalar_budget(w)`` allows, a longer one
+        for a probe of 4w ticks.  If the walk closes the orbit or runs out
+        of ticks first, its cycle is tiled over the ticks left and no table
+        is built.  Otherwise a short run walks the step table directly for
+        the rest.  A long run is a cut of the held unregulated cycle if the
+        machine holds one and the run stays on it (see :meth:`_cut_run`),
+        copied from the cycle's moves.  Runs off the held cycle hop through
         step**w, which costs a few passes over the table, or a patch, but
         then only one Python step per w ticks.
         """
-        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT:
-            budget = min(_scalar_budget(self.w), num_ticks)
-            first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
-            if first is None and budget < num_ticks:
-                first, windows = walk_direct(self.step(policy), windows, num_ticks)
+        short = num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT
+        budget = _scalar_budget(self.w) if short else _PROBE_TICKS_PER_BIT * self.w
+        budget = min(budget, num_ticks)
+        first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
+        if first is not None or budget == num_ticks:
+            return tile(first, windows, num_ticks)
+        if short:
+            first, windows = walk_direct(self.step(policy), windows, num_ticks)
             return tile(first, windows, num_ticks)
         if self._held is not None:
             moves = self._cut_run(policy, start, num_ticks)

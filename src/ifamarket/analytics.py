@@ -283,9 +283,10 @@ def table1(
         for n in trend_lengths
     ]
     # the unregulated row walks here, first, and sets the span; what the
-    # rows' runs of that span share is then built in the machine that the
-    # workers inherit or receive, so none builds its own
+    # rows' runs of that span share, if any of them needs a table, is then
+    # built in the machine that the workers inherit or receive, so none
+    # builds its own
     unregulated = row(RegulationPolicy("none"), ticks=ticks)
-    machine.share(unregulated.ticks)
+    machine.share(policies, init.bits, unregulated.ticks)
     row = partial(row, ticks=unregulated.ticks)
     return [unregulated] + ordered_map(row, policies, workers)

@@ -122,7 +122,8 @@ def _stretch(
 ) -> np.ndarray:
     """``extra`` for each tick of a clamped run that leaves a held window, else 0."""
     w = init.width
-    history = np.concatenate((np.array(init.to_moves(), dtype=np.uint8), moves))
+    ages = np.arange(w - 1, -1, -1)  # oldest first
+    history = np.concatenate((((init.bits >> ages) & 1).astype(np.uint8), moves))
     added = np.zeros(moves.size, dtype=np.int64)
     for move in held:
         # seen[i + w] - seen[i] counts the move in the window before tick i
@@ -169,9 +170,9 @@ def simulate(
     transient + one full cycle of the policy's own orbit, floored at
     ``min_ticks``: one orbit walk, as :func:`find_cycle` takes, whose
     windows are tiled into the moves.  A given span is
-    :meth:`~ifamarket._engine.Machine.run` of the machine: a short run
-    builds no table.  A trend length n > w runs the machine clamped to
-    n = w, then adds its holds.
+    :meth:`~ifamarket._engine.Machine.run` of the machine: a short run,
+    or one whose orbit closes within 4w ticks, builds no table.  A trend
+    length n > w runs the machine clamped to n = w, then adds its holds.
     """
     machine = _machine_for(rule, w, init, machine)
     if num_ticks is not None and num_ticks < 0:
@@ -209,17 +210,21 @@ def find_cycle(
 
     The orbit is :meth:`~ifamarket._engine.Machine.orbit` of
     ``machine`` (a new one if None), which walks without tables for up
-    to about 2**w / (8w) ticks and builds them only for an orbit that
-    lasts longer; the default span of :func:`simulate` tiles this walk.
+    to about 2**w / (8w) ticks, and at least 4w, and builds them only for
+    an orbit that lasts longer; the default span of :func:`simulate`
+    tiles this walk.
     A trend length n > w walks the machine clamped to n = w, then adds
     its holds to the moves of that walk.
     """
     return _orbit(_machine_for(rule, w, init, machine), init, policy)[0]
 
 
+_MOVE_LETTERS = str.maketrans("01", "DU")
+
+
 def describe_window(init: WindowState) -> str:
     """Compact descriptor used in metadata: e.g. ``UDUD`` oldest-first."""
-    return "".join(str(m) for m in init.to_moves())
+    return format(init.bits, f"0{init.width}b").translate(_MOVE_LETTERS)
 
 
 def window_from_literal(literal: str, w: int) -> WindowState:

@@ -240,13 +240,21 @@ def test_table1_builds_one_decision_table(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # rule 30 decides differently from automaton state 1, so a table
-    # built from the wrong state would show in the rows
+    # built from the wrong state would show in the rows.  Its orbits here
+    # close within 4w ticks, so its rows build a table only with the
+    # probe of Machine.run switched off
     short_days = dict(ticks_per_day=5, window_days=8)
+    probed = table1(
+        30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
+    )
+    assert len(calls) == 0
+    monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
     rows = table1(
         30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
     )
     assert len(calls) == 1
     monkeypatch.undo()
+    assert probed == rows
     expected = [
         summarize_regime(
             decode_rule(30), 12, init, RegulationPolicy.parse(p), 600, **short_days
@@ -254,6 +262,24 @@ def test_table1_builds_one_decision_table(monkeypatch):
         for p in ["none", "prick:2", "prick:3", "prick:4", "prop:2", "prop:3", "prop:4"]
     ]
     assert rows == expected
+
+
+def test_table1_builds_no_table_where_every_orbit_closes_within_4w_ticks(monkeypatch):
+    # rule 150 at w = 16 closes every orbit from alternating within 64
+    # ticks, while its rows run 524,288 ticks each, far past 2**w / 8:
+    # each row tiles its probe, and the machine shares no table
+    from ifamarket import _engine
+
+    def no_table(*args):
+        pytest.fail("a decision table was built")
+
+    init = window_from_literal("alternating_up_first", 16)
+    monkeypatch.setattr(_engine, "decision_table", no_table)
+    rows = table1(150, 16, init, workers=1)
+    monkeypatch.undo()
+    assert len(rows) == 39 and {row.ticks for row in rows} == {256 * 2048}
+    monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
+    assert table1(150, 16, init, workers=1) == rows
 
 
 def test_table1_rows_without_a_defined_window_report_nan_shapes():

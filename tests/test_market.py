@@ -166,7 +166,8 @@ def test_trend_longer_than_window_matches_reference(
     # engine path, against the oracles that track the whole history.
     # "direct" finds every orbit by the direct walk on the step table,
     # "table" and "hop" search every orbit through step**w, which
-    # "route" gets by a patch of the unregulated one or by squaring
+    # "route" gets by a patch of the unregulated one or by squaring; all
+    # but "scalar" switch off the 4w-tick probe of long runs
     from ifamarket import _engine
 
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
@@ -177,6 +178,8 @@ def test_trend_longer_than_window_matches_reference(
         if path != "auto":
             budget = 1 << 62 if path == "scalar" else 0
             mp.setattr(_engine, "_scalar_budget", lambda w: budget)
+            if budget == 0:
+                mp.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
         if path == "direct":
             mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 0)
         if path in ("table", "hop"):
@@ -311,9 +314,10 @@ def test_every_rung_matches_the_oracles(monkeypatch):
     # the orbit engine against the brute-force oracles, first with its own
     # limits, then forced onto each path: the scalar walk alone (an
     # unbounded budget) for every walk but runs of 2**w / 8 ticks or more,
-    # which hop, the tables walked tick by tick up to 2**w ticks
-    # (budget 0, emit shift 0), and the tables with every walk hopping w
-    # ticks at a time through step**w (budget 0, emit shift 64)
+    # which hop past their 4w-tick probe, the tables walked tick by tick
+    # up to 2**w ticks (budget 0, emit shift 0), and the tables with every
+    # walk hopping w ticks at a time through step**w (budget 0, emit shift
+    # 64); budget 0 also switches the probe off
     from ifamarket import _engine
 
     w = 10
@@ -333,6 +337,8 @@ def test_every_rung_matches_the_oracles(monkeypatch):
     for budget, shift in ((None, None), (1 << 62, None), (0, 0), (0, 64)):
         if budget is not None:
             monkeypatch.setattr(_engine, "_scalar_budget", lambda w: budget)
+            if budget == 0:
+                monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
         if shift is not None:
             monkeypatch.setattr(_engine, "_DIRECT_EMIT_SHIFT", shift)
         for k, kind, ticks, policy in cases:
@@ -635,6 +641,87 @@ def test_short_run_past_the_scalar_budget_continues_directly():
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=255),
+    w=st.integers(min_value=1, max_value=14),
+    start=st.integers(min_value=0, max_value=(1 << 14) - 1),
+    regime=st.sampled_from(["none", "prick", "prop", "both"]),
+    data=st.data(),
+)
+def test_no_table_for_an_orbit_within_4w_ticks(k, w, start, regime, data):
+    # wherever the oracle's orbit closes within 4w ticks, n <= w or n > w,
+    # no router builds a decision table: not find_cycle, not the default
+    # span, and neither a short run nor a long one, on either side of
+    # 2**w >> 3 ticks; every walk gives the oracle's moves either way
+    from ifamarket import _engine
+
+    rule = decode_rule(k)
+    n = data.draw(st.integers(min_value=1, max_value=w + 4), label="n")
+    policy = NONE if regime == "none" else RegulationPolicy(regime, n)
+    init = WindowState(bits=start & ((1 << w) - 1), width=w)
+    init_moves = [int(m) for m in init.to_moves()]
+    transient, cycle = oracles.orbit(rule, init_moves, policy)
+    edge = (1 << w) >> 3
+    short = data.draw(st.integers(min_value=0, max_value=max(edge - 1, 0)), label="short")
+    long = data.draw(st.integers(min_value=edge, max_value=edge + 8 * w), label="long")
+    min_ticks = data.draw(st.integers(min_value=0, max_value=2 * edge), label="min_ticks")
+
+    def no_table(*args):
+        pytest.fail("a decision table was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        if transient + cycle <= 4 * w:
+            mp.setattr(_engine, "decision_table", no_table)
+        report = find_cycle(rule, w, init, policy)
+        default = simulate(rule, w, init, policy, None, min_ticks=min_ticks)
+        runs = {ticks: simulate(rule, w, init, policy, ticks) for ticks in (short, long)}
+    assert (report.transient_length, report.cycle_length) == (transient, cycle)
+    assert len(default) == max(transient + cycle, min_ticks)
+    runs[len(default)] = default
+    for ticks, series in runs.items():
+        assert series.moves.tolist() == oracles.simulate(rule, init_moves, policy, ticks)
+
+
+@pytest.mark.parametrize("w", range(1, 31))
+def test_stretch_reads_the_start_window_from_its_bits(w):
+    # the held-window counts of a trend length n > w, from a start window
+    # of any width, a multiple of 8 or not, equal the counts over the
+    # history that WindowState.to_moves spells out
+    from ifamarket.market import _stretch
+
+    rng = random.Random(w)
+    for bits in {0, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)}:
+        init = WindowState(bits=bits, width=w)
+        moves = np.array([rng.getrandbits(1) for _ in range(3 * w)], dtype=np.uint8)
+        moves[w : 2 * w] = bits & 1  # a run that fills the window
+        history = [int(m) for m in init.to_moves()] + moves.tolist()
+        for held in ([0], [1], [1, 0]):
+            expected = [
+                7 if any(history[t : t + w] == [move] * w for move in held) else 0
+                for t in range(moves.size)
+            ]
+            assert _stretch(init, moves, held, 7).tolist() == expected
+
+
+@pytest.mark.parametrize("w", [7, 8, 16, 17])
+def test_trend_longer_than_the_window_matches_the_oracle_at_byte_widths(w):
+    # rule 156 decides UP at all-UP, so prick:n with n > w holds it
+    rule, policy = decode_rule(156), RegulationPolicy("prick", w + 3)
+    for kind in ("all_up", "alternating"):
+        init = window_from_literal(kind, w)
+        init_moves = [int(m) for m in init.to_moves()]
+        for ticks in (50, (1 << w) >> 3, None):
+            series = simulate(rule, w, init, policy, ticks)
+            assert series.moves.tolist() == oracles.simulate(
+                rule, init_moves, policy, len(series)
+            )
+        report = find_cycle(rule, w, init, policy)
+        assert (report.transient_length, report.cycle_length) == oracles.orbit(
+            rule, init_moves, policy
+        )
+
+
 def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
     # rule 54 at w = 22 under prick:7..10 closes in 43,818 to 61,499
     # ticks: past the scalar budget, within the direct walk, so no step**w
@@ -672,10 +759,12 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
     # and a run past the orbit's end, walked as cuts of the held
     # unregulated cycle, against the oracles.  At w = 6 and 7, x^w + x + 1
     # is primitive, the cycle holds every nonzero window, and no run
-    # leaves it; at w = 14 some do, and hop
+    # leaves it; at w = 14 some do, and hop.  With the probe off, a run
+    # whose orbit closes within 4w ticks is cut too
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
+    monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
     taken = {"cut": 0, "ladder": 0}
     cut_run = _engine.Machine._cut_run
 
