@@ -3,7 +3,7 @@ two-symbol iterated finite automata, with trend-reversal regulation
 overlays and rolling-moment analytics.
 """
 
-from .ifa import Move, IfaRule, decode_rule, encode_rule
+from .ifa import IfaRule, decode_rule, encode_rule
 from .market import (
     CycleReport,
     TickSeries,
@@ -32,7 +32,6 @@ from .config import RunConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "Move",
     "IfaRule",
     "decode_rule",
     "encode_rule",

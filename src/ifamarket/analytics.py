@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._engine import ordered_map
-from .ifa import IfaRule, decode_rule
+from .ifa import IfaRule
 from .market import Machine, TickSeries, WindowState, simulate
 from .regulation import RegulationPolicy
 
@@ -192,7 +192,7 @@ def quantile_summary(series: Sequence[float] | np.ndarray) -> tuple[float, ...]:
 
 
 def summarize_regime(
-    rule: IfaRule | int,
+    rule: IfaRule,
     w: int,
     init: WindowState,
     policy: RegulationPolicy,
@@ -212,8 +212,6 @@ def summarize_regime(
     at this w (a new one if None).  A row whose every window has zero
     variance has defined mean and vol but NaN shape deviations.
     """
-    if isinstance(rule, int):
-        rule = decode_rule(rule)
     floor = window_days * ticks_per_day
     series = simulate(rule, w, init, policy, ticks, min_ticks=floor, machine=machine)
     days = aggregate_days(series, ticks_per_day=ticks_per_day, scale=scale)
@@ -235,7 +233,7 @@ def summarize_regime(
 
 
 def table1(
-    rule: IfaRule | int,
+    rule: IfaRule,
     w: int,
     init: WindowState,
     n_range: Iterable[int] = range(2, 21),
@@ -260,8 +258,6 @@ def table1(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if isinstance(rule, int):
-        rule = decode_rule(rule)
     machine = Machine(rule, w)
     row = partial(
         summarize_regime,

@@ -34,6 +34,7 @@ from .reports import (
     render_survey_csv,
     render_table1_csv,
 )
+from .survey import DEFAULT_COMPRESSION_THRESHOLD, DEFAULT_LONG_CYCLE_FRACTION
 from .survey import survey_rules, sweep_window
 from . import tickio
 
@@ -323,11 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument(
         "--sweep-w", metavar="LO:HI", help="sweep windows for --rule instead"
     )
-    p_survey.add_argument("--long-cycle-fraction", type=float, default=0.25)
-    p_survey.add_argument("--compression-threshold", type=float, default=0.9)
     p_survey.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1, help="parallel workers"
+        "--long-cycle-fraction", type=float, default=DEFAULT_LONG_CYCLE_FRACTION
     )
+    p_survey.add_argument(
+        "--compression-threshold", type=float, default=DEFAULT_COMPRESSION_THRESHOLD
+    )
+    # a pool only takes a core from the one job that dominates a survey
+    p_survey.add_argument("--workers", type=int, default=1, help="parallel workers")
     p_survey.add_argument("--out", metavar="FILE", help="default: stdout")
     p_survey.set_defaults(func=_cmd_survey)
 

@@ -24,18 +24,6 @@ is anchored on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
-
-
-class Move(IntEnum):
-    """A binary market movement."""
-
-    DOWN = 0
-    UP = 1
-
-    def __str__(self) -> str:  # "U" / "D", used by exports and the CLI
-        return "U" if self is Move.UP else "D"
-
 
 # (state, symbol) pairs in canonical digit order, most significant first.
 _PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))

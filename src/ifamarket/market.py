@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._engine import Machine, realized, scalar_decision, tile
-from .ifa import IfaRule, Move
+from .ifa import IfaRule
 from .regulation import RegulationPolicy, regulator
 
 MAX_WINDOW_WIDTH = 30  # dense 2**w uint32 tables must fit in memory
@@ -37,13 +37,6 @@ class WindowState:
             raise ValueError(
                 f"bits {self.bits:#x} do not fit in {self.width} bits"
             )
-
-    def to_moves(self) -> list[Move]:
-        """Unpack to an oldest-first move sequence."""
-        return [
-            Move((self.bits >> age) & 1)
-            for age in range(self.width - 1, -1, -1)
-        ]
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,8 @@ def _stretch(
 
 def _orbit(
     machine: Machine, init: WindowState, policy: RegulationPolicy
-) -> tuple[CycleReport, int, Sequence[int]]:
-    """:func:`find_cycle`'s report, and ``(first, windows)`` of its walk."""
+) -> tuple[CycleReport, int, Sequence[int], list[int]]:
+    """:func:`find_cycle`'s report, ``(first, windows)`` of its walk, its held moves."""
     first, windows = machine.orbit(policy, init.bits)
     transient, cycle = first, len(windows) - 1 - first
     held = _held_moves(machine.rule, machine.w, policy)
@@ -147,7 +140,7 @@ def _orbit(
             cycle + int(added[transient:].sum()),
         )
     report = CycleReport(transient_length=transient, cycle_length=cycle)
-    return report, first, windows
+    return report, first, windows, held
 
 
 def simulate(
@@ -178,13 +171,13 @@ def simulate(
     if num_ticks is not None and num_ticks < 0:
         raise ValueError(f"num_ticks must be >= 0, got {num_ticks}")
     if num_ticks is None:
-        report, first, windows = _orbit(machine, init, policy)
+        report, first, windows, held = _orbit(machine, init, policy)
         num_ticks = max(report.transient_length + report.cycle_length, min_ticks)
         # the holds below only lengthen it: num_ticks clamped moves suffice
         moves = tile(first, windows, num_ticks)
     else:
         moves = machine.run(policy, init.bits, num_ticks)
-    held = _held_moves(rule, w, policy)
+        held = _held_moves(rule, w, policy)
     if held:
         # a hold repeats the move before the tick it delays; holds are
         # capped at num_ticks, and only the ticks kept are expanded

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .analytics import RegimeSummary, RollingMoments
 from .config import RunConfig
@@ -64,14 +64,12 @@ def render_table1_csv(rows: Sequence[RegimeSummary], config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_survey_csv(
-    rows: Sequence[RuleClassification], config: Optional[RunConfig] = None
-) -> str:
-    lines = []
-    if config is not None:
-        lines.append(f"# init: {config.init}")
-        lines.append(f"# config: {config.to_json()}")
-    lines.append("rule,w,transient,cycle_length,compression_ratio,class")
+def render_survey_csv(rows: Sequence[RuleClassification], config: RunConfig) -> str:
+    lines = [
+        f"# init: {config.init}",
+        f"# config: {config.to_json()}",
+        "rule,w,transient,cycle_length,compression_ratio,class",
+    ]
     for row in rows:
         lines.append(
             f"{row.rule_number},{row.w},{row.transient_length},"

@@ -57,15 +57,13 @@ def compression_ratio(moves: np.ndarray) -> float:
 
 
 def classify_rule(
-    rule: IfaRule | int,
+    rule: IfaRule,
     w: int,
     init: WindowState,
     long_cycle_fraction: float = DEFAULT_LONG_CYCLE_FRACTION,
     compression_threshold: float = DEFAULT_COMPRESSION_THRESHOLD,
 ) -> RuleClassification:
     """Classify one rule from its unregulated orbit out of ``init``."""
-    if isinstance(rule, int):
-        rule = decode_rule(rule)
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
     # one walk gives the orbit and its moves
@@ -157,7 +155,7 @@ def survey_rules(
         compression_threshold=compression_threshold,
     )
     groups = machine_groups(w)
-    rows = ordered_map(classify, [group[0] for group in groups], workers)
+    rows = ordered_map(classify, [decode_rule(group[0]) for group in groups], workers)
     by_number = {}
     for group, row in zip(groups, rows):
         for number in group:
@@ -166,14 +164,14 @@ def survey_rules(
 
 
 def _classify_at(
-    rule: IfaRule | int, init_kind: str, fraction: float, threshold: float, w: int
+    rule: IfaRule, init_kind: str, fraction: float, threshold: float, w: int
 ) -> RuleClassification:
     init = window_from_literal(init_kind, w)
     return classify_rule(rule, w, init, fraction, threshold)
 
 
 def sweep_window(
-    rule: IfaRule | int,
+    rule: IfaRule,
     w_range: Iterable[int],
     init_kind: str = "all_up",
     long_cycle_fraction: float = DEFAULT_LONG_CYCLE_FRACTION,
@@ -190,10 +188,8 @@ def sweep_window(
     return ordered_map(classify, list(w_range), workers)
 
 
-def state_swap_rule(rule: IfaRule | int) -> IfaRule:
+def state_swap_rule(rule: IfaRule) -> IfaRule:
     """The same automaton with its two internal states relabeled."""
-    if isinstance(rule, int):
-        rule = decode_rule(rule)
     table = tuple(
         tuple(
             (1 - rule.next_state(1 - s, b), rule.output(1 - s, b))

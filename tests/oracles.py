@@ -8,7 +8,8 @@ share no code with the vectorized production implementations they check.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import random
+from typing import Optional, Sequence
 
 from ifamarket.ifa import IfaRule
 from ifamarket.regulation import RegulationPolicy
@@ -22,6 +23,11 @@ def decide(rule: IfaRule, window: Sequence[int], initial_state: int = 0) -> int:
     for symbol in reversed([int(m) for m in window]):
         state, out = rule.table[state][symbol]
     return out
+
+
+def window_moves(window) -> list[int]:
+    """A window's moves, oldest first: the oldest is its top bit."""
+    return [(window.bits >> age) & 1 for age in range(window.width - 1, -1, -1)]
 
 
 def last_run(history: Sequence[int]) -> tuple[int, int]:
@@ -180,3 +186,87 @@ def order_of_x(w: int) -> int:
         power = gf2_mul(power, 2, modulus)
         order += 1
     return order
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of ``n``, ascending, by trial division."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return factors + ([n] if n > 1 else [])
+
+
+def order_of_t(q: int) -> int:
+    """Multiplicative order of t modulo ``q`` over GF(2), where q(0) = 1
+    and q has degree D >= 1.
+
+    For f irreducible of degree d, t^(2^d - 1) = 1 + f*g modulo f^e, and
+    squaring j times gives 1 + f^(2^j)*g^(2^j), which is 1 once 2^j >= e.
+    So the order divides N = 2^ceil(log2 D) * lcm(2^d - 1 for d <= D),
+    and it is N less every prime factor whose quotient still takes t to
+    1.  The primes come from each 2^d - 1 by trial division.
+    """
+    degree = q.bit_length() - 1
+    n, primes = 1 << (degree - 1).bit_length(), {2}
+    for d in range(1, degree + 1):
+        n = math.lcm(n, (1 << d) - 1)
+        primes.update(prime_factors((1 << d) - 1))
+    for p in primes:
+        while n % p == 0 and gf2_pow(0b10, n // p, q) == 1:
+            n //= p
+    return n
+
+
+def affine_form(rule: IfaRule, w: int) -> Optional[tuple[int, int]]:
+    """``(c, a)`` such that ``rule`` decides every w-bit window x (bit 0 the
+    newest move) as c ^ parity(a & x), or None if it does not.
+
+    An affine map is fixed by its values on the zero window, which give c,
+    and on the w unit windows, which give the bits of a.  The form is then
+    checked on every window for w <= 12 and on 256 random ones above.
+    """
+
+    def decision(x: int) -> int:
+        return decide(rule, [(x >> age) & 1 for age in range(w - 1, -1, -1)])
+
+    c = decision(0)
+    a = sum((decision(1 << i) ^ c) << i for i in range(w))
+    draws = random.Random(w)
+    windows = range(1 << w) if w <= 12 else [draws.getrandbits(w) for _ in range(256)]
+    if all(decision(x) == c ^ (a & x).bit_count() & 1 for x in windows):
+        return c, a
+    return None
+
+
+def affine_orbit(c: int, a: int, w: int, start: int) -> tuple[int, int]:
+    """(transient, cycle) of the windows of an affine machine ``(c, a)``
+    from the window ``start``, from the algebra alone.
+
+    The state (x, 1), the 1 in bit w, steps by a linear map M on
+    GF(2)^(w+1).  The first image M^m s that depends linearly on the
+    earlier ones s, ..., M^(m-1) s (Gaussian elimination on bitmasks)
+    gives the minimal polynomial p of M at s; write p = t^k * q with
+    q(0) = 1.  M^(n+T) s = M^n s exactly when p divides t^n * (t^T - 1),
+    so the transient is k and the cycle is the order of t modulo q; q
+    has t + 1 as a factor, since the 1 in bit w stays put.
+    """
+    mask = (1 << w) - 1
+    basis: dict[int, tuple[int, int]] = {}  # top bit -> (vector, images summed)
+    state = (1 << w) | start
+    for m in range(w + 2):
+        vector, images = state, 1 << m
+        for top in sorted(basis, reverse=True):
+            if vector >> top & 1:
+                vector ^= basis[top][0]
+                images ^= basis[top][1]
+        if not vector:
+            break
+        basis[vector.bit_length() - 1] = vector, images
+        x = state & mask
+        state = (1 << w) | (x << 1 & mask) | (c ^ (a & x).bit_count() & 1)
+    k = (images & -images).bit_length() - 1  # images: bit i = coefficient of t^i
+    return k, order_of_t(images >> k)

@@ -235,7 +235,7 @@ def test_table1_builds_one_decision_table(monkeypatch):
         return decision_table(*args)
 
     monkeypatch.setattr(_engine, "decision_table", counting)
-    table1(54, 12, init, n_range=range(2, 5), workers=1, **small)
+    table1(decode_rule(54), 12, init, n_range=range(2, 5), workers=1, **small)
     # one for the unregulated orbit of find_cycle and all 7 rows
     assert len(calls) == 1
     calls.clear()
@@ -244,20 +244,21 @@ def test_table1_builds_one_decision_table(monkeypatch):
     # close within 4w ticks, so its rows build a table only with the
     # probe of Machine.run switched off
     short_days = dict(ticks_per_day=5, window_days=8)
+    rule30 = decode_rule(30)
     probed = table1(
-        30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
+        rule30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
     )
     assert len(calls) == 0
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
     rows = table1(
-        30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
+        rule30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
     )
     assert len(calls) == 1
     monkeypatch.undo()
     assert probed == rows
     expected = [
         summarize_regime(
-            decode_rule(30), 12, init, RegulationPolicy.parse(p), 600, **short_days
+            rule30, 12, init, RegulationPolicy.parse(p), 600, **short_days
         )
         for p in ["none", "prick:2", "prick:3", "prick:4", "prop:2", "prop:3", "prop:4"]
     ]
@@ -275,11 +276,11 @@ def test_table1_builds_no_table_where_every_orbit_closes_within_4w_ticks(monkeyp
 
     init = window_from_literal("alternating_up_first", 16)
     monkeypatch.setattr(_engine, "decision_table", no_table)
-    rows = table1(150, 16, init, workers=1)
+    rows = table1(decode_rule(150), 16, init, workers=1)
     monkeypatch.undo()
     assert len(rows) == 39 and {row.ticks for row in rows} == {256 * 2048}
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
-    assert table1(150, 16, init, workers=1) == rows
+    assert table1(decode_rule(150), 16, init, workers=1) == rows
 
 
 def test_table1_rows_without_a_defined_window_report_nan_shapes():
@@ -288,7 +289,7 @@ def test_table1_rows_without_a_defined_window_report_nan_shapes():
     # defined; prick:2 breaks the runs and its row has shapes
     init = window_from_literal("alternating_up_first", 12)
     rows = table1(
-        255, 12, init, n_range=range(2, 3), ticks_per_day=64, window_days=8
+        decode_rule(255), 12, init, n_range=range(2, 3), ticks_per_day=64, window_days=8
     )
     none, prick = rows[0], rows[1]
     assert none.policy == "none" and prick.policy == "prick:2"
@@ -311,7 +312,9 @@ def test_table1_rows_share_the_cut_index(monkeypatch):
 
     monkeypatch.setattr(analytics, "ordered_map", inline)
     init = window_from_literal("alternating_up_first", 12)
-    rows = table1(54, 12, init, n_range=range(2, 5), ticks_per_day=64, window_days=8)
+    rows = table1(
+        decode_rule(54), 12, init, n_range=range(2, 5), ticks_per_day=64, window_days=8
+    )
     assert len(rows) == 7
 
 
@@ -319,8 +322,9 @@ def test_table1_rows_do_not_depend_on_workers():
     # one machine per worker process gives the rows of one shared machine
     init = window_from_literal("alternating_up_first", 12)
     small = dict(ticks_per_day=64, window_days=8, include_both=True)
-    serial = table1(54, 12, init, n_range=range(2, 14), workers=1, **small)
-    parallel = table1(54, 12, init, n_range=range(2, 14), workers=2, **small)
+    rule = decode_rule(54)
+    serial = table1(rule, 12, init, n_range=range(2, 14), workers=1, **small)
+    parallel = table1(rule, 12, init, n_range=range(2, 14), workers=2, **small)
     assert len(serial) == 1 + 3 * 12
     assert parallel == serial
 
@@ -331,8 +335,9 @@ def test_table1_rows_come_in_policy_order(workers):
     # order, whatever order n_range gives them in
     init = window_from_literal("alternating_up_first", 12)
     small = dict(ticks_per_day=64, window_days=8)
+    rule = decode_rule(54)
     rows = table1(
-        54, 12, init, n_range=[4, 2, 3], include_both=True, workers=workers, **small
+        rule, 12, init, n_range=[4, 2, 3], include_both=True, workers=workers, **small
     )
     assert [row.policy for row in rows] == ["none"] + [
         f"{regime}:{n}" for regime in ("both", "prick", "prop") for n in (2, 3, 4)
@@ -376,5 +381,5 @@ def test_machine_must_match_rule_and_width():
 
     init = window_from_literal("alternating_up_first", 12)
     with pytest.raises(ValueError, match="machine of rule 30 at w 12"):
-        summarize_regime(54, 12, init, RegulationPolicy("none"),
+        summarize_regime(decode_rule(54), 12, init, RegulationPolicy("none"),
                          machine=Machine(decode_rule(30), 12))

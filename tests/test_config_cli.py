@@ -227,6 +227,23 @@ def test_survey_sweep_mode(tmp_path):
     assert len(rows) - 1 == 5
 
 
+def test_survey_runs_in_one_process_by_default(monkeypatch, capsys):
+    # one job dominates a survey, so a pool of workers only slows it;
+    # table1, whose rows spread over the workers, keeps one per core
+    import concurrent.futures
+
+    from ifamarket import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("survey built a process pool")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_cli(["survey", "--w", "8", "--init", "all_up"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2 + 1 + 256
+    assert cli.build_parser().parse_args(["table1"]).workers == 4
+
+
 def test_compare_model_only(capsys):
     code = run_cli(["compare", *SMALL, "--ticks", "2048"])
     assert code == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifamarket.ifa import Move, decode_rule
+from ifamarket.ifa import decode_rule
 from ifamarket.market import (
     CycleReport,
     WindowState,
@@ -27,15 +27,15 @@ NONE = RegulationPolicy("none")
 
 def test_initial_window_alternating():
     win = window_from_literal("alternating_up_first", 4)
-    assert win.to_moves() == [Move.UP, Move.DOWN, Move.UP, Move.DOWN]
+    assert oracles.window_moves(win) == [1, 0, 1, 0]
 
 
 def test_initial_window_all_up():
-    assert window_from_literal("all_up", 3).to_moves() == [Move.UP] * 3
+    assert oracles.window_moves(window_from_literal("all_up", 3)) == [1] * 3
 
 
 def test_initial_window_custom():
-    assert window_from_literal("D", 1).to_moves() == [Move.DOWN]
+    assert oracles.window_moves(window_from_literal("D", 1)) == [0]
     with pytest.raises(ValueError):
         window_from_literal("D", 3)
     with pytest.raises(ValueError):
@@ -45,7 +45,7 @@ def test_initial_window_custom():
 def test_window_literals():
     assert window_from_literal("alternating", 4).bits == 0b1010
     assert window_from_literal("all_up", 3).bits == 0b111
-    assert window_from_literal("UDD", 3).to_moves() == [Move.UP, Move.DOWN, Move.DOWN]
+    assert oracles.window_moves(window_from_literal("UDD", 3)) == [1, 0, 0]
     with pytest.raises(ValueError):
         window_from_literal("UDX", 3)
     with pytest.raises(ValueError):
@@ -120,7 +120,7 @@ def test_simulate_matches_reference(k, w, init_bits, regime, n, ticks):
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
     series = simulate(decode_rule(k), w, init, policy, ticks)
     expected = oracles.simulate(
-        decode_rule(k), [int(m) for m in init.to_moves()], policy, ticks
+        decode_rule(k), oracles.window_moves(init), policy, ticks
     )
     assert series.moves.tolist() == expected
 
@@ -139,7 +139,7 @@ def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
     report = find_cycle(decode_rule(k), w, init, policy)
     transient, cycle = oracles.orbit(
-        decode_rule(k), [int(m) for m in init.to_moves()], policy
+        decode_rule(k), oracles.window_moves(init), policy
     )
     assert (report.transient_length, report.cycle_length) == (transient, cycle)
     # a trend length n > w adds at most n - w states per all-UP / all-DOWN window
@@ -173,7 +173,7 @@ def test_trend_longer_than_window_matches_reference(
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
     n = data.draw(st.integers(min_value=w + 1, max_value=3 * w), label="n")
     policy = RegulationPolicy(regime, n)
-    init_moves = [int(m) for m in init.to_moves()]
+    init_moves = oracles.window_moves(init)
     with pytest.MonkeyPatch.context() as mp:
         if path != "auto":
             budget = 1 << 62 if path == "scalar" else 0
@@ -219,7 +219,7 @@ def test_default_span_is_one_orbit_floored(k, w, init_bits, regime, min_ticks, d
     span = report.transient_length + report.cycle_length
     assert len(series) == max(span, min_ticks)
     assert series.moves.tolist() == oracles.simulate(
-        decode_rule(k), [int(m) for m in init.to_moves()], policy, len(series)
+        decode_rule(k), oracles.window_moves(init), policy, len(series)
     )
 
 
@@ -281,7 +281,7 @@ def test_state_sufficiency_restart_mid_stream():
     full = simulate(rule, w, init, policy, 600)
     cut = 250
     # rebuild the window from the realized prefix and resume
-    prefix = [int(m) for m in init.to_moves()] + full.moves[:cut].tolist()
+    prefix = oracles.window_moves(init) + full.moves[:cut].tolist()
     mid = window_from_literal("".join("DU"[m] for m in prefix[-w:]), w)
     tail = simulate(rule, w, mid, policy, 600 - cut)
     assert tail.moves.tolist() == full.moves[cut:].tolist()
@@ -344,7 +344,7 @@ def test_every_rung_matches_the_oracles(monkeypatch):
         for k, kind, ticks, policy in cases:
             rule = decode_rule(k)
             init = window_from_literal(kind, w)
-            init_moves = [int(m) for m in init.to_moves()]
+            init_moves = oracles.window_moves(init)
             report = find_cycle(rule, w, init, policy)
             assert (report.transient_length, report.cycle_length) == oracles.orbit(
                 rule, init_moves, policy
@@ -368,7 +368,7 @@ def test_cycle_validity_window_recurrence():
     report = find_cycle(rule, w, init, NONE)
     t, c = report.transient_length, report.cycle_length
     realized = simulate(rule, w, init, NONE, t + 2 * c).moves.tolist()
-    history = [int(m) for m in init.to_moves()] + realized
+    history = oracles.window_moves(init) + realized
     state_t = tuple(history[t : t + w])
     state_tc = tuple(history[t + c : t + c + w])
     assert state_t == state_tc
@@ -450,7 +450,7 @@ def test_scalar_walk_matches_reference(k, w, init_bits, regime, ticks, data):
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
     n = data.draw(st.integers(min_value=1, max_value=3 * w), label="n")
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
-    init_moves = [int(m) for m in init.to_moves()]
+    init_moves = oracles.window_moves(init)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, "_scalar_budget", lambda w: 1 << 62)
         series = simulate(decode_rule(k), w, init, policy, ticks)
@@ -626,7 +626,7 @@ def test_short_run_closed_by_the_scalar_walk_builds_no_table(monkeypatch):
     init = window_from_literal("alternating_up_first", w)
     series = simulate(decode_rule(54), w, init, policy, ticks)
     assert series.moves.tolist() == oracles.simulate(
-        decode_rule(54), [int(m) for m in init.to_moves()], policy, ticks
+        decode_rule(54), oracles.window_moves(init), policy, ticks
     )
 
 
@@ -637,7 +637,7 @@ def test_short_run_past_the_scalar_budget_continues_directly():
     init = window_from_literal("alternating_up_first", w)
     series = simulate(decode_rule(54), w, init, policy, ticks)
     assert series.moves.tolist() == oracles.simulate(
-        decode_rule(54), [int(m) for m in init.to_moves()], policy, ticks
+        decode_rule(54), oracles.window_moves(init), policy, ticks
     )
 
 
@@ -660,7 +660,7 @@ def test_no_table_for_an_orbit_within_4w_ticks(k, w, start, regime, data):
     n = data.draw(st.integers(min_value=1, max_value=w + 4), label="n")
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
     init = WindowState(bits=start & ((1 << w) - 1), width=w)
-    init_moves = [int(m) for m in init.to_moves()]
+    init_moves = oracles.window_moves(init)
     transient, cycle = oracles.orbit(rule, init_moves, policy)
     edge = (1 << w) >> 3
     short = data.draw(st.integers(min_value=0, max_value=max(edge - 1, 0)), label="short")
@@ -687,7 +687,7 @@ def test_no_table_for_an_orbit_within_4w_ticks(k, w, start, regime, data):
 def test_stretch_reads_the_start_window_from_its_bits(w):
     # the held-window counts of a trend length n > w, from a start window
     # of any width, a multiple of 8 or not, equal the counts over the
-    # history that WindowState.to_moves spells out
+    # history that oracles.window_moves spells out
     from ifamarket.market import _stretch
 
     rng = random.Random(w)
@@ -695,7 +695,7 @@ def test_stretch_reads_the_start_window_from_its_bits(w):
         init = WindowState(bits=bits, width=w)
         moves = np.array([rng.getrandbits(1) for _ in range(3 * w)], dtype=np.uint8)
         moves[w : 2 * w] = bits & 1  # a run that fills the window
-        history = [int(m) for m in init.to_moves()] + moves.tolist()
+        history = oracles.window_moves(init) + moves.tolist()
         for held in ([0], [1], [1, 0]):
             expected = [
                 7 if any(history[t : t + w] == [move] * w for move in held) else 0
@@ -710,7 +710,7 @@ def test_trend_longer_than_the_window_matches_the_oracle_at_byte_widths(w):
     rule, policy = decode_rule(156), RegulationPolicy("prick", w + 3)
     for kind in ("all_up", "alternating"):
         init = window_from_literal(kind, w)
-        init_moves = [int(m) for m in init.to_moves()]
+        init_moves = oracles.window_moves(init)
         for ticks in (50, (1 << w) >> 3, None):
             series = simulate(rule, w, init, policy, ticks)
             assert series.moves.tolist() == oracles.simulate(
@@ -720,6 +720,28 @@ def test_trend_longer_than_the_window_matches_the_oracle_at_byte_widths(w):
         assert (report.transient_length, report.cycle_length) == oracles.orbit(
             rule, init_moves, policy
         )
+
+
+@pytest.mark.parametrize("ticks", [None, 300], ids=["default-span", "given-span"])
+def test_simulate_finds_the_held_moves_once(monkeypatch, ticks):
+    # a default span reuses the held moves of its orbit walk
+    from ifamarket import market
+
+    calls = []
+    held_moves = market._held_moves
+
+    def counting(*args):
+        calls.append(args)
+        return held_moves(*args)
+
+    monkeypatch.setattr(market, "_held_moves", counting)
+    rule, w, policy = decode_rule(156), 8, RegulationPolicy("prick", 13)
+    init = window_from_literal("all_up", w)
+    series = simulate(rule, w, init, policy, ticks)
+    assert len(calls) == 1 and held_moves(rule, w, policy) == [1]
+    assert series.moves.tolist() == oracles.simulate(
+        rule, oracles.window_moves(init), policy, len(series)
+    )
 
 
 def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
@@ -776,7 +798,7 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
     monkeypatch.setattr(_engine.Machine, "_cut_run", counted)
     for kind in ("alternating_up_first", "all_up"):
         init = window_from_literal(kind, w)
-        init_moves = [int(m) for m in init.to_moves()]
+        init_moves = oracles.window_moves(init)
         machines = [_cutting_machine(decode_rule(k), w, init) for k in (54, 201)]
         runs = []
         for regime in ("prick", "prop", "both"):
@@ -863,7 +885,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
 
     w, rule = 12, decode_rule(54)
     init = window_from_literal("alternating_up_first", w)
-    init_moves = [int(m) for m in init.to_moves()]
+    init_moves = oracles.window_moves(init)
     machine = _engine.Machine(rule, w)
 
     def no_emit(*args):
@@ -930,32 +952,34 @@ def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
     assert len(survey_rules(w, window_from_literal("all_up", w))) == 256
 
 
-def _prime_factors(n: int) -> list[int]:
-    factors, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            factors.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return factors + ([n] if n > 1 else [])
-
-
-def test_rule54_cycles_are_the_order_of_x_mod_the_trinomial():
-    # unregulated rule 54 realizes m_t = m_(t-w) xor m_(t-w+1), a shift
-    # register with characteristic polynomial x^w + x + 1: its step is a
-    # bijection (no transient), and from both standard starts the cycle
-    # is the order of x, short where the trinomial factors (w = 8, 9,
-    # 16, 17 give 63, 73, 255, 273)
-    for w in range(3, 21):
-        order = oracles.order_of_x(w)
-        modulus = (1 << w) | 0b11
-        assert oracles.gf2_pow(0b10, order, modulus) == 1
-        for p in _prime_factors(order):
-            assert oracles.gf2_pow(0b10, order // p, modulus) != 1
-        for kind in ("alternating_up_first", "all_up"):
-            report = find_cycle(decode_rule(54), w, window_from_literal(kind, w), NONE)
-            assert (report.transient_length, report.cycle_length) == (0, order)
+def test_affine_machines_cycle_as_their_algebra_says():
+    # the 10 non-constant affine machines, by their smallest rule numbers,
+    # decide c ^ parity(a & window); their orbits from both standard
+    # starts follow from (c, a) alone.  Unregulated rule 54 realizes
+    # m_t = m_(t-w) xor m_(t-w+1), a shift register with characteristic
+    # polynomial x^w + x + 1: its step is a bijection (no transient), and
+    # the cycle is the order of x, short where the trinomial factors
+    # (w = 8, 9, 16, 17 give 63, 73, 255, 273)
+    assert oracles.affine_form(decode_rule(33), 8) is None
+    for number in (16, 39, 45, 54, 60, 64, 99, 105, 114, 120):
+        rule = decode_rule(number)
+        for w in range(3, 21):
+            c, a = oracles.affine_form(rule, w)
+            assert c == (number >= 64), (number, w)
+            for kind in ("alternating_up_first", "all_up"):
+                init = window_from_literal(kind, w)
+                report = find_cycle(rule, w, init, NONE)
+                assert (report.transient_length, report.cycle_length) == (
+                    oracles.affine_orbit(c, a, w, init.bits)
+                ), (number, w, kind)
+                if number == 54:
+                    assert report == CycleReport(0, oracles.order_of_x(w))
+            if number == 54:
+                assert a == 0b11 << (w - 2)
+                order, modulus = oracles.order_of_x(w), (1 << w) | 0b11
+                assert oracles.gf2_pow(0b10, order, modulus) == 1
+                for p in oracles.prime_factors(order):
+                    assert oracles.gf2_pow(0b10, order // p, modulus) != 1
     assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
 
 

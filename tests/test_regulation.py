@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ifamarket._engine import firing
-from ifamarket.ifa import Move
 from ifamarket.regulation import RegulationPolicy, regulator
 
 
@@ -19,29 +18,29 @@ def _up_run(window: int) -> int:
 
 def test_apply_prick_fires_at_threshold():
     policy = RegulationPolicy("prick", 3)
-    assert regulator(policy, 5)(_window("DDUUU"), Move.UP) == Move.DOWN
-    assert regulator(policy, 5)(_window("UDDUU"), Move.UP) == Move.UP
+    assert regulator(policy, 5)(_window("DDUUU"), 1) == 0
+    assert regulator(policy, 5)(_window("UDDUU"), 1) == 1
     # above threshold also fires (robust to long initial runs)
-    assert regulator(policy, 7)(_window("UUUUUUU"), Move.UP) == Move.DOWN
+    assert regulator(policy, 7)(_window("UUUUUUU"), 1) == 0
     # no-op reversal when the investor already reverses
-    assert regulator(policy, 5)(_window("DDUUU"), Move.DOWN) == Move.DOWN
+    assert regulator(policy, 5)(_window("DDUUU"), 0) == 0
     # n > w reads the whole window: the clamped machine fires at all-UP only
     wide = RegulationPolicy("prick", 9)
-    assert regulator(wide, 4)(_window("UUUU"), Move.UP) == Move.DOWN
-    assert regulator(wide, 4)(_window("DUUU"), Move.UP) == Move.UP
+    assert regulator(wide, 4)(_window("UUUU"), 1) == 0
+    assert regulator(wide, 4)(_window("DUUU"), 1) == 1
 
 
 def test_apply_prop_fires_at_threshold():
     policy = RegulationPolicy("prop", 3)
-    assert regulator(policy, 5)(_window("UUDDD"), Move.DOWN) == Move.UP
-    assert regulator(policy, 5)(_window("DUUDD"), Move.DOWN) == Move.DOWN
+    assert regulator(policy, 5)(_window("UUDDD"), 0) == 1
+    assert regulator(policy, 5)(_window("DUUDD"), 0) == 0
 
 
 def test_apply_none_is_identity():
     policy = RegulationPolicy("none")
     for w in (1, 4, 9):
         for window in range(1 << w):
-            for intended in (Move.UP, Move.DOWN):
+            for intended in (1, 0):
                 assert regulator(policy, w)(window, intended) is intended
 
 
@@ -74,14 +73,14 @@ def test_apply_policy_tables_match_single_windows():
     n=st.integers(min_value=1, max_value=40),
     w=st.integers(min_value=1, max_value=30),
     bits=st.integers(min_value=0, max_value=(1 << 30) - 1),
-    intended=st.sampled_from([Move.UP, Move.DOWN]),
+    intended=st.sampled_from([1, 0]),
 )
 def test_mirror_symmetry_of_mechanism(regime, n, w, bits, intended):
     mask = (1 << w) - 1
     window = bits & mask
     mirrored_regime = {"prick": "prop", "prop": "prick", "both": "both"}[regime]
     mirrored = regulator(RegulationPolicy(mirrored_regime, n), w)
-    lhs = mirrored(window ^ mask, Move(1 - intended))
+    lhs = mirrored(window ^ mask, 1 - intended)
     rhs = 1 - regulator(RegulationPolicy(regime, n), w)(window, intended)
     assert lhs == rhs
 
@@ -90,7 +89,7 @@ def test_mirror_symmetry_of_mechanism(regime, n, w, bits, intended):
     n=st.integers(min_value=1, max_value=12),
     w=st.integers(min_value=1, max_value=30),
     bits=st.integers(min_value=0, max_value=(1 << 30) - 1),
-    intended=st.sampled_from([Move.UP, Move.DOWN]),
+    intended=st.sampled_from([1, 0]),
 )
 def test_both_agrees_with_whichever_single_regime_fires(n, w, bits, intended):
     window = bits & ((1 << w) - 1)
@@ -105,9 +104,9 @@ def test_prick_caps_new_run_length():
     policy = RegulationPolicy("prick", 4)
     for w in range(1, 13):
         for window in range(1 << w):
-            realized = regulator(policy, w)(window, Move.UP)
-            new_run = _up_run(window) + 1 if realized == Move.UP else 0
-            assert new_run <= 4 or realized == Move.DOWN
+            realized = regulator(policy, w)(window, 1)
+            new_run = _up_run(window) + 1 if realized == 1 else 0
+            assert new_run <= 4 or realized == 0
 
 
 def test_policy_literals_round_trip():

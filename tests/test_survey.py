@@ -16,20 +16,20 @@ import numpy as np
 
 
 def test_constant_rule_is_fixed():
-    row = classify_rule(85, 10, window_from_literal("all_up", 10))
+    row = classify_rule(decode_rule(85), 10, window_from_literal("all_up", 10))
     assert row.rule_class == "fixed"
     assert row.cycle_length == 1
 
 
 def test_passthrough_rule_from_all_up_is_fixed():
     # output = input keeps an all-UP window all-UP forever
-    row = classify_rule(27, 8, window_from_literal("all_up", 8))
+    row = classify_rule(decode_rule(27), 8, window_from_literal("all_up", 8))
     assert row.rule_class == "fixed"
     assert row.cycle_length == 1
 
 
 def test_rule54_complex_at_small_w():
-    row = classify_rule(54, 12, window_from_literal("all_up", 12))
+    row = classify_rule(decode_rule(54), 12, window_from_literal("all_up", 12))
     assert row.rule_class == "complex"
     assert row.cycle_length >= (1 << 12) // 4
 
@@ -54,7 +54,7 @@ def test_survey_deterministic_given_thresholds():
 
 
 def test_sweep_window_cycle_bounds():
-    rows = sweep_window(54, range(2, 11), init_kind="all_up")
+    rows = sweep_window(decode_rule(54), range(2, 11), init_kind="all_up")
     assert [row.w for row in rows] == list(range(2, 11))
     for row in rows:
         assert row.cycle_length <= 1 << row.w
@@ -62,8 +62,9 @@ def test_sweep_window_cycle_bounds():
 
 def test_sweep_window_takes_the_init_alias():
     # "alternating", as --init spells it, is the alternating_up_first window
-    rows = sweep_window(54, range(2, 11), init_kind="alternating")
-    assert rows == sweep_window(54, range(2, 11), init_kind="alternating_up_first")
+    rule = decode_rule(54)
+    rows = sweep_window(rule, range(2, 11), init_kind="alternating")
+    assert rows == sweep_window(rule, range(2, 11), init_kind="alternating_up_first")
 
 
 def test_survey_rows_do_not_depend_on_workers():
@@ -72,8 +73,9 @@ def test_survey_rows_do_not_depend_on_workers():
 
 
 def test_sweep_rows_do_not_depend_on_workers():
-    serial = sweep_window(54, range(2, 13), "all_up", workers=1)
-    assert sweep_window(54, range(2, 13), "all_up", workers=2) == serial
+    rule = decode_rule(54)
+    serial = sweep_window(rule, range(2, 13), "all_up", workers=1)
+    assert sweep_window(rule, range(2, 13), "all_up", workers=2) == serial
 
 
 @pytest.mark.parametrize("w", range(1, 17))
@@ -108,7 +110,7 @@ def test_decides_alike_is_decision_table_equality(w):
 def test_survey_rows_are_the_rows_of_each_rule(w, kind):
     # one row per machine, fanned out, is the row of every rule number
     init = window_from_literal(kind, w)
-    each = [classify_rule(k, w, init) for k in range(256)]
+    each = [classify_rule(decode_rule(k), w, init) for k in range(256)]
     assert survey_rules(w, init, workers=1) == each
     assert survey_rules(w, init, workers=2) == each
 
@@ -116,7 +118,7 @@ def test_survey_rows_are_the_rows_of_each_rule(w, kind):
 def test_rule54_sweep_exceptional_windows():
     # "complex for almost any lookback window": the exceptions in 2..22,
     # frozen from a verified sweep (short algebraic cycles at these widths)
-    rows = sweep_window(54, range(2, 23), init_kind="all_up")
+    rows = sweep_window(decode_rule(54), range(2, 23), init_kind="all_up")
     not_complex = [row.w for row in rows if row.rule_class != "complex"]
     assert not_complex == [8, 9, 16, 17, 21]
     by_w = {row.w: row for row in rows}
@@ -127,16 +129,16 @@ def test_rule54_sweep_exceptional_windows():
 
 def test_any_rule_w1_cycle_at_most_two():
     for k in (0, 54, 85, 170, 255):
-        row = classify_rule(k, 1, window_from_literal("all_up", 1))
+        row = classify_rule(decode_rule(k), 1, window_from_literal("all_up", 1))
         assert row.cycle_length <= 2
 
 
 def test_state_swap_pairs():
-    assert state_swap_rule(54).rule_number == 201
-    assert state_swap_rule(201).rule_number == 54
+    assert state_swap_rule(decode_rule(54)).rule_number == 201
+    assert state_swap_rule(decode_rule(201)).rule_number == 54
     # swapping twice is the identity
     for k in (0, 27, 85, 120, 255):
-        assert state_swap_rule(state_swap_rule(k)).rule_number == k
+        assert state_swap_rule(state_swap_rule(decode_rule(k))).rule_number == k
 
 
 def test_compression_ratio_regular_vs_noisy():
@@ -194,7 +196,7 @@ def test_classify_rule_ratio_from_the_cycle_moves(monkeypatch, path):
     for k in (27, 30, 54, 99, 110, 156):
         rule = decode_rule(k)
         init = window_from_literal("alternating_up_first", 9)
-        init_moves = [int(m) for m in init.to_moves()]
+        init_moves = oracles.window_moves(init)
         transient, cycle = oracles.orbit(rule, init_moves, none)
         moves = oracles.simulate(rule, init_moves, none, transient + cycle)
         row = classify_rule(rule, 9, init)
