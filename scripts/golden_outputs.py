@@ -39,6 +39,13 @@ COMMANDS = [
     ("table1-workers2", ["table1", *ANCHOR, "--workers", "2"]),
     ("table1-w20-both", ["table1", "--w", "20", "--include-both", "--workers", "2"]),
     ("table1-w14-both", ["table1", "--w", "14", "--include-both", "--workers", "2"]),
+    # 386 unregulated cycles, none of them held by an orbit search
+    ("table1-w21", ["table1", "--w", "21", "--workers", "2"]),
+    # a machine that is not bijective, whose rows close within the scalar budget
+    ("table1-rule35-both", [
+        "table1", "--rule", "35", "--w", "22", "--init", "all_up",
+        "--include-both", "--workers", "2",
+    ]),
     ("table1-rule150", ["table1", "--rule", "150", "--w", "22", "--workers", "2"]),
     ("survey-all-up", ["survey", "--w", "22", "--init", "all_up", "--workers", "2"]),
     ("moments-prop15", ["moments", "--policy", "prop:15", "--annualize"]),

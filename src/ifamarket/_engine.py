@@ -22,41 +22,39 @@ whole ladder, so the orbit always closes; a default span, transient +
 one cycle, is that one walk, whose windows :func:`tile` turns into
 moves.  The second takes a run of a given span: a short one as a scalar
 then direct walk of at most its ticks, tiled in the same way, and a long
-one as a cut of the held cycle (below) or as :func:`walk_emit`, the hop
-walk of a run, which returns the moves alone.  Neither builds a table
-for an orbit that closes within 4w ticks: the orbit search and a short
-run never take the scalar walk for fewer ticks, and a long run first
-probes its orbit with 4w scalar ticks, about 50 us at w = 22, against
-a decision table, a step table and step**w; :meth:`Machine.share`
-builds nothing for runs whose probes all close.
+one as a cut of the machine's cycles (below) or as :func:`walk_emit`,
+the hop walk of a run, which returns the moves alone.  Neither builds a
+table for an orbit that closes within the scalar budget, about 2**w /
+(8w) ticks: the orbit search and every run take the scalar walk that
+far first, except a long run on a machine with a cut state, which
+probes its orbit with 4w scalar ticks, about 50 us at w = 22, before it
+cuts.
 
 A regulated walk is the unregulated one, cut where the policy fires (at
 the windows that :func:`firing` finds, the one place that does) and
-rejoined where the forced move lands.  So a machine whose orbit search
-has hopped an unregulated orbit holds it, and a long run takes a cut
-rung before any regulated table: between two firing windows the run
-follows the held cycle.  The cycle positions where the policy fires are
-marked one byte each, so the next one is one ``bytearray.find``, and the
-cycle's moves up to it are copied into the run as the walk goes.  A run
-that starts or lands off the held cycle hops as it would without one.
-For rule 54 where x^w + x + 1 is primitive (w = 22 among them) the
-unregulated cycle holds every nonzero window, so no regulated run from a
-nonzero window leaves it.
+rejoined where the forced move lands.  On a bijective machine, whose
+unregulated step permutes the 2**w windows (:func:`bijective` tells in
+O(w)), every window lies on an unregulated cycle, so once the cycles'
+cut state is built a long run is a cut: between two firing windows it
+follows the cycle it is on.  The cycle positions where the policy fires
+are marked one byte each, so the next one is one ``bytearray.find``,
+and the cycle's moves up to it are copied into the run as the walk
+goes.  Rule 54 is such a machine, a shift register with characteristic
+polynomial x^w + x + 1; where that is primitive (w = 22 among them) one
+cycle holds every nonzero window.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
-the unregulated step**w, the held unregulated walk and, built for the
-first run that cuts it, its cut state: the cycle position of every
-window and the moves of the cycle, one contiguous 0/1 byte per tick, so
-that a cut run copies each arc of the cycle as one slice.  All but the
-decision table are read-only once built.  A regulated policy changes the
-step table only on the windows where it fires, so where it must hop its
-step**w is a copy of the unregulated one, patched over the windows that
-reach such a window within w - 1 ticks; a policy that reaches too many
-squares its own step table.  Besides the machine's own tables, at most
-a regulated step table and two step**w temporaries, or a patched copy,
-are held at once.  Hop walks use numpy alone, one Python step per w
-ticks; each tick's window is rebuilt from two consecutive hop states
-with shifts.  All state arrays are uint32, which holds every w <= 30.
+the unregulated step**w, the held unregulated walk and, on a bijective
+machine, built by :meth:`Machine.share`, the cut state of every cycle:
+the cycle position of every window, the windows at the positions and
+their moves, one contiguous 0/1 byte per tick, so that a cut run copies
+each arc of a cycle as one slice.  All but the decision table are
+read-only once built.  A regulated policy that must hop squares its own
+step table.  Besides the machine's own tables, at most a regulated step
+table and two step**w temporaries are held at once.  Hop walks use numpy
+alone, one Python step per w ticks; each tick's window is rebuilt from
+two consecutive hop states with shifts.  All state arrays are uint32,
+which holds every w <= 30.
 
 The passes over a whole table (the fill of a step table, each gather
 that squares step**w, the rows of a hopped orbit's windows and the cut
@@ -74,6 +72,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from bisect import bisect_right
 from threading import Thread
 from typing import Callable, Optional, Sequence
 
@@ -93,10 +92,10 @@ _TABLE_PATH_MIN_TICKS_FACTOR = 8
 
 # No router builds a table before the scalar walk has taken this many
 # ticks per window bit: 4w ticks, 88 at w = 22, cost about 50 us, and
-# below w = 13 they are more than 2**w / (8w).  A long run probes this
-# far before it cuts or hops.  An O(w) probe stays cheap against the
-# tables at every w; a 4w**2 one (1,936 ticks) cost ``table1 --w 22``
-# 0.17 s over its 38 regulated rows.
+# below w = 13 they are more than 2**w / (8w).  A long run on a machine
+# with a cut state probes only this far before it cuts.  An O(w) probe
+# stays cheap against the cut at every w; a 4w**2 one (1,936 ticks) cost
+# ``table1 --w 22`` 0.17 s over its 38 regulated rows.
 _PROBE_TICKS_PER_BIT = 4
 
 # A run of 2**w >> 3 ticks or more hops through step**w rather than walk
@@ -114,29 +113,18 @@ _DIRECT_EMIT_SHIFT = 3
 # take 26-27 ms with the seen bitmap, against 76-93 ms to square.
 _DIRECT_VISIT_SHIFT = 6
 
-# A policy whose step**w differs from the unregulated one on more than
-# this share of the windows squares its own step table instead of
-# patching a copy: a patch steps each window it rewrites w times on one
-# core, a full build gathers every window about 1.5 * log2(w) times on
-# every core.  Rule 54 at w = 22 on a 2-core x86 host (numpy 2.4, one
-# process): prick:6 rewrites 8.8% of the windows in 96-100 ms, and
-# building and squaring its own step table takes 86-105 ms, so the
-# break-even share is near 1/11; a change of it needs its own
-# before/after benchmark.
-_PATCH_MAX_SHARE = 1 / 8
-
 # entries per piece of a table pass; see _in_pieces and _gather
 _GATHER_CHUNK = 1 << 18
 
 # bytes per window that the table path may hold at once: the decision
 # table (1) and the unregulated step**w (4) of a machine, a regulated step
-# table (4) with the two temporaries of its step**w (4 each), and the held
-# unregulated cycle (4) with its cut index (4) and its moves (1).  A
-# patched copy of the unregulated step**w squares nothing, so it fits in
-# the regulated step table's 4 bytes, or a temporary's if one is built.  A
-# cut run holds no regulated table: its firing marks (1) and visited bits,
-# with the firing windows and their positions (4 each) that it marks from,
-# fit in the 12 bytes of the step table and its temporaries.
+# table (4) with the two temporaries of its step**w (4 each), and the
+# windows of every unregulated cycle (4) with their cut index (4) and
+# their moves (1).  A cut run holds no regulated table: its firing marks
+# (1) and visits, with the firing windows and their positions (4 each)
+# that it marks from, fit in the 12 bytes of the step table and its
+# temporaries, as do the placed flags (1) and the hop walk (4) that build
+# the cut state.
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 
 # tables smaller than this, about what the interpreter with numpy takes
@@ -229,6 +217,22 @@ def scalar_decision(rule: IfaRule, w: int) -> Callable[[int], int]:
         return out[state ^ (flips.bit_count() & 1)][(window >> (w - 1)) & 1]
 
     return decide
+
+
+def bijective(rule: IfaRule, w: int) -> bool:
+    """Whether the unregulated step permutes the 2**w windows, in O(w).
+
+    The two windows that differ only in their oldest bit are the only
+    ones that can step to the same window, and they do exactly where the
+    oldest bit does not change the decision.  That bit is read last, from
+    the automaton state that the newest w - 1 bits lead to, so the step
+    is a permutation exactly when the oldest bit flips the output from
+    every state that w - 1 bits can reach from state 0.
+    """
+    states = {0}
+    for _ in range(w - 1):
+        states = {rule.next_state(s, b) for s in states for b in (0, 1)}
+    return all(rule.output(s, 0) != rule.output(s, 1) for s in states)
 
 
 def walk_scalar(
@@ -334,8 +338,8 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
             f"the tables for w = {w} need up to {_mib(need)} "
             f"(decision {_mib(1 << w)}, unregulated step**w {table}, "
             f"step {table}, two step**w temporaries of {table}, "
-            f"held unregulated cycle {table}, its cut index {table}, "
-            f"its moves {_mib(1 << w)}), "
+            f"the windows of every cycle {table}, their cut index {table}, "
+            f"their moves {_mib(1 << w)}), "
             f"but only {_mib(available)} is available"
         )
     # the maps of a state by the bit read, and by the oldest bit to the move
@@ -535,6 +539,23 @@ def walk_orbit(power: np.ndarray, start: int) -> tuple[int, np.ndarray]:
     return first, states[: first + cycle + 1]
 
 
+def _cycle(power: np.ndarray, start: int, limit: int, guess: int) -> np.ndarray:
+    """The windows of the cycle through ``start``, from it, of at most ``limit``.
+
+    ``power`` is step**w of a permutation, so the walk of ``start`` comes
+    back to it.  The hops walk ``guess`` ticks, then twice as many each
+    time until it does, and never hold more than ``limit`` + 1 states.
+    """
+    count = min(guess, limit)
+    while True:
+        states = _orbit_states(power, start, count + 1)
+        back = np.flatnonzero(states[1:] == start)
+        if back.size:
+            return states[: int(back[0]) + 1]
+        del states
+        count = min(2 * count, limit)
+
+
 def walk_emit(power: np.ndarray, start: int, num_ticks: int) -> np.ndarray:
     """Realized moves of ``num_ticks`` ticks from ``start``, hop by hop.
 
@@ -560,11 +581,12 @@ def _copy_around(
 class Machine:
     """One rule's tables at one window width, each built when first needed.
 
-    It holds the decision table, the unregulated step**w, and the last
-    unregulated orbit its hop rung walked with that orbit's cut state,
-    and nothing else of size 2**w, so that every policy walked on it
-    shares them: see :meth:`power` and :meth:`_cut_run`.  A machine that
-    only serves scalar walks builds nothing.
+    It holds the decision table, the unregulated step**w, the last
+    unregulated orbit its hop rung walked and, on a bijective machine,
+    the cut state of every unregulated cycle, and nothing else of size
+    2**w, so that every policy walked on it shares them: see
+    :meth:`power` and :meth:`_cut_run`.  A machine that only serves
+    scalar walks builds nothing.
     """
 
     def __init__(self, rule: IfaRule, w: int) -> None:
@@ -573,9 +595,9 @@ class Machine:
         self._decisions: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None  # unregulated step**w
         # the unregulated orbit last walked through the hop rung, as
-        # (first, windows), and its cut state, built for the first cut
+        # (first, windows), and the cut state, built by share
         self._held: Optional[tuple[int, np.ndarray]] = None
-        self._cut: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._cut: Optional[tuple] = None
 
     @property
     def decisions(self) -> np.ndarray:
@@ -587,92 +609,76 @@ class Machine:
         """The policy's step table, built anew: the machine keeps none."""
         return step_table(self.decisions, self.w, policy)
 
-    def _affected(self, policy: RegulationPolicy) -> Optional[np.ndarray]:
-        """Windows whose step**w the policy may change, or None if too many.
-
-        A window's step**w can change only if its unregulated path meets
-        a window where the policy fires (see :func:`firing`) within
-        w - 1 ticks, so a breadth-first search back from those over the
-        unregulated step, w - 1 levels deep, finds every such window
-        once.  A window z has the predecessors z >> 1 and z >> 1 | 1 <<
-        (w - 1), those whose decision is z's newest bit.  The search
-        stops with None once it passes ``_PATCH_MAX_SHARE`` of the
-        windows.
-        """
-        w, decisions = self.w, self.decisions
-        level = firing(decisions, w, policy)
-        limit = _PATCH_MAX_SHARE * (1 << w)
-        visited = np.zeros(1 << w, dtype=bool)
-        levels = [level]
-        total = level.size
-        top, one = np.uint32(1 << (w - 1)), np.uint32(1)
-        for _ in range(w - 1):
-            if total > limit:
-                return None
-            visited[level] = True
-            half = level >> one
-            preds = np.concatenate((half, half | top))
-            newest = np.concatenate((level, level)) & one
-            level = preds[(decisions[preds] == newest) & ~visited[preds]]
-            levels.append(level)
-            total += level.size
-        return np.concatenate(levels) if total <= limit else None
-
     def power(
         self, policy: RegulationPolicy, step: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """step**w for ``policy``; ``step`` is its step table if built already.
 
         ``none`` gets the unregulated table, which the machine builds on
-        first use and holds read-only.  Once it does, a policy that changes
-        it on few windows (see :meth:`_affected`) gets a copy of it patched
-        over those windows: w vectorized steps of the regulated map give
-        their entries.  Any other policy, and any policy before the
-        unregulated table exists (building it would cost what squaring the
-        policy's own table does), squares its own step table.
+        first use and holds read-only.  A regulated policy squares its
+        own step table, which the machine does not keep.
         """
-        if policy.regime == "none":
-            if self._base is None:
-                self._base = _power(self.step(policy) if step is None else step, self.w)
-                self._base.setflags(write=False)
-            return self._base
-        affected = None if self._base is None else self._affected(policy)
-        if affected is None:
+        if policy.regime != "none":
             return _power(self.step(policy) if step is None else step, self.w)
-        decisions, regulate = self.decisions, regulator(policy, self.w)
-        mask, one = np.uint32(self._base.size - 1), np.uint32(1)
-        ends = affected
-        for _ in range(self.w):
-            ends = ((ends << one) & mask) | regulate(ends, decisions[ends])
-        patched = self._base.copy()
-        patched[affected] = ends
-        return patched
+        if self._base is None:
+            self._base = _power(self.step(policy) if step is None else step, self.w)
+            self._base.setflags(write=False)
+        return self._base
 
-    def _cut_state(self) -> tuple[np.ndarray, np.ndarray]:
-        """The held cycle's cut index and moves, built when first needed.
+    def _cut_state(self) -> tuple:
+        """The cycles of a bijective machine's unregulated map, built once.
 
-        The index is the int32 cycle position of every window, -1 off the
-        cycle; position k is the held walk's window ``windows[first + 1 +
-        k]``, and its move is entry k of the moves, one contiguous byte
-        per tick.
+        Every window lies on one cycle, and the cycles lie end to end in
+        one range of positions: the held cycle first, if the machine
+        holds one, then each cycle through the smallest window not yet
+        placed, hopped through the unregulated step**w.  Position p + 1
+        holds the unregulated successor of the window at p, and a cycle's
+        first position that of its last.  The state is the int32
+        position of every window; the move into each position, one
+        contiguous byte per tick; the windows at the positions, as the
+        held cycle, not copied, and an array of the rest; and the first
+        position of every cycle, then 2**w.
         """
         if self._cut is None:
-            first, windows = self._held
-            cycle = windows[first + 1 :]
-            pos = np.full(1 << self.w, -1, dtype=np.int32)
+            size = 1 << self.w
+            first, windows = self._held or (0, np.empty(1, dtype=np.uint32))
+            held = windows[first + 1 :]
+            rest = np.empty(size - held.size, dtype=np.uint32)
+            pos = np.full(size, -1, dtype=np.int32)
 
-            def index(lo: int, hi: int) -> None:
-                # the cycle's windows are distinct, so the pieces write
-                # disjoint entries; ``clip`` skips the bounds check, which
-                # no window can fail
-                at = np.arange(lo, hi, dtype=np.int32)
-                np.put(pos, cycle[lo:hi], at, mode="clip")
+            def place(cycles: np.ndarray, at: int) -> None:
+                def index(lo: int, hi: int) -> None:
+                    # the windows are distinct, so the pieces write
+                    # disjoint entries; ``clip`` skips the bounds check,
+                    # which no window can fail
+                    where = np.arange(at + lo, at + hi, dtype=np.int32)
+                    np.put(pos, cycles[lo:hi], where, mode="clip")
 
-            _in_pieces(cycle.size, index)
-            moves = realized(windows[first:])
-            pos.setflags(write=False)
-            moves.setflags(write=False)
-            self._cut = pos, moves
+                _in_pieces(cycles.size, index)
+
+            place(held, 0)
+            # one byte per window, 1 while it is not placed, for find
+            free = bytearray(size)
+            unplaced = np.frombuffer(free, dtype=np.bool_)
+            np.less(pos, 0, out=unplaced)
+            starts = [0, held.size] if held.size else [0]
+            done, x, guess = 0, 0, self.w  # cycles often repeat a length
+            while done < rest.size:
+                x = free.find(1, x)
+                power = self.power(RegulationPolicy("none"))
+                cycle = _cycle(power, x, rest.size - done, guess)
+                unplaced[cycle] = False
+                rest[done : done + cycle.size] = cycle
+                done, guess = done + cycle.size, cycle.size
+                starts.append(held.size + done)
+            del unplaced, free
+            place(rest, held.size)
+            moves = np.empty(size, dtype=np.uint8)
+            for part, at in ((held, 0), (rest, held.size)):
+                np.bitwise_and(_low_bytes(part), 1, out=moves[at : at + part.size])
+            for table in (pos, moves, rest):
+                table.setflags(write=False)
+            self._cut = pos, moves, (held, rest), starts
         return self._cut
 
     def share(
@@ -681,112 +687,106 @@ class Machine:
         """Build now what the runs of ``policies`` from ``start``, of
         ``num_ticks`` ticks each, share.
 
-        A long run cuts the held cycle, with its cut state, or else hops
-        through a patch of the unregulated step**w (see :meth:`power`).
-        Processes forked after this inherit these instead of each building
-        its own.  Nothing is built for short runs, nor where the probe of
-        :meth:`run` closes every policy's orbit.
+        On a bijective machine a long run cuts its cycles: this builds
+        their cut state, which processes forked after this inherit
+        instead of each building its own.  It is built once the scalar
+        walk of some policy's orbit outlasts the 4w probe, if the machine
+        holds an unregulated cycle that outlasted the scalar and direct
+        walks, from which the cut state starts, or else outlasts the
+        whole scalar budget, as an uncut run's would.  The bijective
+        machines other than rule 54's have thousands of short cycles,
+        each a hop walk to index, and at w = 22 their orbits from the
+        standard starts close within 187 ticks, so they build nothing.
+        Nothing is built for short runs either, nor on other machines,
+        since each regulated run that outlasts the budget squares its
+        own step table.
         """
-        probe = _PROBE_TICKS_PER_BIT * self.w
-        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT or num_ticks <= probe:
-            return
-        if all(
-            walk_scalar(self.rule, self.w, policy, start, probe)[0] is not None
-            for policy in policies
+        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT or not bijective(
+            self.rule, self.w
         ):
             return
         if self._held is not None:
-            self._cut_state()
+            limit = _PROBE_TICKS_PER_BIT * self.w
         else:
-            self.power(RegulationPolicy("none"))
+            limit = _scalar_budget(self.w)
+        if any(
+            walk_scalar(self.rule, self.w, policy, start, min(limit, num_ticks))[0]
+            is None
+            for policy in policies
+        ):
+            self._cut_state()
 
     def _cut_run(
         self, policy: RegulationPolicy, start: int, num_ticks: int
-    ) -> Optional[np.ndarray]:
-        """The run's realized moves, cut from the held cycle, or None off it.
+    ) -> np.ndarray:
+        """The run's realized moves, cut from the cycles of the cut state.
 
-        Between firing windows the run follows the held cycle; at one, it
-        steps to the window the policy forces and goes on from that
-        window's position.  The firing positions are marked in a
-        ``bytearray``, one byte per cycle position, so the next one is a
-        ``find`` from the current position, wrapping at most once, and
-        the arc of moves up to it is copied into the result as one slice,
-        two where it wraps round the cycle's end.  The override at a
-        firing position repeats whatever led there, so the first repeated
-        one closes the orbit.  The two arcs that reach it agree back to
-        the later of their two starts and no further, since the window
-        before a start is a firing window that the other walk is not at.
-        So the transient ends that many ticks before the first visit, and
-        the cycle is tiled over the ticks left.
-
-        The walk keeps its state in a visited bitmap and a flat int array
-        of the positions it visits, not in Python objects.
+        Between firing windows the run follows the cycle it is on; at
+        one, it steps to the window the policy forces and goes on from
+        that window's position, on whichever cycle it lies.  The firing
+        positions are marked in a ``bytearray``, one byte per position,
+        so the next one is a ``find`` from the current position to the
+        end of its cycle, then from the cycle's start, and the arc of
+        moves up to it is copied into the result as one slice, two where
+        it wraps round the cycle's end.  On a cycle with no mark the run
+        follows the cycle over the ticks left.  The override at a firing
+        position repeats whatever led there, so the first repeated one
+        closes the orbit: each visit records its tick, and the moves
+        since the first visit to that position are tiled over the ticks
+        left.
         """
-        pos, moves = self._cut_state()
-        at = int(pos[start])
-        if at < 0:
-            return None
-        first, windows = self._held
-        cycle = windows[first + 1 :]
-        size = cycle.size
+        pos, moves, (held, rest), starts = self._cut_state()
         # found before the marks are made, so that firing's temporaries
         # and the marks are never held at once
         fire = pos[firing(self.decisions, self.w, policy)]
-        # firing windows off the cycle (position -1) mark the last byte,
-        # which no search reads
-        marks = bytearray(size + 1)
-        np.put(np.frombuffer(marks, dtype=np.uint8), fire, 1, mode="wrap")
+        marks = bytearray(pos.size)
+        np.frombuffer(marks, dtype=np.uint8)[fire] = 1
         del fire
         out = np.empty(num_ticks, dtype=np.uint8)
         dst, src = memoryview(out), memoryview(moves)
-        if marks.find(1, 0, size) < 0:  # the policy never fires on the cycle
-            count = min(size, num_ticks)
-            _copy_around(dst, 0, src, at + 1, count)
-            return _repeat_cycle(out, 0, count)
-        states, index = memoryview(cycle), memoryview(pos)
+        split, index = held.size, memoryview(pos)
+        held, rest = memoryview(held), memoryview(rest)
         mask = (1 << self.w) - 1
         # the firing positions the walk has visited, a bit each, and each
-        # visit's position in turn
-        seen = bytearray((size >> 3) + 1)
-        visits = array("q")
-        lo, t = at, 0
+        # visit's position (below 2**30, as w <= 30) and tick in turn
+        seen = bytearray((pos.size >> 3) + 1)
+        visits, ticks = array("i"), array("q")
+        lo, t = int(pos[start]), 0
+        c0 = c1 = 0  # the bounds of lo's cycle
         while True:
-            # the arc: the moves into positions lo + 1 .. q, taken mod size
-            q = marks.find(1, lo, size)
+            if not c0 <= lo < c1:
+                c = bisect_right(starts, lo)
+                c0, c1 = starts[c - 1], starts[c]
+                cycle = src[c0:c1]
+            # the arc: the moves into positions lo + 1 .. q, taken round
+            # the cycle
+            q = marks.find(1, lo, c1)
+            back = q - lo
             if q < 0:  # it wraps, once per pass of the cycle
-                q = marks.find(1, 0, lo)
-                back = q + size - lo
-            else:
-                back = q - lo
+                q = marks.find(1, c0, lo)
+                back = q + c1 - c0 - lo
             end = t + back
-            if end >= num_ticks:
-                _copy_around(dst, t, src, lo + 1, num_ticks - t)
-                return out
+            if q < 0 or end >= num_ticks:
+                # no firing position before the run ends, as on a cycle
+                # where the policy never fires, which then repeats
+                count = min(c1 - c0, num_ticks - t)
+                _copy_around(dst, t, cycle, lo + 1 - c0, count)
+                return _repeat_cycle(out, t, t + count)
             if q >= lo:  # most arcs: copied inline, saving a call a visit
                 dst[t:end] = src[lo + 1 : q + 1]
             else:
-                _copy_around(dst, t, src, lo + 1, back)
+                _copy_around(dst, t, cycle, lo + 1 - c0, back)
             t = end
             if seen[q >> 3] & (1 << (q & 7)):
-                # replay the arcs up to the first visit to q, where each
-                # visit lands one tick later, to its tick
-                k = visits.index(q)
-                visited = np.frombuffer(visits, dtype=np.int64)[: k + 1]
-                x = cycle[visited]
-                landed = pos[((x << 1) & np.uint32(mask)) | (~x & 1)]
-                arcs = (visited - np.append(at, landed[:-1])) % size
-                tick = int(arcs.sum()) + k
-                transient = tick - min(int(arcs[-1]), back)
-                return _repeat_cycle(out, transient, transient + t - tick)
+                return _repeat_cycle(out, ticks[visits.index(q)], t)
             seen[q >> 3] |= 1 << (q & 7)
             visits.append(q)
+            ticks.append(t)
             # a firing window's move reverses the run it ends
-            x = states[q]
+            x = held[q] if q < split else rest[q - split]
             move = ~x & 1
             dst[t] = move
             lo = index[((x << 1) & mask) | move]
-            if lo < 0:
-                return None
             t += 1
 
     def orbit(
@@ -797,8 +797,8 @@ class Machine:
         Climbs the ladder: the scalar walk for ``_scalar_budget(w)``
         ticks, then the step table walked directly up to 2**w >>
         ``_DIRECT_VISIT_SHIFT`` ticks, and only then the hops through
-        step**w.  An unregulated orbit found by the hops is held for the
-        cut runs of :meth:`run`; an orbit search never cuts.
+        step**w.  An unregulated orbit found by the hops is held, for
+        the cut state to start from; an orbit search never cuts.
         """
         first, windows = walk_scalar(
             self.rule, self.w, policy, start, _scalar_budget(self.w)
@@ -815,7 +815,7 @@ class Machine:
         first, windows = walk_orbit(power, start)
         if policy.regime == "none":
             windows.setflags(write=False)
-            self._held, self._cut = (first, windows), None
+            self._held = first, windows
         return first, windows
 
     def run(
@@ -825,30 +825,29 @@ class Machine:
 
         A span the caller gives: a default one, transient + one cycle, is
         the walk of :meth:`orbit`, tiled.  Every run takes the scalar walk
-        first: a run shorter than 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks for
-        as many of its ticks as ``_scalar_budget(w)`` allows, a longer one
-        for a probe of 4w ticks.  If the walk closes the orbit or runs out
-        of ticks first, its cycle is tiled over the ticks left and no table
-        is built.  Otherwise a short run walks the step table directly for
-        the rest.  A long run is a cut of the held unregulated cycle if the
-        machine holds one and the run stays on it (see :meth:`_cut_run`),
-        copied from the cycle's moves.  Runs off the held cycle hop through
-        step**w, which costs a few passes over the table, or a patch, but
-        then only one Python step per w ticks.
+        first, for as many of its ticks as ``_scalar_budget(w)`` allows,
+        except a run of 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks or more on a
+        machine with a cut state, which probes 4w ticks before it cuts.
+        If the walk closes the orbit or runs out of ticks first, its
+        cycle is tiled over the ticks left and no table is built.
+        Otherwise a long run on a machine with a cut state is a cut of
+        its cycles (see :meth:`_cut_run`), copied from the cycles' moves;
+        a short run walks the step table directly for the rest; and any
+        other run hops through step**w, which costs a few passes over the
+        table, but then only one Python step per w ticks.
         """
         short = num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT
-        budget = _scalar_budget(self.w) if short else _PROBE_TICKS_PER_BIT * self.w
+        cut = not short and self._cut is not None
+        budget = _PROBE_TICKS_PER_BIT * self.w if cut else _scalar_budget(self.w)
         budget = min(budget, num_ticks)
         first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
         if first is not None or budget == num_ticks:
             return tile(first, windows, num_ticks)
+        if cut:
+            return self._cut_run(policy, start, num_ticks)
         if short:
             first, windows = walk_direct(self.step(policy), windows, num_ticks)
             return tile(first, windows, num_ticks)
-        if self._held is not None:
-            moves = self._cut_run(policy, start, num_ticks)
-            if moves is not None:
-                return moves
         return walk_emit(self.power(policy), start, num_ticks)
 
 

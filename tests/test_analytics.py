@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -242,13 +243,14 @@ def test_table1_builds_one_decision_table(monkeypatch):
     # rule 30 decides differently from automaton state 1, so a table
     # built from the wrong state would show in the rows.  Its orbits here
     # close within 4w ticks, so its rows build a table only with the
-    # probe of Machine.run switched off
+    # scalar walk of Machine.run switched off: no budget and no probe
     short_days = dict(ticks_per_day=5, window_days=8)
     rule30 = decode_rule(30)
     probed = table1(
         rule30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
     )
     assert len(calls) == 0
+    monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
     rows = table1(
         rule30, 12, init, n_range=range(2, 5), ticks=600, workers=1, **short_days
@@ -281,6 +283,46 @@ def test_table1_builds_no_table_where_every_orbit_closes_within_4w_ticks(monkeyp
     assert len(rows) == 39 and {row.ticks for row in rows} == {256 * 2048}
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
     assert table1(decode_rule(150), 16, init, workers=1) == rows
+
+
+@pytest.mark.parametrize("number, outlast, longest", [(35, 34, 236), (97, 24, 96)])
+def test_table1_rows_that_close_within_the_scalar_budget_build_no_table(
+    monkeypatch, number, outlast, longest
+):
+    # each row takes the scalar walk for the whole budget (512 ticks at
+    # w = 16) before it builds a table: rule 35 is not bijective, so it
+    # has no cut state, and rule 97 is, but shares none while every
+    # orbit closes within the budget.  From all-UP, some regulated orbits
+    # outlast the 4w-tick probe, and all close within the budget, so no
+    # row builds a decision table; with the budget forced down to 4w
+    # those rows hop through tables, or cut rule 97's cycles, to the same
+    # rows
+    from ifamarket import _engine
+    from ifamarket.market import find_cycle
+
+    rule, w = decode_rule(number), 16
+    init = window_from_literal("all_up", w)
+    assert _engine.bijective(rule, w) == (number == 97)
+    assert _engine._scalar_budget(w) == 512
+    spans = [
+        sum(dataclasses.astuple(find_cycle(rule, w, init, RegulationPolicy(regime, n))))
+        for regime in ("both", "prick", "prop")
+        for n in range(2, 21)
+    ]
+    assert sum(span > 4 * w for span in spans) == outlast and max(spans) == longest
+    built = []
+    decision_table = _engine.decision_table
+
+    def counting(*args):
+        built.append(args)
+        return decision_table(*args)
+
+    monkeypatch.setattr(_engine, "decision_table", counting)
+    rows = table1(rule, w, init, include_both=True, workers=1)
+    assert len(rows) == 58 and not built
+    monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 4 * w)
+    assert table1(rule, w, init, include_both=True, workers=1) == rows
+    assert built
 
 
 def test_table1_rows_without_a_defined_window_report_nan_shapes():
@@ -345,9 +387,9 @@ def test_table1_rows_come_in_policy_order(workers):
 
 
 def test_rows_leave_the_machine_unregulated(monkeypatch):
-    # after every row's walk, patched or squared, the machine's
-    # unregulated step**w is the one it held before, also when a walk
-    # on a patched copy raises
+    # after every row's walk, squared or cut, the machine's unregulated
+    # step**w is the one it held before, also when a walk raises, and a
+    # cut leaves the cut state as it was
     from ifamarket import _engine
     from ifamarket.market import Machine, simulate
 
@@ -356,9 +398,14 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
     init = window_from_literal("alternating_up_first", w)
     machine = Machine(rule, w)
     base = machine.power(RegulationPolicy("none")).copy()
-    for n in range(1, w + 3):
-        for regime in ("prick", "prop", "both"):
-            policy = RegulationPolicy(regime, n)
+    policies = [
+        RegulationPolicy(regime, n)
+        for n in range(1, w + 3)
+        for regime in ("prick", "prop", "both")
+    ]
+
+    def rows():
+        for policy in policies:
             series = simulate(rule, w, init, policy, 1 << w, machine=machine)
             assert series == simulate(rule, w, init, policy, 1 << w), policy
             assert np.array_equal(machine._base, base), policy
@@ -366,13 +413,19 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
     def failing_walk(*args, **kwargs):
         raise RuntimeError("walk failed")
 
-    monkeypatch.setattr(_engine, "walk_emit", failing_walk)
-    monkeypatch.setattr(_engine, "_PATCH_MAX_SHARE", math.inf)
-    for text in ("prick:3", "prick:9", "both:12"):
-        policy = RegulationPolicy.parse(text)
-        with pytest.raises(RuntimeError, match="walk failed"):
-            simulate(rule, w, init, policy, 1 << w, machine=machine)
-        assert np.array_equal(machine._base, base), policy
+    rows()
+    with monkeypatch.context() as mp:
+        mp.setattr(_engine, "walk_emit", failing_walk)
+        for text in ("prick:3", "prick:9", "both:12"):
+            policy = RegulationPolicy.parse(text)
+            with pytest.raises(RuntimeError, match="walk failed"):
+                simulate(rule, w, init, policy, 1 << w, machine=machine)
+            assert np.array_equal(machine._base, base), policy
+    machine.share(policies, init.bits, 1 << w)
+    pos, moves, (held, rest), starts = machine._cut
+    cut = [array.copy() for array in (pos, moves, held, rest)]
+    rows()
+    assert all(np.array_equal(a, b) for a, b in zip((pos, moves, held, rest), cut))
     assert not machine._base.flags.writeable
 
 

@@ -403,8 +403,8 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "ifamarket: error: the tables for w = 22 need up to 104 MiB "
         "(decision 4 MiB, unregulated step**w 16 MiB, step 16 MiB, "
-        "two step**w temporaries of 16 MiB, held unregulated cycle 16 MiB, "
-        "its cut index 16 MiB, its moves 4 MiB), but only 50 MiB is available\n"
+        "two step**w temporaries of 16 MiB, the windows of every cycle 16 MiB, "
+        "their cut index 16 MiB, their moves 4 MiB), but only 50 MiB is available\n"
     )
     # an unknown amount of memory is not checked
     monkeypatch.setattr(_engine, "available_memory", lambda: None)

@@ -1,5 +1,6 @@
+import bisect
 import concurrent.futures
-import math
+import functools
 import os
 import random
 import sys
@@ -155,21 +156,28 @@ def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
     regime=st.sampled_from(["prick", "prop", "both"]),
     path=st.sampled_from(["auto", "scalar", "direct", "table", "hop"]),
-    route=st.sampled_from(["auto", "patch", "full"]),
+    cut=st.booleans(),
     ticks=st.integers(min_value=0, max_value=120),
     data=st.data(),
 )
 def test_trend_longer_than_window_matches_reference(
-    k, w, init_bits, regime, path, route, ticks, data
+    k, w, init_bits, regime, path, cut, ticks, data
 ):
     # n > w: the clamped machine stretched at its held windows, on every
     # engine path, against the oracles that track the whole history.
     # "direct" finds every orbit by the direct walk on the step table,
-    # "table" and "hop" search every orbit through step**w, which
-    # "route" gets by a patch of the unregulated one or by squaring; all
-    # but "scalar" switch off the 4w-tick probe of long runs
+    # "table" and "hop" search every orbit through step**w; all but
+    # "scalar" switch off the scalar budget and the 4w-tick probe.  With
+    # ``cut`` the rule is a bijective one and its machine holds the cut
+    # state, so that its long runs ("hop" makes every run long) are cuts
     from ifamarket import _engine
 
+    machine = None
+    if cut:
+        bijective = [j for j in range(256) if _engine.bijective(decode_rule(j), w)]
+        k = bijective[k % len(bijective)]
+        machine = _engine.Machine(decode_rule(k), w)
+        machine._cut_state()
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
     n = data.draw(st.integers(min_value=w + 1, max_value=3 * w), label="n")
     policy = RegulationPolicy(regime, n)
@@ -186,11 +194,8 @@ def test_trend_longer_than_window_matches_reference(
             mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
         if path == "hop":
             mp.setattr(_engine, "_DIRECT_EMIT_SHIFT", 64)
-        if route != "auto":
-            share = math.inf if route == "patch" else -1
-            mp.setattr(_engine, "_PATCH_MAX_SHARE", share)
-        series = simulate(decode_rule(k), w, init, policy, ticks)
-        report = find_cycle(decode_rule(k), w, init, policy)
+        series = simulate(decode_rule(k), w, init, policy, ticks, machine=machine)
+        report = find_cycle(decode_rule(k), w, init, policy, machine=machine)
     assert series.moves.tolist() == oracles.simulate(
         decode_rule(k), init_moves, policy, ticks
     )
@@ -313,8 +318,8 @@ def _run_lengths(moves: np.ndarray, value: int) -> np.ndarray:
 def test_every_rung_matches_the_oracles(monkeypatch):
     # the orbit engine against the brute-force oracles, first with its own
     # limits, then forced onto each path: the scalar walk alone (an
-    # unbounded budget) for every walk but runs of 2**w / 8 ticks or more,
-    # which hop past their 4w-tick probe, the tables walked tick by tick
+    # unbounded budget, which runs on a machine with no cut state take
+    # whatever their length), the tables walked tick by tick
     # up to 2**w ticks (budget 0, emit shift 0), and the tables with every
     # walk hopping w ticks at a time through step**w (budget 0, emit shift
     # 64); budget 0 also switches the probe off
@@ -477,25 +482,17 @@ def test_scalar_walk_stops_at_budget_or_first_repeat():
     assert len(set(windows)) == transient + cycle
 
 
-def _forced_route(monkeypatch, route):
-    from ifamarket import _engine
-
-    share = math.inf if route == "patch" else -1
-    monkeypatch.setattr(_engine, "_PATCH_MAX_SHARE", share)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     k=st.integers(min_value=0, max_value=255),
     w=st.integers(min_value=2, max_value=12),
     regime=st.sampled_from(["prick", "prop", "both"]),
-    route=st.sampled_from(["patch", "full"]),
     data=st.data(),
 )
-def test_machine_power_matches_full_build(k, w, regime, route, data):
-    # every policy's step**w from the machine, patched or squared, equals
-    # the square of its own step table and is a table of its own: the
-    # unregulated step**w the machine holds is read-only and unchanged
+def test_machine_power_matches_full_build(k, w, regime, data):
+    # every policy's step**w from the machine equals the square of its
+    # own step table and is a table of its own: the unregulated step**w
+    # the machine holds is read-only and unchanged
     from ifamarket import _engine
 
     n = data.draw(st.integers(min_value=1, max_value=w + 3), label="n")
@@ -504,57 +501,12 @@ def test_machine_power_matches_full_build(k, w, regime, route, data):
     decisions = _engine.decision_table(decode_rule(k), w)
     base = _engine._power(_engine.step_table(decisions, w, NONE), w)
     expected = _engine._power(_engine.step_table(decisions, w, policy), w)
-    with pytest.MonkeyPatch.context() as mp:
-        _forced_route(mp, route)
-        assert np.array_equal(machine.power(NONE), base)
-        power = machine.power(policy)
-        assert np.array_equal(power, expected)
-        assert power is not machine._base
+    assert np.array_equal(machine.power(NONE), base)
+    power = machine.power(policy)
+    assert np.array_equal(power, expected)
+    assert power is not machine._base
     assert np.array_equal(machine._base, base)
     assert not machine._base.flags.writeable
-
-
-def test_machine_patch_rewrites_only_windows_that_reach_a_run():
-    # rule 54 at w = 22: prick:14 changes step**w on about 0.04% of the
-    # windows, and the search stops early for prick:3 (over an eighth)
-    from ifamarket import _engine
-
-    machine = _engine.Machine(decode_rule(54), 22)
-    affected = machine._affected(RegulationPolicy("prick", 14))
-    assert 0 < affected.size < (1 << 22) // 2000
-    assert np.unique(affected).size == affected.size
-    assert machine._affected(RegulationPolicy("prick", 3)) is None
-    assert machine._base is None  # the search needs the decisions alone
-
-
-def test_machine_patches_only_a_table_it_holds(monkeypatch):
-    # before the unregulated step**w exists a policy squares its own
-    # table rather than build that one too; afterwards it patches it
-    from ifamarket import _engine
-
-    w = 12
-    machine = _engine.Machine(decode_rule(54), w)
-    policy = RegulationPolicy("prick", 8)
-    squared = []
-    power = _engine._power
-    monkeypatch.setattr(
-        _engine, "_power", lambda *args: squared.append(args) or power(*args)
-    )
-    assert machine.power(policy) is not None and machine._base is None
-    assert len(squared) == 1
-    # an orbit search past the direct walk (prop:8 from alternating has
-    # cycle 2,441 > 2**12 / 64) leaves no table behind either
-    init = window_from_literal("alternating_up_first", w)
-    report = find_cycle(
-        decode_rule(54), w, init, RegulationPolicy("prop", 8), machine=machine
-    )
-    assert report == CycleReport(transient_length=0, cycle_length=2441)
-    assert machine._base is None and len(squared) == 2
-    base = machine.power(NONE)
-    assert machine.power(policy) is not base and machine.power(NONE) is base
-    assert len(squared) == 3
-    series = simulate(decode_rule(54), w, init, NONE, 1 << w, machine=machine)
-    assert series == simulate(decode_rule(54), w, init, NONE, 1 << w)
 
 
 def test_direct_walk_continues_the_scalar_walk():
@@ -763,6 +715,32 @@ def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
     ]
 
 
+def test_bijectivity_is_read_from_the_automaton():
+    # the O(w) check against the table: the unregulated step permutes the
+    # windows exactly when every two windows that differ only in the
+    # oldest bit decide differently.  128 rule numbers are bijective at
+    # w = 1, 96 at w = 2 and 88 from w = 3 on, 18 machines by their
+    # smallest numbers
+    from ifamarket import _engine
+    from ifamarket.survey import machine_groups
+
+    counts = []
+    for w in range(1, 15):
+        found = []
+        for k in range(256):
+            decisions = _engine.decision_table(decode_rule(k), w)
+            half = decisions.size // 2
+            table = bool((decisions[:half] != decisions[half:]).all())
+            assert _engine.bijective(decode_rule(k), w) == table, (k, w)
+            if table:
+                found.append(k)
+        counts.append(len(found))
+    assert counts == [128, 96] + [88] * 12
+    assert [group[0] for group in machine_groups(14) if group[0] in found] == [
+        16, 52, 54, 60, 62, 64, 97, 99, 105, 107, 148, 158, 182, 188, 193, 203, 227, 233
+    ]
+
+
 def _cutting_machine(rule, w, init):
     """A machine that holds the unregulated cycle of ``init``, walked by hops."""
     from ifamarket import _engine
@@ -773,84 +751,112 @@ def _cutting_machine(rule, w, init):
     return machine
 
 
+def _window_at(machine, p):
+    """The window at position ``p`` of the machine's cut state."""
+    held, rest = machine._cut[2]
+    return int(held[p]) if p < held.size else int(rest[p - held.size])
+
+
 @pytest.mark.parametrize("w", range(6, 15))
 def test_cut_rung_matches_the_oracles(monkeypatch, w):
-    # every policy with n <= w, from both standard starts, for rule 54 and
-    # its relabelling 201: the orbit (first, windows), which a machine
-    # holding a cycle walks up the ladder without building its cut state,
-    # and a run past the orbit's end, walked as cuts of the held
-    # unregulated cycle, against the oracles.  At w = 6 and 7, x^w + x + 1
-    # is primitive, the cycle holds every nonzero window, and no run
-    # leaves it; at w = 14 some do, and hop.  With the probe off, a run
-    # whose orbit closes within 4w ticks is cut too
+    # every policy with n <= w, from both standard starts, for rule 54,
+    # its relabelling 201 and, up to w = 12, rule 52, which is bijective
+    # but not affine: the orbit (first, windows), which the ladder walks
+    # without building the cut state, and a run past the orbit's end,
+    # walked as cuts of the machine's unregulated cycles once share has
+    # built them, against the oracles.  At w = 6 and 7, x^w + x + 1 is
+    # primitive and rule 54's held cycle holds every nonzero window; at
+    # w = 8, 9 and 14 it is one of several, and runs that leave it cut
+    # another.  With the probe off, every run is a cut, also one whose
+    # orbit closes within 4w ticks, and none hops
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
     taken = {"cut": 0, "ladder": 0}
-    cut_run = _engine.Machine._cut_run
+    cut_run, walk_emit = _engine.Machine._cut_run, _engine.walk_emit
 
-    def counted(self, policy, start, num_ticks):
-        found = cut_run(self, policy, start, num_ticks)
-        taken["ladder" if found is None else "cut"] += 1
-        return found
+    def counted_cut(*args):
+        taken["cut"] += 1
+        return cut_run(*args)
 
-    monkeypatch.setattr(_engine.Machine, "_cut_run", counted)
+    def counted_emit(*args):
+        taken["ladder"] += 1
+        return walk_emit(*args)
+
+    monkeypatch.setattr(_engine.Machine, "_cut_run", counted_cut)
+    monkeypatch.setattr(_engine, "walk_emit", counted_emit)
+    groups = [(54, 201)] + ([(52,)] if w <= 12 else [])
     for kind in ("alternating_up_first", "all_up"):
         init = window_from_literal(kind, w)
         init_moves = oracles.window_moves(init)
-        machines = [_cutting_machine(decode_rule(k), w, init) for k in (54, 201)]
-        runs = []
-        for regime in ("prick", "prop", "both"):
-            for n in range(1, w + 1):
-                policy = RegulationPolicy(regime, n)
-                transient, cycle, moves = oracles.orbit_moves(
-                    decode_rule(54), init_moves, policy
-                )
-                # a run of at least 2**w / 8 ticks, which tiles the cycle
-                ticks = max(1 << (w - 3), transient + cycle + w)
-                moves += [
-                    moves[transient + (t - transient) % cycle]
-                    for t in range(len(moves), ticks)
-                ]
-                runs.append((policy, ticks, moves))
-                for machine in machines:
-                    first, windows = machine.orbit(policy, init.bits)
-                    assert (first, len(windows) - 1) == (transient, transient + cycle)
-                    assert windows[0] == init.bits
-                    assert (np.asarray(windows[1:]) & 1).tolist() == moves[: len(windows) - 1]
-                    assert machine._cut is None
-        for policy, ticks, moves in runs:
+        for numbers in groups:
+            machines = [_engine.Machine(decode_rule(k), w) for k in numbers]
             for machine in machines:
-                assert machine.run(policy, init.bits, ticks).tolist() == moves
-    if w in (6, 7):
-        assert taken["ladder"] == 0
-    if w == 14:
-        assert taken["ladder"] > 0 and taken["cut"] > 0
+                machine.orbit(NONE, init.bits)
+            runs = []
+            for regime in ("prick", "prop", "both"):
+                for n in range(1, w + 1):
+                    policy = RegulationPolicy(regime, n)
+                    transient, cycle, moves = oracles.orbit_moves(
+                        decode_rule(numbers[0]), init_moves, policy
+                    )
+                    # a run of at least 2**w / 8 ticks, which tiles the cycle
+                    ticks = max(1 << (w - 3), transient + cycle + w)
+                    moves += [
+                        moves[transient + (t - transient) % cycle]
+                        for t in range(len(moves), ticks)
+                    ]
+                    runs.append((policy, ticks, moves))
+                    for machine in machines:
+                        first, windows = machine.orbit(policy, init.bits)
+                        assert (first, len(windows) - 1) == (transient, transient + cycle)
+                        assert windows[0] == init.bits
+                        moved = (np.asarray(windows[1:]) & 1).tolist()
+                        assert moved == moves[: len(windows) - 1]
+                        assert machine._cut is None
+            for machine in machines:
+                machine.share([policy for policy, _, _ in runs], init.bits, 1 << w)
+                assert machine._cut is not None
+                for policy, ticks, moves in runs:
+                    assert machine.run(policy, init.bits, ticks).tolist() == moves
+    runs = 2 * 3 * w * sum(len(numbers) for numbers in groups)
+    assert taken == {"cut": runs, "ladder": 0}
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_machine(number, w):
+    """A machine of a bijective rule with its cut state, nothing held."""
+    from ifamarket import _engine
+
+    machine = _engine.Machine(decode_rule(number), w)
+    machine._cut_state()
+    return machine
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cut_runs_from_any_cycle_position_match_the_oracle(data):
-    # rule 54 at w = 6..12: a run cut from the held unregulated cycle, from
-    # a drawn cycle position (one within w of the cycle's end among them,
-    # so that an arc wraps), for a span below the first firing window,
-    # about transient + cycle or three times that, gives the oracle's
-    # moves, or None exactly where the oracle's walk leaves the held cycle
-    # within the span.  n = w and ``none`` never fire on the held cycle
-    w = data.draw(st.integers(6, 12), label="w")
-    rule = decode_rule(54)
-    machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
-    first, windows = machine._held
-    cycle = [int(x) for x in windows[first + 1 :]]
-    size = len(cycle)
-    at = data.draw(
-        st.integers(0, size - 1) | st.integers(size - w, size - 1), label="position"
+    # rule 54 at w = 6..14, which splits into several cycles at w = 8, 9
+    # and 14, and rule 52 at w = 6..12: a run cut from a drawn position of
+    # a drawn cycle (one within w of the cycle's end among them, so that
+    # an arc wraps), for a span below the first firing window, about
+    # transient + cycle or three times that, gives the oracle's moves.
+    # n = w and ``none`` fire seldom or never
+    number, w = data.draw(
+        st.sampled_from([(54, w) for w in range(6, 15)] + [(52, w) for w in range(6, 13)]),
+        label="machine",
     )
+    rule, machine = decode_rule(number), _cut_machine(number, w)
+    starts = machine._cut[3]
+    c = data.draw(st.integers(0, len(starts) - 2), label="cycle")
+    lo, hi = starts[c], starts[c + 1]
+    at = data.draw(st.integers(lo, hi - 1) | st.integers(max(lo, hi - w), hi - 1), label="position")
     regime = data.draw(st.sampled_from(["none", "prick", "prop", "both"]))
     n = data.draw(st.integers(1, w) | st.just(w), label="n")
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
-    init_moves = _oldest_first(cycle[at], w)
+    start = _window_at(machine, at)
+    init_moves = _oldest_first(start, w)
     transient, period, _ = oracles.orbit_moves(rule, init_moves, policy)
     orbit = transient + period
     spans = [span for span in (orbit - 1, orbit, orbit + 1, 3 * orbit) if span > 0]
@@ -863,24 +869,54 @@ def test_cut_runs_from_any_cycle_position_match_the_oracle(data):
     ]
     if fired and fired[0] > 0:
         spans.append(data.draw(st.integers(1, fired[0]), label="unfired span"))
-    on_cycle = set(cycle)
-    walked = [
-        sum(bit << age for age, bit in enumerate(reversed(history[t : t + w])))
-        for t in range(3 * orbit + 1)
-    ]
-    # the first tick whose window is off the held cycle, if any
-    off = next((t for t, x in enumerate(walked) if x not in on_cycle), math.inf)
     for num_ticks in spans:
-        moves = machine._cut_run(policy, cycle[at], num_ticks)
-        assert (moves is None) == (off <= num_ticks), num_ticks
-        if moves is not None:
-            assert moves.tolist() == expected[:num_ticks], num_ticks
+        moves = machine._cut_run(policy, start, num_ticks)
+        assert moves.tolist() == expected[:num_ticks], num_ticks
+
+
+@pytest.mark.parametrize(
+    "number, w, text", [(54, 8, "prop:1"), (54, 14, "prick:2"), (52, 10, "both:3")]
+)
+def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
+    # runs of 300 ticks from the last position of every cycle, and from
+    # the first few firing windows whose forced move lands on a cycle
+    # where the policy never fires, give the oracle's moves; among them
+    # are runs whose first arc wraps round the end of a cycle other than
+    # the first, and runs that follow an unmarked cycle to their end
+    from ifamarket import _engine
+
+    rule, machine, ticks = decode_rule(number), _cut_machine(number, w), 300
+    policy = RegulationPolicy.parse(text)
+    pos, _, _, starts = machine._cut
+    fires = set(_engine.firing(machine.decisions, w, policy).tolist())
+    marked = {bisect.bisect_right(starts, pos[x]) - 1 for x in fires}
+    ends = [_window_at(machine, hi - 1) for hi in starts[1:]]
+    forced = {x: ((x << 1) & ((1 << w) - 1)) | (~x & 1) for x in fires}
+    onto = sorted(x for x, y in forced.items() if bisect.bisect_right(starts, pos[y]) - 1 not in marked)
+    wrapped = landed = 0
+    for c, start in enumerate(ends + onto[:4]):
+        init_moves = _oldest_first(start, w)
+        expected = oracles.simulate(rule, init_moves, policy, ticks)
+        assert machine._cut_run(policy, start, ticks).tolist() == expected, start
+        wrapped += 0 < c < len(ends) and c in marked and start not in fires
+        history = init_moves + expected
+        walked = [
+            sum(bit << age for age, bit in enumerate(reversed(history[t : t + w])))
+            for t in range(ticks + 1)
+        ]
+        landed += any(
+            x in fires and bisect.bisect_right(starts, pos[y]) - 1 not in marked
+            for x, y in zip(walked, walked[1:])
+        )
+    assert wrapped > 0 and landed > 0
 
 
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     # a default span of an orbit the hops walk tiles that one walk, which
-    # the machine then holds: no cut index, no cycle moves and no hop;
-    # from another window of the cycle a run is a cut with no firing window
+    # the machine then holds: no cut state and no hop.  Once share builds
+    # the cut state, which starts with the held cycle and does not copy
+    # it, a run from another window of the cycle is a cut with no firing
+    # window
     from ifamarket import _engine
 
     w, rule = 12, decode_rule(54)
@@ -899,37 +935,51 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
         series = simulate(rule, w, init, NONE, None, min_ticks=ticks, machine=machine)
         assert series.moves.tolist() == oracles.simulate(rule, init_moves, NONE, ticks)
         assert machine._cut is None
+    machine.share([NONE], init.bits, 5000)
+    held = machine._cut[2][0]
+    assert held.size == oracles.order_of_x(w)
+    assert np.shares_memory(held, machine._held[1])
     other = int(machine._held[1][5])
     expected = oracles.simulate(rule, _oldest_first(other, w), NONE, 5000)
     assert machine.run(NONE, other, 5000).tolist() == expected
-    assert machine._cut is not None
 
 
 def test_cycle_moves_follow_the_held_orbit():
     # rule 54 from alternating at w = 14 holds a cycle of 11,811 windows,
-    # which window 7 is off: a machine that cut-ran on that cycle and
-    # then hop-walks 7's unregulated orbit of 3,937 holds the new cycle,
-    # and its regulated runs gather from that cycle's moves, rebuilt
+    # which window 7 is off.  The cut state puts the held cycle first and
+    # the 7 other cycles after it; each position holds the unregulated
+    # successor of the one before it in its cycle, every window is placed
+    # once, and each move is its window's newest bit.  A hop walk of 7's
+    # unregulated orbit of 3,937 then holds that cycle, but the cut state
+    # stays, and runs from 7 are cut from it
+    from ifamarket import _engine
+
     w, rule, ticks = 14, decode_rule(54), 5000
     init = window_from_literal("alternating_up_first", w)
     machine = _cutting_machine(rule, w, init)
-    policy = RegulationPolicy("prick", 10)  # a walk that stays on the cycle
-    expected = oracles.simulate(rule, _oldest_first(init.bits, w), policy, ticks)
-    assert machine.run(policy, init.bits, ticks).tolist() == expected
-    old = machine._cut[1]
-    assert old is not None and machine._cut_state()[0][7] < 0
-    first, windows = machine.orbit(NONE, 7)
-    assert (first, len(windows) - 1) == (0, 3937)
-    assert machine._held[1] is windows and machine._cut is None
+    held_walk = machine._held[1]
+    pos, moves, (held, rest), starts = cut = machine._cut_state()
+    assert np.shares_memory(held, held_walk) and held.size == 11811
+    assert starts[:2] == [0, 11811] and starts[-1] == 1 << w
+    assert sorted(np.diff(starts).tolist()) == [1, 3, 31, 93, 127, 381, 3937, 11811]
+    windows = np.concatenate((held, rest))
+    assert np.array_equal(pos[windows], np.arange(1 << w))
+    assert np.array_equal(moves, windows & 1)
+    decisions = machine.decisions
+    successor = ((windows << 1) & ((1 << w) - 1)) | decisions[windows]
+    for lo, hi in zip(starts, starts[1:]):
+        assert np.array_equal(successor[lo:hi], np.roll(windows[lo:hi], -1))
+    assert pos[7] >= 11811
+    first, walked = machine.orbit(NONE, 7)
+    assert (first, len(walked) - 1) == (0, 3937)
+    assert machine._held[1] is walked and machine._cut is cut
     for n in range(2, w + 1):
         for regime in ("prick", "prop"):
             policy = RegulationPolicy(regime, n)
             expected = oracles.simulate(rule, _oldest_first(7, w), policy, ticks)
             assert machine.run(policy, 7, ticks).tolist() == expected, policy
-    assert machine._cut[1] is not None and machine._cut[1] is not old
-    assert machine._cut[1].tolist() == (windows[1:] & 1).tolist()
-    # the held windows and their cut state are read-only
-    assert not any(table.flags.writeable for table in (windows, *machine._cut))
+    # the held windows and the cut state are read-only
+    assert not any(table.flags.writeable for table in (held_walk, pos, moves, rest))
 
 
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
@@ -987,9 +1037,11 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
     # unregulated rule 54 steps its window by a GF(2) linear map whose
     # characteristic polynomial is x^22 + x + 1, so the window after k
     # ticks is the XOR of the windows after i < 22 ticks over the powers
-    # x^i in x^k mod that trinomial.  Sampled positions and moves of the
-    # held cycle's cut state at w = 22 are checked against it, with the
-    # first 22 windows from the reference decision alone
+    # x^i in x^k mod that trinomial.  The trinomial is primitive, so the
+    # cut state at w = 22 is the held cycle of every nonzero window, then
+    # the fixed point 0.  Sampled positions and moves of the held cycle
+    # are checked against the identity, with the first 22 windows from
+    # the reference decision alone
     from ifamarket import _engine
 
     w, rule = 22, decode_rule(54)
@@ -1001,7 +1053,10 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
         history = history[1:] + [oracles.decide(rule, history)]
     machine = _engine.Machine(rule, w)
     machine.orbit(NONE, basis[0])
-    pos, moves = machine._cut_state()
+    pos, moves, (held, rest), starts = machine._cut_state()
+    assert np.shares_memory(held, machine._held[1])
+    assert starts == [0, (1 << w) - 1, 1 << w] and rest.tolist() == [0]
+    assert pos[0] == (1 << w) - 1 and moves[-1] == 0
     draws = random.Random(22)
     for _ in range(200):
         k = draws.randrange(1, 1 << w)
@@ -1071,8 +1126,9 @@ def _worker_threads(item):
 def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
     # rule 54 at w = 14 from the alternating window, in pieces of 1,000
     # entries: 17 pieces of a table, the last of 384, 17 of the orbit's
-    # rows of windows and 12 of its cycle of 11,811; each pass of every
-    # core count gives the arrays of one core, and leaves no thread alive
+    # rows of windows, and in the cut state 12 of its cycle of 11,811 and
+    # 5 of the 4,573 windows of the other cycles; each pass of every core
+    # count gives the arrays of one core, and leaves no thread alive
     from ifamarket import _engine
 
     w, rule = 14, decode_rule(54)
@@ -1097,7 +1153,8 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
         power = _engine._power(step, w)
         machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
         first, windows = _engine.walk_orbit(machine.power(NONE), start)
-        out = [step, power, windows, *machine._cut_state()]
+        pos, moves, (held, rest), starts = machine._cut_state()
+        out = [step, power, windows, pos, moves, held, rest, np.array(starts)]
         assert len(made) == 0 if cores == 1 else len(made) > 0
         assert not any(thread.is_alive() for thread in made)
         return first, out
