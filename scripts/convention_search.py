@@ -64,7 +64,8 @@ def orbit_cycles(rule_number, w, read_newest_first, decide_by_output):
     power = _power(step, w)
     cycles = []
     for kind in ("alternating_up_first", "all_up"):
-        first, windows = walk_orbit(power, window_from_literal(kind, w).bits)
+        start = window_from_literal(kind, w).bits
+        first, windows = walk_orbit(power, start, power.size)
         cycles.append(len(windows) - 1 - first)
     return tuple(cycles)
 

@@ -66,6 +66,14 @@ COMMANDS = [
         "simulate", "--rule", "54", "--w", "10", "--policy", "prick:4",
         "--ticks", "2000",
     ]),
+    # explicit spans of the anchor: the first hops 1,000,000 ticks without
+    # closing, the second closes at 4,194,303 and tiles the cycle past it
+    ("simulate-ticks-1m", [
+        "simulate", *ANCHOR, "--ticks", "1000000", "--ticks-out", "ticks-1m.bits",
+    ]),
+    ("simulate-ticks-5m", [
+        "simulate", *ANCHOR, "--ticks", "5000000", "--ticks-out", "ticks-5m.bits",
+    ]),
 ]
 
 

@@ -21,14 +21,13 @@ are the only routers, one job each.  The first searches an orbit up the
 whole ladder, so the orbit always closes; a default span, transient +
 one cycle, is that one walk, whose windows :func:`tile` turns into
 moves.  The second takes a run of a given span: a short one as a scalar
-then direct walk of at most its ticks, tiled in the same way, and a long
-one as a cut of the machine's cycles (below) or as :func:`walk_emit`,
-the hop walk of a run, which returns the moves alone.  Neither builds a
-table for an orbit that closes within the scalar budget, about 2**w /
-(8w) ticks: the orbit search and every run take the scalar walk that
-far first, except a long run on a machine with a cut state, which
-probes its orbit with 4w scalar ticks, about 50 us at w = 22, before it
-cuts.
+then direct walk of at most its ticks, and a long one as a cut of the
+machine's cycles (below) or as a hop walk of at most its ticks; a walk
+is tiled in the same way.  Neither builds a table for an orbit that
+closes within the scalar budget, about 2**w / (8w) ticks: the orbit
+search and every run take the scalar walk that far first, except a
+long run on a machine with a cut state, which probes its orbit with 4w
+scalar ticks, about 50 us at w = 22, before it cuts.
 
 A regulated walk is the unregulated one, cut where the policy fires (at
 the windows that :func:`firing` finds, the one place that does) and
@@ -124,7 +123,9 @@ _GATHER_CHUNK = 1 << 18
 # (1) and visits, with the firing windows and their positions (4 each)
 # that it marks from, fit in the 12 bytes of the step table and its
 # temporaries, as do the placed flags (1) and the hop walk (4) that build
-# the cut state.
+# the cut state.  A hop walk holds at most 2**w + 1 windows (4): a run's,
+# with its repeat flags and its moves (1 each), fits in those 12 bytes
+# beside the run's squared table too.
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 
 # tables smaller than this, about what the interpreter with numpy takes
@@ -260,15 +261,6 @@ def walk_scalar(
 def _low_bytes(windows: np.ndarray) -> np.ndarray:
     """A view of the low byte of each uint32 window: bit 0 is its newest move."""
     return windows.view(np.uint8)[0 if sys.byteorder == "little" else 3 :: 4]
-
-
-def realized(windows: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The realized moves that led to ``windows[1:]``: their newest bits.
-
-    Masked from the low bytes of the windows, so that a uint32 array of
-    windows is not copied.
-    """
-    return np.bitwise_and(_low_bytes(np.asarray(windows, dtype=np.uint32))[1:], 1)
 
 
 def _repeat_cycle(out: np.ndarray, first: int, done: int) -> np.ndarray:
@@ -451,31 +443,23 @@ def _power(step: np.ndarray, exponent: int) -> np.ndarray:
     return result
 
 
-def _hops(power: np.ndarray, start: int, count: int) -> np.ndarray:
-    """States after 0, w, 2w, ..., count * w ticks, ``power`` being step**w.
-
-    One lookup per hop: after w ticks the window holds only moves
-    realized during the hop, so each hop state is also the hop's w
-    moves, oldest in the top bit.
-    """
-    nxt = memoryview(power)
-    hops = np.empty(count + 1, dtype=np.uint32)
-    out = memoryview(hops)
-    x = out[0] = start
-    for k in range(1, count + 1):
-        x = out[k] = nxt[x]
-    return hops
-
-
 def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
     """The first ``count`` window states of the orbit, start included.
 
-    Tick kw + j sees the j newest moves of hop k + 1 behind the w - j
-    newest of hop k.  The rows of w states are built in pieces of about
-    ``_GATHER_CHUNK`` states, spread over the cores.
+    ``power`` is step**w, looked up once per hop: after w ticks the
+    window holds only moves realized during the hop, so each hop state
+    is also the hop's w moves, oldest in the top bit.  Tick kw + j sees
+    the j newest moves of hop k + 1 behind the w - j newest of hop k.
+    The rows of w states are built in pieces of about ``_GATHER_CHUNK``
+    states, spread over the cores.
     """
     w = power.size.bit_length() - 1
-    hops = _hops(power, start, -(-count // w))
+    nxt = memoryview(power)
+    hops = np.empty(-(-count // w) + 1, dtype=np.uint32)
+    out = memoryview(hops)
+    x = out[0] = start
+    for k in range(1, hops.size):
+        x = out[k] = nxt[x]
     older, newer = hops[:-1], hops[1:]
     states = np.empty((older.size, w), dtype=np.uint32)
     mask = np.uint32(power.size - 1)
@@ -521,51 +505,27 @@ def walk_direct(
     return None, states
 
 
-def walk_orbit(power: np.ndarray, start: int) -> tuple[int, np.ndarray]:
-    """``(first, windows)`` of the orbit of ``start``, which always closes.
+def walk_orbit(
+    power: np.ndarray, start: int, limit: int
+) -> tuple[Optional[int], np.ndarray]:
+    """``(first, windows)`` of the orbit of ``start``, at most ``limit`` ticks.
 
     The hop rung: see the module docstring for the contract.  ``power``
     is step**w for a uint32 next-window table as built by
     :func:`step_table`: every state shifts one bit left and takes its
-    realized move as bit 0.  The hops give the 2**w + 1 first states,
-    which must contain a repeat: the last of them lies on the cycle, its
-    previous occurrence gives the cycle length, and the first state
-    equal to the one a cycle later is the first to repeat.
+    realized move as bit 0.  The hops give the ``limit`` + 1 first
+    states.  The walk has closed exactly when the last of them occurred
+    before: it then lies on the cycle, its previous occurrence gives the
+    cycle length, and the first state equal to the one a cycle later is
+    the first to repeat.  A limit of 2**w ticks or more always closes.
     """
-    states = _orbit_states(power, int(start), power.size + 1)
+    states = _orbit_states(power, int(start), limit + 1)
     previous = states[:-1] == states[-1]
+    if not previous.any():
+        return None, states
     cycle = 1 + int(np.argmax(previous[::-1]))
     first = int(np.argmax(states[:-cycle] == states[cycle:]))
     return first, states[: first + cycle + 1]
-
-
-def _cycle(power: np.ndarray, start: int, limit: int, guess: int) -> np.ndarray:
-    """The windows of the cycle through ``start``, from it, of at most ``limit``.
-
-    ``power`` is step**w of a permutation, so the walk of ``start`` comes
-    back to it.  The hops walk ``guess`` ticks, then twice as many each
-    time until it does, and never hold more than ``limit`` + 1 states.
-    """
-    count = min(guess, limit)
-    while True:
-        states = _orbit_states(power, start, count + 1)
-        back = np.flatnonzero(states[1:] == start)
-        if back.size:
-            return states[: int(back[0]) + 1]
-        del states
-        count = min(2 * count, limit)
-
-
-def walk_emit(power: np.ndarray, start: int, num_ticks: int) -> np.ndarray:
-    """Realized moves of ``num_ticks`` ticks from ``start``, hop by hop.
-
-    ``power`` is step**w as for :func:`walk_orbit`, walked w ticks per
-    lookup: each hop state unpacks into the hop's w moves.
-    """
-    w = power.size.bit_length() - 1
-    hops = _hops(power, int(start), -(-num_ticks // w))[1:]
-    bits = np.unpackbits(hops.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
-    return bits[:, 32 - w :].reshape(-1)[:num_ticks]
 
 
 def _copy_around(
@@ -631,7 +591,11 @@ class Machine:
         Every window lies on one cycle, and the cycles lie end to end in
         one range of positions: the held cycle first, if the machine
         holds one, then each cycle through the smallest window not yet
-        placed, hopped through the unregulated step**w.  Position p + 1
+        placed, a hop walk through the unregulated step**w at doubling
+        limits, from the last cycle's length up to the windows not yet
+        placed.  A walk that does not close by then, or closes on a
+        window other than its start, shows that the map is not a
+        permutation, and raises :class:`RuntimeError`.  Position p + 1
         holds the unregulated successor of the window at p, and a cycle's
         first position that of its last.  The state is the int32
         position of every window; the move into each position, one
@@ -666,7 +630,21 @@ class Machine:
             while done < rest.size:
                 x = free.find(1, x)
                 power = self.power(RegulationPolicy("none"))
-                cycle = _cycle(power, x, rest.size - done, guess)
+                # no cycle is longer than the windows not yet placed
+                cap, limit = rest.size - done, guess
+                while True:
+                    limit = min(limit, cap)
+                    first, cycle = walk_orbit(power, x, limit)
+                    if first is not None or limit == cap:
+                        break
+                    del cycle
+                    limit *= 2
+                if first != 0:
+                    raise RuntimeError(
+                        f"window {x} lies on no cycle of rule {self.rule.rule_number}"
+                        f" at w = {self.w}: its unregulated step is not a permutation"
+                    )
+                cycle = cycle[:-1]
                 unplaced[cycle] = False
                 rest[done : done + cycle.size] = cycle
                 done, guess = done + cycle.size, cycle.size
@@ -812,7 +790,7 @@ class Machine:
         del windows
         power = self.power(policy, step)
         del step  # the walk should not hold it
-        first, windows = walk_orbit(power, start)
+        first, windows = walk_orbit(power, start, power.size)
         if policy.regime == "none":
             windows.setflags(write=False)
             self._held = first, windows
@@ -833,8 +811,10 @@ class Machine:
         Otherwise a long run on a machine with a cut state is a cut of
         its cycles (see :meth:`_cut_run`), copied from the cycles' moves;
         a short run walks the step table directly for the rest; and any
-        other run hops through step**w, which costs a few passes over the
-        table, but then only one Python step per w ticks.
+        other run hops through step**w for at most its ticks, or 2**w,
+        within which its orbit closes, which costs a few passes over the
+        table, but then only one Python step per w ticks.  Each walk is
+        tiled over the run's ticks.
         """
         short = num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT
         cut = not short and self._cut is not None
@@ -848,7 +828,8 @@ class Machine:
         if short:
             first, windows = walk_direct(self.step(policy), windows, num_ticks)
             return tile(first, windows, num_ticks)
-        return walk_emit(self.power(policy), start, num_ticks)
+        power = self.power(policy)
+        return tile(*walk_orbit(power, start, min(num_ticks, power.size)), num_ticks)
 
 
 # the function that ordered_map's worker process maps, set by _start_worker

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._engine import Machine, realized, scalar_decision, tile
+from ._engine import Machine, scalar_decision, tile
 from .ifa import IfaRule
 from .regulation import RegulationPolicy, regulator
 
@@ -134,7 +134,7 @@ def _orbit(
     held = _held_moves(machine.rule, machine.w, policy)
     if held:
         extra = policy.trend_length - machine.w
-        added = _stretch(init, realized(windows), held, extra)
+        added = _stretch(init, tile(None, windows, len(windows) - 1), held, extra)
         transient, cycle = (
             transient + int(added[:transient].sum()),
             cycle + int(added[transient:].sum()),

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._engine import Machine, ordered_map, realized, scalar_decision
+from ._engine import Machine, ordered_map, scalar_decision, tile
 from .ifa import IfaRule, decode_rule, encode_rule
 from .market import WindowState, window_from_literal
 from .regulation import RegulationPolicy
@@ -69,7 +69,7 @@ def classify_rule(
     # one walk gives the orbit and its moves
     transient, windows = Machine(rule, w).orbit(RegulationPolicy("none"), init.bits)
     cycle = len(windows) - 1 - transient
-    ratio = compression_ratio(realized(windows)[transient:])
+    ratio = compression_ratio(tile(None, windows, len(windows) - 1)[transient:])
     if cycle == 1:
         rule_class = "fixed"
     elif cycle >= long_cycle_fraction * (1 << w) and ratio > compression_threshold:

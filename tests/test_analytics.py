@@ -415,7 +415,8 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
 
     rows()
     with monkeypatch.context() as mp:
-        mp.setattr(_engine, "walk_emit", failing_walk)
+        # these runs take no orbit search, so every hop walk is a run's
+        mp.setattr(_engine, "walk_orbit", failing_walk)
         for text in ("prick:3", "prick:9", "both:12"):
             policy = RegulationPolicy.parse(text)
             with pytest.raises(RuntimeError, match="walk failed"):

@@ -543,9 +543,9 @@ def test_direct_walk_continues_the_scalar_walk():
     data=st.data(),
 )
 def test_walks_share_one_contract(k, w, start, regime, limit, data):
-    # the scalar and direct walks give the same (first, windows) from the
-    # same start and limit, and with a limit of 2**w ticks or more, within
-    # which every orbit closes, the hop walk's
+    # the scalar, direct and hop walks give the same (first, windows) from
+    # the same start and limit; with a limit of 2**w ticks or more every
+    # orbit closes
     from ifamarket import _engine
 
     rule = decode_rule(k)
@@ -557,11 +557,11 @@ def test_walks_share_one_contract(k, w, start, regime, limit, data):
     direct = _engine.walk_direct(step, [start], limit)
     assert (direct[0], direct[1].tolist()) == (first, windows)
     assert first is not None or len(windows) == limit + 1
+    assert first is not None or limit < 1 << w
     if first is not None:
         assert windows[-1] == windows[first] and len(set(windows)) == len(windows) - 1
-    if limit >= 1 << w:
-        hop = _engine.walk_orbit(_engine._power(step, w), start)
-        assert (hop[0], hop[1].tolist()) == (first, windows)
+    hop = _engine.walk_orbit(_engine._power(step, w), start, limit)
+    assert (hop[0], hop[1].tolist()) == (first, windows)
 
 
 def test_short_run_closed_by_the_scalar_walk_builds_no_table(monkeypatch):
@@ -757,6 +757,31 @@ def _window_at(machine, p):
     return int(held[p]) if p < held.size else int(rest[p - held.size])
 
 
+def _run_hops(monkeypatch):
+    """A list to which each hop walk that ``Machine.run`` takes appends
+    its arguments; orbit searches and the cut state still hop unlisted."""
+    from ifamarket import _engine
+
+    run, walk_orbit = _engine.Machine.run, _engine.walk_orbit
+    running, hops = [], []
+
+    def listed_run(*args):
+        running.append(args)
+        try:
+            return run(*args)
+        finally:
+            running.pop()
+
+    def listed_walk(*args):
+        if running:
+            hops.append(args)
+        return walk_orbit(*args)
+
+    monkeypatch.setattr(_engine.Machine, "run", listed_run)
+    monkeypatch.setattr(_engine, "walk_orbit", listed_walk)
+    return hops
+
+
 @pytest.mark.parametrize("w", range(6, 15))
 def test_cut_rung_matches_the_oracles(monkeypatch, w):
     # every policy with n <= w, from both standard starts, for rule 54,
@@ -773,19 +798,15 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
-    taken = {"cut": 0, "ladder": 0}
-    cut_run, walk_emit = _engine.Machine._cut_run, _engine.walk_emit
+    taken = {"cut": 0}
+    cut_run = _engine.Machine._cut_run
 
     def counted_cut(*args):
         taken["cut"] += 1
         return cut_run(*args)
 
-    def counted_emit(*args):
-        taken["ladder"] += 1
-        return walk_emit(*args)
-
     monkeypatch.setattr(_engine.Machine, "_cut_run", counted_cut)
-    monkeypatch.setattr(_engine, "walk_emit", counted_emit)
+    hops = _run_hops(monkeypatch)
     groups = [(54, 201)] + ([(52,)] if w <= 12 else [])
     for kind in ("alternating_up_first", "all_up"):
         init = window_from_literal(kind, w)
@@ -821,7 +842,23 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
                 for policy, ticks, moves in runs:
                     assert machine.run(policy, init.bits, ticks).tolist() == moves
     runs = 2 * 3 * w * sum(len(numbers) for numbers in groups)
-    assert taken == {"cut": runs, "ladder": 0}
+    assert (taken["cut"], len(hops)) == (runs, 0)
+
+
+def test_cut_state_of_a_map_that_is_not_a_permutation_raises():
+    # a window on no cycle of the unregulated map, which the walk from it
+    # shows by closing on another window or not within the windows left,
+    # makes the cut state raise rather than hop for ever: rule 35 at w = 8
+    # and every machine at w = 6 that is not bijective
+    from ifamarket import _engine
+
+    machines = [_engine.Machine(decode_rule(35), 8)]
+    machines += [_engine.Machine(decode_rule(k), 6) for k in range(256)]
+    for machine in machines:
+        if not _engine.bijective(machine.rule, machine.w):
+            with pytest.raises(RuntimeError, match="not a permutation"):
+                machine._cut_state()
+            assert machine._cut is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -913,7 +950,7 @@ def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
 
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     # a default span of an orbit the hops walk tiles that one walk, which
-    # the machine then holds: no cut state and no hop.  Once share builds
+    # the machine then holds: no cut state, and no run hops.  Once share builds
     # the cut state, which starts with the held cycle and does not copy
     # it, a run from another window of the cycle is a cut with no firing
     # window
@@ -923,11 +960,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     init = window_from_literal("alternating_up_first", w)
     init_moves = oracles.window_moves(init)
     machine = _engine.Machine(rule, w)
-
-    def no_emit(*args):
-        pytest.fail("the run hopped")
-
-    monkeypatch.setattr(_engine, "walk_emit", no_emit)
+    hops = _run_hops(monkeypatch)
     series = simulate(rule, w, init, NONE, None, machine=machine)
     assert len(series) == oracles.order_of_x(w)
     assert machine._held is not None and machine._cut is None
@@ -942,6 +975,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     other = int(machine._held[1][5])
     expected = oracles.simulate(rule, _oldest_first(other, w), NONE, 5000)
     assert machine.run(NONE, other, 5000).tolist() == expected
+    assert hops == [], "the run hopped"
 
 
 def test_cycle_moves_follow_the_held_orbit():
@@ -1152,7 +1186,8 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
         step = _engine.step_table(decisions, w, policy)
         power = _engine._power(step, w)
         machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
-        first, windows = _engine.walk_orbit(machine.power(NONE), start)
+        base = machine.power(NONE)
+        first, windows = _engine.walk_orbit(base, start, base.size)
         pos, moves, (held, rest), starts = machine._cut_state()
         out = [step, power, windows, pos, moves, held, rest, np.array(starts)]
         assert len(made) == 0 if cores == 1 else len(made) > 0
