@@ -35,6 +35,8 @@ COMMANDS = [
     ("simulate-rle", ["simulate", *ANCHOR, "--ticks-out", "simulate.rle"]),
     ("simulate-bits", ["simulate", *ANCHOR, "--ticks-out", "simulate.bits"]),
     ("moments", ["moments", *ANCHOR, "--annualize"]),
+    # a long orbit of an affine machine that decides c = 1 on the zero window
+    ("moments-rule99", ["moments", "--rule", "99", "--w", "22", "--annualize"]),
     ("table1-workers1", ["table1", *ANCHOR, "--workers", "1"]),
     ("table1-workers2", ["table1", *ANCHOR, "--workers", "2"]),
     ("table1-w20-both", ["table1", "--w", "20", "--include-both", "--workers", "2"]),
@@ -48,6 +50,10 @@ COMMANDS = [
     ]),
     ("table1-rule150", ["table1", "--rule", "150", "--w", "22", "--workers", "2"]),
     ("survey-all-up", ["survey", "--w", "22", "--init", "all_up", "--workers", "2"]),
+    # rules 54, 99, 156 and 201 have long orbits here, with c = 0 and c = 1
+    ("survey-alternating", [
+        "survey", "--w", "22", "--init", "alternating", "--workers", "2",
+    ]),
     ("moments-prop15", ["moments", "--policy", "prop:15", "--annualize"]),
     ("simulate-prick9", ["simulate", "--policy", "prick:9"]),
     # a trend length n > w

@@ -18,16 +18,29 @@ tables and builds nothing of size 2**w; :func:`walk_direct` walks the
 step table with a 2**w-bit seen bitmap; :func:`walk_orbit` hops w ticks
 at a time through step**w.  :meth:`Machine.orbit` and :meth:`Machine.run`
 are the only routers, one job each.  The first searches an orbit up the
-whole ladder, so the orbit always closes; a default span, transient +
-one cycle, is that one walk, whose windows :func:`tile` turns into
-moves.  The second takes a run of a given span: a short one as a scalar
-then direct walk of at most its ticks, and a long one as a cut of the
-machine's cycles (below) or as a hop walk of at most its ticks; a walk
-is tiled in the same way.  Neither builds a table for an orbit that
-closes within the scalar budget, about 2**w / (8w) ticks: the orbit
-search and every run take the scalar walk that far first, except a
-long run on a machine with a cut state, which probes its orbit with 4w
-scalar ticks, about 50 us at w = 22, before it cuts.
+whole ladder, so the orbit always closes, and gives it as ``(first,
+moves)``, the moves of its transient and one cycle, which a default span
+tiles (:func:`tile`).  The second takes a run of a given span: a short
+one as a scalar then direct walk of at most its ticks, and a long one as
+a cut of the machine's cycles (below) or as a hop walk of at most its
+ticks; a walk's moves are tiled in the same way.  Neither builds a table
+for an orbit that closes within the scalar budget, about 2**w / (8w)
+ticks: the orbit search and every run take the scalar walk that far
+first, except a long run on a machine with a cut state and an
+unregulated orbit or long run of an affine machine, which probe their
+orbit with 4w scalar ticks, about 50 us at w = 22.
+
+An affine machine decides each window x as c ^ parity(a & x)
+(:func:`affine_form` tells in O(w)), so its unregulated moves obey the
+linear recurrence m[t] = c ^ XOR over the bits i of a of m[t - 1 - i]: a
+linear feedback shift register (Golomb, *Shift Register Sequences*,
+1967).  Past the probe it takes the affine rung and builds no table:
+Berlekamp-Massey on the first moves gives the minimal polynomial
+t^k q(t) of the window sequence, whose transient is k and whose cycle is
+the order of t modulo q (Lidl & Niederreiter, *Finite Fields*, ch. 8),
+and :func:`affine_moves` writes the moves by lag doubling.  Rule 54 is
+such a machine, with characteristic polynomial x^w + x + 1; where that
+is primitive (w = 22 among them) one cycle holds every nonzero window.
 
 A regulated walk is the unregulated one, cut where the policy fires (at
 the windows that :func:`firing` finds, the one place that does) and
@@ -38,22 +51,21 @@ cut state is built a long run is a cut: between two firing windows it
 follows the cycle it is on.  The cycle positions where the policy fires
 are marked one byte each, so the next one is one ``bytearray.find``,
 and the cycle's moves up to it are copied into the run as the walk
-goes.  Rule 54 is such a machine, a shift register with characteristic
-polynomial x^w + x + 1; where that is primitive (w = 22 among them) one
-cycle holds every nonzero window.
+goes.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
-the unregulated step**w, the held unregulated walk and, on a bijective
-machine, built by :meth:`Machine.share`, the cut state of every cycle:
-the cycle position of every window, the windows at the positions and
-their moves, one contiguous 0/1 byte per tick, so that a cut run copies
-each arc of a cycle as one slice.  All but the decision table are
-read-only once built.  A regulated policy that must hop squares its own
-step table.  Besides the machine's own tables, at most a regulated step
-table and two step**w temporaries are held at once.  Hop walks use numpy
-alone, one Python step per w ticks; each tick's window is rebuilt from
-two consecutive hop states with shifts.  All state arrays are uint32,
-which holds every w <= 30.
+the unregulated step**w, the moves of the held unregulated orbit and,
+on a bijective machine, built by :meth:`Machine.share`, the cut state of
+every cycle: the cycle position of every window, the windows at the
+positions and their moves, one contiguous 0/1 byte per tick, so that a
+cut run copies each arc of a cycle as one slice.  All but the decision
+table are read-only once built.  A regulated policy that must hop
+squares its own step table.  Besides the machine's own tables, at most a
+regulated step table and two step**w temporaries are held at once.  Hop
+walks use numpy alone, one Python step per w ticks; each tick's window
+is rebuilt from two consecutive hop states with shifts, as are the held
+cycle's windows from its moves.  All state arrays are uint32, which
+holds every w <= 30.
 
 The passes over a whole table (the fill of a step table, each gather
 that squares step**w, the rows of a hopped orbit's windows and the cut
@@ -68,10 +80,12 @@ processes already share the cores.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from array import array
 from bisect import bisect_right
+from functools import cached_property
 from threading import Thread
 from typing import Callable, Optional, Sequence
 
@@ -122,10 +136,11 @@ _GATHER_CHUNK = 1 << 18
 # their moves (1).  A cut run holds no regulated table: its firing marks
 # (1) and visits, with the firing windows and their positions (4 each)
 # that it marks from, fit in the 12 bytes of the step table and its
-# temporaries, as do the placed flags (1) and the hop walk (4) that build
-# the cut state.  A hop walk holds at most 2**w + 1 windows (4): a run's,
-# with its repeat flags and its moves (1 each), fits in those 12 bytes
-# beside the run's squared table too.
+# temporaries, as do the placed flags (1) and the hop walk or the held
+# cycle's rebuilt windows (4) that build the cut state, beside the held
+# orbit's moves (1) in either case.  A hop walk holds at most 2**w + 1
+# windows (4): a run's, with its repeat flags and its moves (1 each), fits
+# in those 12 bytes beside the run's squared table too.
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
 
 # tables smaller than this, about what the interpreter with numpy takes
@@ -236,6 +251,192 @@ def bijective(rule: IfaRule, w: int) -> bool:
     return all(rule.output(s, 0) != rule.output(s, 1) for s in states)
 
 
+def affine_form(rule: IfaRule, w: int) -> Optional[tuple[int, int]]:
+    """``(c, a)`` if the rule decides every w-bit window x as
+    c ^ parity(a & x), else None, in O(w) and with no table.
+
+    c is the decision of the zero window, and bit i of a that of the unit
+    window 1 << i, xor c.  The form then holds exactly when every pair of
+    an automaton state and the parity of a's bits read so far, reached
+    from (0, 0) by the newest w - 1 bits of a window, read newest-first
+    as :func:`scalar_decision` does, outputs c ^ that parity ^ a's
+    oldest bit for the oldest bit 1, and c ^ that parity for 0.
+    """
+    decide = scalar_decision(rule, w)
+    c = decide(0)
+    a = sum((decide(1 << i) ^ c) << i for i in range(w))
+    pairs = {(0, 0)}
+    for i in range(w - 1):
+        pairs = {
+            (rule.next_state(s, b), p ^ (b & a >> i)) for s, p in pairs for b in (0, 1)
+        }
+    oldest = a >> (w - 1)
+    for s, p in pairs:
+        if any(rule.output(s, b) != c ^ p ^ (b & oldest) for b in (0, 1)):
+            return None
+    return c, a
+
+
+# Polynomials over GF(2) are ints: bit i is the coefficient of t^i.
+
+
+def _gf2_divmod(x: int, y: int) -> tuple[int, int]:
+    quotient, size = 0, y.bit_length()
+    while x.bit_length() >= size:
+        shift = x.bit_length() - size
+        quotient ^= 1 << shift
+        x ^= y << shift
+    return quotient, x
+
+
+def _gf2_gcd(x: int, y: int) -> int:
+    while y:
+        x, y = y, _gf2_divmod(x, y)[1]
+    return x
+
+
+def _gf2_mulmod(x: int, y: int, modulus: int) -> int:
+    product = 0
+    for i in range(y.bit_length()):
+        if y >> i & 1:
+            product ^= x << i
+    return _gf2_divmod(product, modulus)[1]
+
+
+def _gf2_powmod(x: int, exponent: int, modulus: int) -> int:
+    result = 1
+    while exponent:
+        if exponent & 1:
+            result = _gf2_mulmod(result, x, modulus)
+        x = _gf2_mulmod(x, x, modulus)
+        exponent >>= 1
+    return result
+
+
+def _prime_factors(n: int) -> set[int]:
+    found, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            found.add(p)
+            n //= p
+        p += 1 + (p > 2)
+    return found | ({n} if n > 1 else set())
+
+
+def _minimal_polynomial(bits: Sequence[int]) -> tuple[int, int]:
+    """``(k, q)`` with q(0) = 1: the minimal polynomial t^k q(t) of a
+    sequence over GF(2) whose linear complexity is at most len(``bits``) / 2.
+
+    Berlekamp-Massey (Massey, 1969) gives the shortest recurrence of
+    length L, with connection polynomial C(x) = 1 + c_1 x + ... + c_L x^L;
+    the minimal polynomial is its reciprocal t^L C(1/t).
+    """
+    conn, prev, length, gap, recent = 1, 1, 0, 1, 0
+    for n, bit in enumerate(bits):
+        recent = recent << 1 | bit  # bit i: bits[n - i]
+        if not (conn & recent).bit_count() & 1:  # no discrepancy
+            gap += 1
+        elif 2 * length <= n:
+            conn, prev, length, gap = conn ^ prev << gap, conn, n + 1 - length, 1
+        else:
+            conn ^= prev << gap
+            gap += 1
+    degree = conn.bit_length() - 1
+    return length - degree, int(format(conn, "b")[::-1], 2)
+
+
+def _order_of_t(q: int) -> int:
+    """The multiplicative order of t modulo ``q`` over GF(2), where q(0) = 1.
+
+    Distinct-degree factorization gives the degrees d of q's irreducible
+    factors; the order modulo each divides 2^d - 1, and each multiplicity
+    e adds a factor 2^ceil(log2 e) (Lidl & Niederreiter, Theorem 3.8).
+    So t^(2^s), with 2^s >= deg q, has the odd part of the order, which is
+    the lcm of those 2^d - 1 less every prime it can spare, and the order
+    is that times the powers of 2 that t^(odd part) needs to reach 1.
+    """
+    degree = q.bit_length() - 1
+    if degree == 0:
+        return 1
+    degrees, rest, frobenius, d = [], q, 0b10, 0  # frobenius: t^(2^d) mod q
+    while rest.bit_length() - 1 >= 2 * (d + 1):
+        d += 1
+        frobenius = _gf2_mulmod(frobenius, frobenius, q)
+        # the product of rest's irreducible factors of degree d
+        common = _gf2_gcd(rest, _gf2_divmod(frobenius, rest)[1] ^ 0b10)
+        if common != 1:
+            degrees.append(d)
+            while common != 1:
+                rest = _gf2_divmod(rest, common)[0]
+                common = _gf2_gcd(rest, common)
+    if rest != 1:  # one irreducible factor is left
+        degrees.append(rest.bit_length() - 1)
+    odd = _gf2_powmod(0b10, 1 << (degree - 1).bit_length(), q)
+    order = math.lcm(*((1 << d) - 1 for d in degrees))
+    for p in set().union(*(_prime_factors((1 << d) - 1) for d in degrees)):
+        while order % p == 0 and _gf2_powmod(odd, order // p, q) == 1:
+            order //= p
+    power = _gf2_powmod(0b10, order, q)
+    while power != 1:
+        power = _gf2_mulmod(power, power, q)
+        order *= 2
+    return order
+
+
+def affine_orbit(c: int, a: int, w: int, start: int) -> tuple[int, int]:
+    """``(transient, cycle)`` of the unregulated orbit of ``start`` on the
+    affine machine ``(c, a)`` of width w, from the algebra alone.
+
+    The start window's moves, oldest first, and the 2(w + 1) moves after
+    them follow a linear recurrence of order at most w + 1 (the constant
+    c adds the factor t + 1), so Berlekamp-Massey finds their minimal
+    polynomial t^k q(t).  A window repeats the one T ticks before it
+    exactly when every move from its oldest on does, so the transient is
+    k and the cycle the order of t modulo q.
+    """
+    bits = [start >> age & 1 for age in range(w - 1, -1, -1)]
+    x, mask = start, (1 << w) - 1
+    for _ in range(2 * (w + 1)):
+        move = c ^ (a & x).bit_count() & 1
+        bits.append(move)
+        x = (x << 1 & mask) | move
+    transient, q = _minimal_polynomial(bits)
+    return transient, _order_of_t(q)
+
+
+def affine_moves(c: int, a: int, w: int, start: int, num_ticks: int) -> np.ndarray:
+    """The unregulated moves of ``num_ticks`` ticks from ``start`` on the
+    affine machine ``(c, a)`` of width w, by lag doubling.
+
+    The history h, the start window's moves oldest first then the moves,
+    obeys h[n] = c ^ XOR over the lags l of h[n - l], the lags l = i + 1
+    for the bits i of a, from n = w on.  Squaring the recurrence over
+    GF(2) doubles every lag, and keeps the constant c when a has an even
+    number of bits (0 when odd); the doubled recurrence holds from
+    n = w + (largest lag) on.  So with lags scaled by 2^r it holds from
+    w + (2^r - 1) * (largest lag) on, and each block of (smallest lag) *
+    2^r ticks is one XOR of slices per lag.  ``a`` is not 0: a constant
+    machine's orbit closes within w + 1 ticks, in the scalar probe.  The
+    memory check counts the moves, one byte a tick, before they are
+    allocated.
+    """
+    _check_memory(num_ticks, f"the moves of {num_ticks:,} ticks need {_mib(num_ticks)}")
+    lags = [i + 1 for i in range(w) if a >> i & 1]
+    history = np.empty(w + num_ticks, dtype=np.uint8)
+    history[:w] = [start >> age & 1 for age in range(w - 1, -1, -1)]
+    n, r, constant = w, 0, c
+    while n < history.size:
+        while w + ((2 << r) - 1) * lags[-1] <= n:
+            r += 1
+            constant = c if len(lags) % 2 == 0 else 0
+        block = history[n : n + min(lags[0] << r, history.size - n)]
+        for k, lag in enumerate(lags):
+            past = history[n - (lag << r) :][: block.size]
+            np.bitwise_xor(block if k else constant, past, out=block)
+        n += block.size
+    return history[w:]
+
+
 def walk_scalar(
     rule: IfaRule, w: int, policy: RegulationPolicy, start: int, limit: int
 ) -> tuple[Optional[int], list[int]]:
@@ -275,18 +476,22 @@ def _repeat_cycle(out: np.ndarray, first: int, done: int) -> np.ndarray:
     return out
 
 
-def tile(first: Optional[int], windows: Sequence[int], num_ticks: int) -> np.ndarray:
-    """A new array of the realized moves of ``num_ticks`` ticks of a walk.
+def walk_moves(windows: Sequence[int]) -> np.ndarray:
+    """A new array of the moves of a walk: the newest bit of each window
+    after the first."""
+    return np.bitwise_and(_low_bytes(np.asarray(windows, dtype=np.uint32))[1:], 1)
 
-    ``(first, windows)`` is the walk: at most ``num_ticks`` ticks if it did
-    not close, else its transient and one cycle, which repeats over the
-    ticks left.  The low bytes of the windows are masked once, into the
-    result, so that no other copy of the moves is made.
+
+def tile(first: Optional[int], moves: np.ndarray, num_ticks: int) -> np.ndarray:
+    """A new array of the realized moves of ``num_ticks`` ticks.
+
+    ``(first, moves)`` is an orbit or a walk's moves: at most
+    ``num_ticks`` if it did not close (``first`` None), else its
+    transient and one cycle, which repeats over the ticks left.
     """
-    low = _low_bytes(np.asarray(windows, dtype=np.uint32))[1:]
     out = np.empty(num_ticks, dtype=np.uint8)
-    done = min(low.size, num_ticks)
-    np.bitwise_and(low[:done], 1, out=out[:done])
+    done = min(len(moves), num_ticks)
+    out[:done] = moves[:done]
     return out if first is None else _repeat_cycle(out, first, done)
 
 
@@ -309,6 +514,15 @@ def _mib(size: int) -> str:
     return f"{size / (1 << 20):,.0f} MiB"
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Raise :class:`MemoryError` if ``need`` bytes, which ``what`` names
+    with its sizes, do not fit in the memory available; less than
+    ``_MEMORY_CHECK_MIN_BYTES`` is not checked."""
+    available = None if need < _MEMORY_CHECK_MIN_BYTES else available_memory()
+    if available is not None and need > available:
+        raise MemoryError(f"{what}, but only {_mib(available)} is available")
+
+
 def decision_table(rule: IfaRule, w: int) -> np.ndarray:
     """Intended move for every w-bit window value, as a uint8 array.
 
@@ -322,18 +536,15 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
     memory available; if not it raises :class:`MemoryError`.  Tables of
     less than ``_MEMORY_CHECK_MIN_BYTES`` are not checked.
     """
-    need = _TABLE_BYTES_PER_WINDOW << w
-    available = None if need < _MEMORY_CHECK_MIN_BYTES else available_memory()
-    if available is not None and need > available:
-        table = _mib(4 << w)
-        raise MemoryError(
-            f"the tables for w = {w} need up to {_mib(need)} "
-            f"(decision {_mib(1 << w)}, unregulated step**w {table}, "
-            f"step {table}, two step**w temporaries of {table}, "
-            f"the windows of every cycle {table}, their cut index {table}, "
-            f"their moves {_mib(1 << w)}), "
-            f"but only {_mib(available)} is available"
-        )
+    need, table = _TABLE_BYTES_PER_WINDOW << w, _mib(4 << w)
+    _check_memory(
+        need,
+        f"the tables for w = {w} need up to {_mib(need)} "
+        f"(decision {_mib(1 << w)}, unregulated step**w {table}, "
+        f"step {table}, two step**w temporaries of {table}, "
+        f"the windows of every cycle {table}, their cut index {table}, "
+        f"their moves {_mib(1 << w)})",
+    )
     # the maps of a state by the bit read, and by the oldest bit to the move
     images = [
         [[f(s, b) for s in (0, 1)] for b in (0, 1)]
@@ -448,10 +659,8 @@ def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
 
     ``power`` is step**w, looked up once per hop: after w ticks the
     window holds only moves realized during the hop, so each hop state
-    is also the hop's w moves, oldest in the top bit.  Tick kw + j sees
-    the j newest moves of hop k + 1 behind the w - j newest of hop k.
-    The rows of w states are built in pieces of about ``_GATHER_CHUNK``
-    states, spread over the cores.
+    is also the hop's w moves, oldest in the top bit, from which
+    :func:`_fill_states` fills the ticks between.
     """
     w = power.size.bit_length() - 1
     nxt = memoryview(power)
@@ -460,9 +669,17 @@ def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
     x = out[0] = start
     for k in range(1, hops.size):
         x = out[k] = nxt[x]
+    return _fill_states(hops, w, count)
+
+
+def _fill_states(hops: np.ndarray, w: int, count: int) -> np.ndarray:
+    """The ``count`` first of the w-bit states that ``hops`` holds one in
+    every w of: tick kw + j sees the j newest bits of hop k + 1 behind the
+    w - j newest of hop k.  The rows of w states are built in pieces of
+    about ``_GATHER_CHUNK`` states, spread over the cores."""
     older, newer = hops[:-1], hops[1:]
     states = np.empty((older.size, w), dtype=np.uint32)
-    mask = np.uint32(power.size - 1)
+    mask = np.uint32((1 << w) - 1)
 
     def fill(lo: int, hi: int) -> None:
         rows, old, new = states[lo:hi], older[lo:hi], newer[lo:hi]
@@ -472,6 +689,28 @@ def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
 
     _in_pieces(older.size, fill, w)
     return states.reshape(-1)[:count]
+
+
+def _cycle_windows(moves: np.ndarray, w: int) -> np.ndarray:
+    """The windows along a cycle from its moves: the window at position p
+    has ``moves[p]`` newest, then the moves before it round the cycle.
+
+    The moves, led by the w - 1 at the cycle's end and padded with those
+    at its start, are packed w to a hop state, oldest in the top bit, and
+    the windows are filled from the hop states as a hop walk's are.
+    """
+    size = moves.size
+    rows = -(-size // w) + 1
+    ext = np.empty(rows * w, dtype=np.uint8)
+    tail = ext.size - (w - 1) - size
+    ext[: w - 1] = moves[np.arange(1 - w, 0) % size]
+    ext[w - 1 : w - 1 + size] = moves
+    ext[ext.size - tail :] = moves[np.arange(tail) % size]
+    hops = np.zeros(rows, dtype=np.uint32)
+    for column in ext.reshape(rows, w).T:
+        hops <<= np.uint32(1)
+        hops |= column
+    return _fill_states(hops, w, size)
 
 
 def walk_direct(
@@ -541,12 +780,12 @@ def _copy_around(
 class Machine:
     """One rule's tables at one window width, each built when first needed.
 
-    It holds the decision table, the unregulated step**w, the last
-    unregulated orbit its hop rung walked and, on a bijective machine,
-    the cut state of every unregulated cycle, and nothing else of size
-    2**w, so that every policy walked on it shares them: see
-    :meth:`power` and :meth:`_cut_run`.  A machine that only serves
-    scalar walks builds nothing.
+    It holds the decision table, the unregulated step**w, the moves of
+    the last unregulated orbit its affine or hop rung found and, on a
+    bijective machine, the cut state of every unregulated cycle, and
+    nothing else of size 2**w, so that every policy walked on it shares
+    them: see :meth:`power` and :meth:`_cut_run`.  A machine that only
+    serves scalar walks or the affine rung builds no table.
     """
 
     def __init__(self, rule: IfaRule, w: int) -> None:
@@ -554,8 +793,8 @@ class Machine:
         self.w = w
         self._decisions: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None  # unregulated step**w
-        # the unregulated orbit last walked through the hop rung, as
-        # (first, windows), and the cut state, built by share
+        # the unregulated orbit last found by the affine or hop rung, as
+        # (first, moves), and the cut state, built by share
         self._held: Optional[tuple[int, np.ndarray]] = None
         self._cut: Optional[tuple] = None
 
@@ -564,6 +803,11 @@ class Machine:
         if self._decisions is None:
             self._decisions = decision_table(self.rule, self.w)
         return self._decisions
+
+    @cached_property
+    def _affine(self) -> Optional[tuple[int, int]]:
+        """``(c, a)`` of an affine machine (see :func:`affine_form`), else None."""
+        return affine_form(self.rule, self.w)
 
     def step(self, policy: RegulationPolicy) -> np.ndarray:
         """The policy's step table, built anew: the machine keeps none."""
@@ -590,73 +834,84 @@ class Machine:
 
         Every window lies on one cycle, and the cycles lie end to end in
         one range of positions: the held cycle first, if the machine
-        holds one, then each cycle through the smallest window not yet
-        placed, a hop walk through the unregulated step**w at doubling
-        limits, from the last cycle's length up to the windows not yet
-        placed.  A walk that does not close by then, or closes on a
-        window other than its start, shows that the map is not a
-        permutation, and raises :class:`RuntimeError`.  Position p + 1
-        holds the unregulated successor of the window at p, and a cycle's
-        first position that of its last.  The state is the int32
-        position of every window; the move into each position, one
-        contiguous byte per tick; the windows at the positions, as the
-        held cycle, not copied, and an array of the rest; and the first
-        position of every cycle, then 2**w.
+        holds one, its windows rebuilt from its moves, then each cycle
+        through the smallest window not yet placed.  That is a scalar
+        walk while the walks have taken fewer than ``_scalar_budget(w)``
+        ticks in all, and after that a hop walk through the unregulated
+        step**w at doubling limits, from the last cycle's length; either
+        stops at the windows not yet placed.  A walk that does not close
+        by then, or closes on a window other than its start, shows that
+        the map is not a permutation, and raises :class:`RuntimeError`.
+        Position p + 1 holds the unregulated successor of the window at
+        p, and a cycle's first position that of its last.  The state is
+        the int32 position of every window; the move into each position,
+        one contiguous byte per tick; the window at each position; and
+        the first position of every cycle, then 2**w.
         """
         if self._cut is None:
-            size = 1 << self.w
-            first, windows = self._held or (0, np.empty(1, dtype=np.uint32))
-            held = windows[first + 1 :]
-            rest = np.empty(size - held.size, dtype=np.uint32)
+            # the decision table's memory check counts the cut state, so
+            # it is built first; the cut runs read it
+            self.decisions
+            size, none = 1 << self.w, RegulationPolicy("none")
+            windows = np.empty(size, dtype=np.uint32)
+            done = 0  # windows placed
+            if self._held is not None:
+                first, orbit = self._held
+                done = orbit.size - first
+                windows[:done] = _cycle_windows(orbit[first:], self.w)
             pos = np.full(size, -1, dtype=np.int32)
 
-            def place(cycles: np.ndarray, at: int) -> None:
-                def index(lo: int, hi: int) -> None:
+            def place(lo: int, hi: int) -> None:
+                def index(a: int, b: int) -> None:
                     # the windows are distinct, so the pieces write
                     # disjoint entries; ``clip`` skips the bounds check,
                     # which no window can fail
-                    where = np.arange(at + lo, at + hi, dtype=np.int32)
-                    np.put(pos, cycles[lo:hi], where, mode="clip")
+                    where = np.arange(lo + a, lo + b, dtype=np.int32)
+                    np.put(pos, windows[lo + a : lo + b], where, mode="clip")
 
-                _in_pieces(cycles.size, index)
+                _in_pieces(hi - lo, index)
 
-            place(held, 0)
+            place(0, done)
             # one byte per window, 1 while it is not placed, for find
             free = bytearray(size)
             unplaced = np.frombuffer(free, dtype=np.bool_)
             np.less(pos, 0, out=unplaced)
-            starts = [0, held.size] if held.size else [0]
-            done, x, guess = 0, 0, self.w  # cycles often repeat a length
-            while done < rest.size:
+            starts = [0, done] if done else [0]
+            held, x, guess = done, 0, self.w  # cycles often repeat a length
+            budget = _scalar_budget(self.w)  # scalar ticks left
+            while done < size:
                 x = free.find(1, x)
-                power = self.power(RegulationPolicy("none"))
                 # no cycle is longer than the windows not yet placed
-                cap, limit = rest.size - done, guess
-                while True:
-                    limit = min(limit, cap)
-                    first, cycle = walk_orbit(power, x, limit)
-                    if first is not None or limit == cap:
-                        break
-                    del cycle
-                    limit *= 2
+                cap = size - done
+                first, limit = None, min(budget, cap)
+                if limit:
+                    first, cycle = walk_scalar(self.rule, self.w, none, x, limit)
+                    budget -= len(cycle) - 1
+                if first is None and limit < cap:
+                    power, limit = self.power(none), guess
+                    while True:
+                        limit = min(limit, cap)
+                        first, cycle = walk_orbit(power, x, limit)
+                        if first is not None or limit == cap:
+                            break
+                        del cycle
+                        limit *= 2
                 if first != 0:
                     raise RuntimeError(
                         f"window {x} lies on no cycle of rule {self.rule.rule_number}"
                         f" at w = {self.w}: its unregulated step is not a permutation"
                     )
-                cycle = cycle[:-1]
+                cycle = np.asarray(cycle[:-1], dtype=np.uint32)
                 unplaced[cycle] = False
-                rest[done : done + cycle.size] = cycle
+                windows[done : done + cycle.size] = cycle
                 done, guess = done + cycle.size, cycle.size
-                starts.append(held.size + done)
+                starts.append(done)
             del unplaced, free
-            place(rest, held.size)
-            moves = np.empty(size, dtype=np.uint8)
-            for part, at in ((held, 0), (rest, held.size)):
-                np.bitwise_and(_low_bytes(part), 1, out=moves[at : at + part.size])
-            for table in (pos, moves, rest):
+            place(held, size)
+            moves = np.bitwise_and(_low_bytes(windows), 1)
+            for table in (pos, moves, windows):
                 table.setflags(write=False)
-            self._cut = pos, moves, (held, rest), starts
+            self._cut = pos, moves, windows, starts
         return self._cut
 
     def share(
@@ -669,12 +924,12 @@ class Machine:
         their cut state, which processes forked after this inherit
         instead of each building its own.  It is built once the scalar
         walk of some policy's orbit outlasts the 4w probe, if the machine
-        holds an unregulated cycle that outlasted the scalar and direct
-        walks, from which the cut state starts, or else outlasts the
-        whole scalar budget, as an uncut run's would.  The bijective
-        machines other than rule 54's have thousands of short cycles,
-        each a hop walk to index, and at w = 22 their orbits from the
-        standard starts close within 187 ticks, so they build nothing.
+        holds an unregulated cycle that the affine or hop rung found, from
+        which the cut state starts, or else outlasts the whole scalar
+        budget, as an uncut run's would.  The bijective machines other
+        than rule 54's have thousands of short cycles, each a walk to
+        index, and at w = 22 their orbits from the standard starts close
+        within 187 ticks, so they build nothing.
         Nothing is built for short runs either, nor on other machines,
         since each regulated run that outlasts the budget squares its
         own step table.
@@ -713,7 +968,7 @@ class Machine:
         since the first visit to that position are tiled over the ticks
         left.
         """
-        pos, moves, (held, rest), starts = self._cut_state()
+        pos, moves, windows, starts = self._cut_state()
         # found before the marks are made, so that firing's temporaries
         # and the marks are never held at once
         fire = pos[firing(self.decisions, self.w, policy)]
@@ -722,8 +977,7 @@ class Machine:
         del fire
         out = np.empty(num_ticks, dtype=np.uint8)
         dst, src = memoryview(out), memoryview(moves)
-        split, index = held.size, memoryview(pos)
-        held, rest = memoryview(held), memoryview(rest)
+        index, at = memoryview(pos), memoryview(windows)
         mask = (1 << self.w) - 1
         # the firing positions the walk has visited, a bit each, and each
         # visit's position (below 2**30, as w <= 30) and tick in turn
@@ -761,7 +1015,7 @@ class Machine:
             visits.append(q)
             ticks.append(t)
             # a firing window's move reverses the run it ends
-            x = held[q] if q < split else rest[q - split]
+            x = at[q]
             move = ~x & 1
             dst[t] = move
             lo = index[((x << 1) & mask) | move]
@@ -769,32 +1023,50 @@ class Machine:
 
     def orbit(
         self, policy: RegulationPolicy, start: int
-    ) -> tuple[int, Sequence[int]]:
-        """``(first, windows)`` of the orbit of ``start``, which always closes.
+    ) -> tuple[int, np.ndarray]:
+        """``(first, moves)`` of the orbit of ``start``, which always closes:
+        the moves of its transient, ``first`` ticks, and of one cycle.
 
-        Climbs the ladder: the scalar walk for ``_scalar_budget(w)``
-        ticks, then the step table walked directly up to 2**w >>
-        ``_DIRECT_VISIT_SHIFT`` ticks, and only then the hops through
-        step**w.  An unregulated orbit found by the hops is held, for
-        the cut state to start from; an orbit search never cuts.
+        Climbs the ladder.  An unregulated orbit takes the scalar walk for
+        4w ticks first, and past them, on an affine machine, the affine
+        rung: the transient and cycle from the algebra
+        (:func:`affine_orbit`) and their moves by lag doubling
+        (:func:`affine_moves`), with no table.  Any other orbit takes the
+        scalar walk for ``_scalar_budget(w)`` ticks, then the step table
+        walked directly up to 2**w >> ``_DIRECT_VISIT_SHIFT`` ticks, and
+        only then the hops through step**w.  An unregulated orbit found by
+        the affine rung or the hops is held, read-only, for the cut state
+        to start from; an orbit search never cuts.
         """
-        first, windows = walk_scalar(
-            self.rule, self.w, policy, start, _scalar_budget(self.w)
-        )
+        none = policy.regime == "none"
+        budget = _scalar_budget(self.w)
+        probe = _PROBE_TICKS_PER_BIT * self.w if none else budget
+        first, windows = walk_scalar(self.rule, self.w, policy, start, probe)
+        if first is None and none and self._affine is not None:
+            transient, cycle = affine_orbit(*self._affine, self.w, start)
+            moves = affine_moves(*self._affine, self.w, start, transient + cycle)
+            return self._hold(transient, moves)
+        if first is None and probe < budget:
+            first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
         if first is not None:
-            return first, windows
+            return first, walk_moves(windows)
         step = self.step(policy)
         first, windows = walk_direct(step, windows, step.size >> _DIRECT_VISIT_SHIFT)
         if first is not None:
-            return first, windows
+            return first, walk_moves(windows)
         del windows
         power = self.power(policy, step)
         del step  # the walk should not hold it
         first, windows = walk_orbit(power, start, power.size)
-        if policy.regime == "none":
-            windows.setflags(write=False)
-            self._held = first, windows
-        return first, windows
+        moves = walk_moves(windows)
+        del windows
+        return self._hold(first, moves) if none else (first, moves)
+
+    def _hold(self, first: int, moves: np.ndarray) -> tuple[int, np.ndarray]:
+        """Hold an unregulated orbit, read-only, and give it back."""
+        moves.setflags(write=False)
+        self._held = first, moves
+        return self._held
 
     def run(
         self, policy: RegulationPolicy, start: int, num_ticks: int
@@ -802,34 +1074,43 @@ class Machine:
         """Realized moves of ``num_ticks`` ticks from ``start``.
 
         A span the caller gives: a default one, transient + one cycle, is
-        the walk of :meth:`orbit`, tiled.  Every run takes the scalar walk
-        first, for as many of its ticks as ``_scalar_budget(w)`` allows,
-        except a run of 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks or more on a
-        machine with a cut state, which probes 4w ticks before it cuts.
-        If the walk closes the orbit or runs out of ticks first, its
-        cycle is tiled over the ticks left and no table is built.
-        Otherwise a long run on a machine with a cut state is a cut of
-        its cycles (see :meth:`_cut_run`), copied from the cycles' moves;
-        a short run walks the step table directly for the rest; and any
-        other run hops through step**w for at most its ticks, or 2**w,
-        within which its orbit closes, which costs a few passes over the
-        table, but then only one Python step per w ticks.  Each walk is
-        tiled over the run's ticks.
+        the orbit of :meth:`orbit`, tiled.  Every run takes the scalar
+        walk first, for as many of its ticks as ``_scalar_budget(w)``
+        allows, except a run of 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks or
+        more that is unregulated on an affine machine or on a machine
+        with a cut state, which probes 4w ticks.  If the walk closes the
+        orbit or runs out of ticks first, its cycle is tiled over the
+        ticks left and no table is built.  Otherwise a long unregulated
+        run on an affine machine is written by lag doubling
+        (:func:`affine_moves`); a long run on a machine with a cut state
+        is a cut of its cycles (see :meth:`_cut_run`), copied from the
+        cycles' moves; a short run walks the step table directly for the
+        rest; and any other run hops through step**w for at most its
+        ticks, or 2**w, within which its orbit closes, which costs a few
+        passes over the table, but then only one Python step per w ticks.
+        Each walk's moves are tiled over the run's ticks.
         """
         short = num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT
+        affine = not short and policy.regime == "none" and self._affine is not None
         cut = not short and self._cut is not None
-        budget = _PROBE_TICKS_PER_BIT * self.w if cut else _scalar_budget(self.w)
+        if affine or cut:
+            budget = _PROBE_TICKS_PER_BIT * self.w
+        else:
+            budget = _scalar_budget(self.w)
         budget = min(budget, num_ticks)
         first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
         if first is not None or budget == num_ticks:
-            return tile(first, windows, num_ticks)
+            return tile(first, walk_moves(windows), num_ticks)
+        if affine:
+            return affine_moves(*self._affine, self.w, start, num_ticks)
         if cut:
             return self._cut_run(policy, start, num_ticks)
         if short:
             first, windows = walk_direct(self.step(policy), windows, num_ticks)
-            return tile(first, windows, num_ticks)
-        power = self.power(policy)
-        return tile(*walk_orbit(power, start, min(num_ticks, power.size)), num_ticks)
+        else:
+            power = self.power(policy)
+            first, windows = walk_orbit(power, start, min(num_ticks, power.size))
+        return tile(first, walk_moves(windows), num_ticks)
 
 
 # the function that ordered_map's worker process maps, set by _start_worker

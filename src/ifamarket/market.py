@@ -10,7 +10,7 @@ the realized move is appended, and the window slides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -127,20 +127,20 @@ def _stretch(
 
 def _orbit(
     machine: Machine, init: WindowState, policy: RegulationPolicy
-) -> tuple[CycleReport, int, Sequence[int], list[int]]:
-    """:func:`find_cycle`'s report, ``(first, windows)`` of its walk, its held moves."""
-    first, windows = machine.orbit(policy, init.bits)
-    transient, cycle = first, len(windows) - 1 - first
+) -> tuple[CycleReport, int, np.ndarray, list[int]]:
+    """:func:`find_cycle`'s report, ``(first, moves)`` of its orbit, its held moves."""
+    first, moves = machine.orbit(policy, init.bits)
+    transient, cycle = first, moves.size - first
     held = _held_moves(machine.rule, machine.w, policy)
     if held:
         extra = policy.trend_length - machine.w
-        added = _stretch(init, tile(None, windows, len(windows) - 1), held, extra)
+        added = _stretch(init, moves, held, extra)
         transient, cycle = (
             transient + int(added[:transient].sum()),
             cycle + int(added[transient:].sum()),
         )
     report = CycleReport(transient_length=transient, cycle_length=cycle)
-    return report, first, windows, held
+    return report, first, moves, held
 
 
 def simulate(
@@ -161,20 +161,21 @@ def simulate(
     window.  ``machine`` is this rule's machine at this w that calls may
     share (a new one if None).  ``num_ticks=None`` is the default span,
     transient + one full cycle of the policy's own orbit, floored at
-    ``min_ticks``: one orbit walk, as :func:`find_cycle` takes, whose
-    windows are tiled into the moves.  A given span is
-    :meth:`~ifamarket._engine.Machine.run` of the machine: a short run,
-    or one whose orbit closes within 4w ticks, builds no table.  A trend
-    length n > w runs the machine clamped to n = w, then adds its holds.
+    ``min_ticks``: the moves of one orbit search, as :func:`find_cycle`
+    takes, tiled.  A given span is :meth:`~ifamarket._engine.Machine.run`
+    of the machine: a short run, one whose orbit closes within 4w ticks
+    and an unregulated run of an affine machine, such as rule 54's, build
+    no table.  A trend length n > w runs the machine clamped to n = w,
+    then adds its holds.
     """
     machine = _machine_for(rule, w, init, machine)
     if num_ticks is not None and num_ticks < 0:
         raise ValueError(f"num_ticks must be >= 0, got {num_ticks}")
     if num_ticks is None:
-        report, first, windows, held = _orbit(machine, init, policy)
+        report, first, moves, held = _orbit(machine, init, policy)
         num_ticks = max(report.transient_length + report.cycle_length, min_ticks)
         # the holds below only lengthen it: num_ticks clamped moves suffice
-        moves = tile(first, windows, num_ticks)
+        moves = tile(first, moves, num_ticks)
     else:
         moves = machine.run(policy, init.bits, num_ticks)
         held = _held_moves(rule, w, policy)
@@ -204,10 +205,12 @@ def find_cycle(
     The orbit is :meth:`~ifamarket._engine.Machine.orbit` of
     ``machine`` (a new one if None), which walks without tables for up
     to about 2**w / (8w) ticks, and at least 4w, and builds them only for
-    an orbit that lasts longer; the default span of :func:`simulate`
-    tiles this walk.
-    A trend length n > w walks the machine clamped to n = w, then adds
-    its holds to the moves of that walk.
+    an orbit that lasts longer; an unregulated orbit of an affine
+    machine, such as rule 54's, past 4w ticks takes the algebra of its
+    linear recurrence instead and builds no table.  The default span of
+    :func:`simulate` tiles this orbit's moves.  A trend length n > w
+    walks the machine clamped to n = w, then adds its holds to the moves
+    of that orbit.
     """
     return _orbit(_machine_for(rule, w, init, machine), init, policy)[0]
 

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._engine import Machine, ordered_map, scalar_decision, tile
+from ._engine import Machine, ordered_map, scalar_decision
 from .ifa import IfaRule, decode_rule, encode_rule
 from .market import WindowState, window_from_literal
 from .regulation import RegulationPolicy
@@ -66,10 +66,10 @@ def classify_rule(
     """Classify one rule from its unregulated orbit out of ``init``."""
     if init.width != w:
         raise ValueError(f"initial window width {init.width} != w {w}")
-    # one walk gives the orbit and its moves
-    transient, windows = Machine(rule, w).orbit(RegulationPolicy("none"), init.bits)
-    cycle = len(windows) - 1 - transient
-    ratio = compression_ratio(tile(None, windows, len(windows) - 1)[transient:])
+    # one orbit search gives the orbit and its moves
+    transient, moves = Machine(rule, w).orbit(RegulationPolicy("none"), init.bits)
+    cycle = moves.size - transient
+    ratio = compression_ratio(moves[transient:])
     if cycle == 1:
         rule_class = "fixed"
     elif cycle >= long_cycle_fraction * (1 << w) and ratio > compression_threshold:

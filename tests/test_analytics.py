@@ -423,10 +423,10 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
                 simulate(rule, w, init, policy, 1 << w, machine=machine)
             assert np.array_equal(machine._base, base), policy
     machine.share(policies, init.bits, 1 << w)
-    pos, moves, (held, rest), starts = machine._cut
-    cut = [array.copy() for array in (pos, moves, held, rest)]
+    pos, moves, windows, starts = machine._cut
+    cut = [array.copy() for array in (pos, moves, windows)]
     rows()
-    assert all(np.array_equal(a, b) for a, b in zip((pos, moves, held, rest), cut))
+    assert all(np.array_equal(a, b) for a, b in zip((pos, moves, windows), cut))
     assert not machine._base.flags.writeable
 
 

@@ -378,20 +378,23 @@ def test_memory_error_exits_cleanly(monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 4.00 GiB")
 
+    # prop:8 at w = 12 closes after 2,441 ticks, past the scalar walk
+    argv = ["cycle", "--w", "12", "--policy", "prop:8"]
     monkeypatch.setattr(_engine, "step_table", out_of_memory)
-    assert run_cli(["cycle", "--w", "12"]) == 2
+    assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ifamarket: error: Unable to allocate 4.00 GiB\n"
     def bare(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(_engine, "step_table", bare)
-    assert run_cli(["cycle", "--w", "12"]) == 2
+    assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ifamarket: error: MemoryError\n"
 
 
 def test_table_memory_checked_before_allocating(monkeypatch, capsys):
-    # rule 54's w = 22 orbit outlasts the scalar walk, and its tables do
-    # not fit in the 50 MiB the probe reports: exit 2 before any table
+    # rule 54's w = 22 orbit under prick:7 outlasts the scalar walk, and
+    # its tables do not fit in the 50 MiB the probe reports: exit 2
+    # before any table
     from ifamarket import _engine
 
     def no_step_table(*args, **kwargs):
@@ -399,7 +402,7 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
 
     monkeypatch.setattr(_engine, "available_memory", lambda: 50 << 20)
     monkeypatch.setattr(_engine, "step_table", no_step_table)
-    assert run_cli(["cycle", "--w", "22"]) == 2
+    assert run_cli(["cycle", "--w", "22", "--policy", "prick:7"]) == 2
     assert capsys.readouterr().err == (
         "ifamarket: error: the tables for w = 22 need up to 104 MiB "
         "(decision 4 MiB, unregulated step**w 16 MiB, step 16 MiB, "
@@ -409,6 +412,55 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
     # an unknown amount of memory is not checked
     monkeypatch.setattr(_engine, "available_memory", lambda: None)
     assert _engine.decision_table(decode_rule(54), 12).size == 1 << 12
+
+
+def test_rule54_cycles_at_w29_and_w30_from_the_algebra(monkeypatch, capsys):
+    # whose tables would need 13,312 and 26,624 MiB: the affine rung takes
+    # the orbit from the algebra and its moves by lag doubling, no table
+    from ifamarket import _engine
+
+    def no_table(*args):
+        pytest.fail("a decision table was built")
+
+    monkeypatch.setattr(_engine, "decision_table", no_table)
+    for w, cycle in (("29", 402_653_181), ("30", 10_845_877)):
+        assert run_cli(["cycle", "--rule", "54", "--w", w]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["transient_length"], payload["cycle_length"]) == (0, cycle)
+
+
+def test_affine_moves_memory_checked_before_allocating(monkeypatch, capsys):
+    # the moves of rule 54's w = 29 orbit take a byte a tick, 384 MiB:
+    # with 100 MiB available, exit 2 before they are allocated
+    from ifamarket import _engine
+
+    monkeypatch.setattr(_engine, "available_memory", lambda: 100 << 20)
+    assert run_cli(["cycle", "--rule", "54", "--w", "29"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ifamarket: error: the moves of 402,653,181 ticks need 384 MiB, "
+        "but only 100 MiB is available\n"
+    )
+
+
+def test_cycle_of_a_machine_that_is_not_affine_at_w30_needs_the_tables(
+    monkeypatch, capsys
+):
+    # a regulated machine is not affine: rule 54 under prick:7 at w = 30
+    # outlasts the scalar walk, cut here to the 4w probe so that it ends
+    # within milliseconds, and its tables do not fit in 7 GiB
+    from ifamarket import _engine
+
+    monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 4 * w)
+    monkeypatch.setattr(_engine, "available_memory", lambda: 7 << 30)
+    assert run_cli(["cycle", "--rule", "54", "--w", "30", "--policy", "prick:7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "ifamarket: error: the tables for w = 30 need up to 26,624 MiB (decision"
+    )
+    assert captured.err.endswith("but only 7,168 MiB is available\n")
 
 
 def test_small_tables_do_not_read_the_memory_available(monkeypatch):

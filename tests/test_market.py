@@ -742,19 +742,19 @@ def test_bijectivity_is_read_from_the_automaton():
 
 
 def _cutting_machine(rule, w, init):
-    """A machine that holds the unregulated cycle of ``init``, walked by hops."""
+    """A machine that holds the unregulated cycle of ``init``, found past
+    the scalar probe."""
     from ifamarket import _engine
 
     machine = _engine.Machine(rule, w)
-    first, windows = machine.orbit(NONE, init.bits)
-    assert machine._held is not None and machine._held[1] is windows
+    first, moves = machine.orbit(NONE, init.bits)
+    assert machine._held is not None and machine._held[1] is moves
     return machine
 
 
 def _window_at(machine, p):
     """The window at position ``p`` of the machine's cut state."""
-    held, rest = machine._cut[2]
-    return int(held[p]) if p < held.size else int(rest[p - held.size])
+    return int(machine._cut[2][p])
 
 
 def _run_hops(monkeypatch):
@@ -786,7 +786,7 @@ def _run_hops(monkeypatch):
 def test_cut_rung_matches_the_oracles(monkeypatch, w):
     # every policy with n <= w, from both standard starts, for rule 54,
     # its relabelling 201 and, up to w = 12, rule 52, which is bijective
-    # but not affine: the orbit (first, windows), which the ladder walks
+    # but not affine: the orbit (first, moves), which the ladder walks
     # without building the cut state, and a run past the orbit's end,
     # walked as cuts of the machine's unregulated cycles once share has
     # built them, against the oracles.  At w = 6 and 7, x^w + x + 1 is
@@ -830,11 +830,9 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
                     ]
                     runs.append((policy, ticks, moves))
                     for machine in machines:
-                        first, windows = machine.orbit(policy, init.bits)
-                        assert (first, len(windows) - 1) == (transient, transient + cycle)
-                        assert windows[0] == init.bits
-                        moved = (np.asarray(windows[1:]) & 1).tolist()
-                        assert moved == moves[: len(windows) - 1]
+                        first, orbit = machine.orbit(policy, init.bits)
+                        assert (first, orbit.size) == (transient, transient + cycle)
+                        assert orbit.tolist() == moves[: orbit.size]
                         assert machine._cut is None
             for machine in machines:
                 machine.share([policy for policy, _, _ in runs], init.bits, 1 << w)
@@ -949,11 +947,12 @@ def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
 
 
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
-    # a default span of an orbit the hops walk tiles that one walk, which
-    # the machine then holds: no cut state, and no run hops.  Once share builds
-    # the cut state, which starts with the held cycle and does not copy
-    # it, a run from another window of the cycle is a cut with no firing
-    # window
+    # a default span of an orbit past the scalar probe tiles the moves of
+    # that one orbit search, which the machine then holds: no cut state,
+    # and no run hops.  Once share builds the cut state, which starts
+    # with the held cycle, its windows rebuilt from the held moves, a cut
+    # from another window of the cycle has no firing window, and gives
+    # the moves of the unregulated run from there
     from ifamarket import _engine
 
     w, rule = 12, decode_rule(54)
@@ -969,11 +968,13 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
         assert series.moves.tolist() == oracles.simulate(rule, init_moves, NONE, ticks)
         assert machine._cut is None
     machine.share([NONE], init.bits, 5000)
-    held = machine._cut[2][0]
+    windows, starts = machine._cut[2:]
+    held = windows[: starts[1]]
     assert held.size == oracles.order_of_x(w)
-    assert np.shares_memory(held, machine._held[1])
-    other = int(machine._held[1][5])
+    assert np.array_equal(held & 1, machine._held[1])
+    other = int(held[5])
     expected = oracles.simulate(rule, _oldest_first(other, w), NONE, 5000)
+    assert machine._cut_run(NONE, other, 5000).tolist() == expected
     assert machine.run(NONE, other, 5000).tolist() == expected
     assert hops == [], "the run hopped"
 
@@ -983,20 +984,20 @@ def test_cycle_moves_follow_the_held_orbit():
     # which window 7 is off.  The cut state puts the held cycle first and
     # the 7 other cycles after it; each position holds the unregulated
     # successor of the one before it in its cycle, every window is placed
-    # once, and each move is its window's newest bit.  A hop walk of 7's
-    # unregulated orbit of 3,937 then holds that cycle, but the cut state
-    # stays, and runs from 7 are cut from it
+    # once, and each move is its window's newest bit, the held moves on
+    # the held cycle.  The orbit search of 7's unregulated orbit of 3,937
+    # then holds that cycle, but the cut state stays, and runs from 7 are
+    # cut from it
     from ifamarket import _engine
 
     w, rule, ticks = 14, decode_rule(54), 5000
     init = window_from_literal("alternating_up_first", w)
     machine = _cutting_machine(rule, w, init)
-    held_walk = machine._held[1]
-    pos, moves, (held, rest), starts = cut = machine._cut_state()
-    assert np.shares_memory(held, held_walk) and held.size == 11811
+    held_moves = machine._held[1]
+    pos, moves, windows, starts = cut = machine._cut_state()
+    assert np.array_equal(moves[:11811], held_moves)
     assert starts[:2] == [0, 11811] and starts[-1] == 1 << w
     assert sorted(np.diff(starts).tolist()) == [1, 3, 31, 93, 127, 381, 3937, 11811]
-    windows = np.concatenate((held, rest))
     assert np.array_equal(pos[windows], np.arange(1 << w))
     assert np.array_equal(moves, windows & 1)
     decisions = machine.decisions
@@ -1005,15 +1006,16 @@ def test_cycle_moves_follow_the_held_orbit():
         assert np.array_equal(successor[lo:hi], np.roll(windows[lo:hi], -1))
     assert pos[7] >= 11811
     first, walked = machine.orbit(NONE, 7)
-    assert (first, len(walked) - 1) == (0, 3937)
+    assert (first, walked.size) == (0, 3937)
     assert machine._held[1] is walked and machine._cut is cut
     for n in range(2, w + 1):
         for regime in ("prick", "prop"):
             policy = RegulationPolicy(regime, n)
             expected = oracles.simulate(rule, _oldest_first(7, w), policy, ticks)
             assert machine.run(policy, 7, ticks).tolist() == expected, policy
-    # the held windows and the cut state are read-only
-    assert not any(table.flags.writeable for table in (held_walk, pos, moves, rest))
+    # the held moves and the cut state are read-only
+    tables = (held_moves, pos, moves, windows)
+    assert not any(table.flags.writeable for table in tables)
 
 
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
@@ -1067,16 +1069,162 @@ def test_affine_machines_cycle_as_their_algebra_says():
     assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
 
 
+AFFINE_MACHINES = (16, 39, 45, 54, 60, 64, 99, 105, 114, 120)
+
+
+def test_affine_form_matches_the_oracle():
+    # the O(w) affinity test, which builds no table, against the oracle's
+    # check of every window, for every rule at w = 1..12: the (c, a) it
+    # returns and the rules it finds not affine
+    from ifamarket import _engine
+
+    for w in range(1, 13):
+        for k in range(256):
+            rule = decode_rule(k)
+            assert _engine.affine_form(rule, w) == oracles.affine_form(rule, w), (k, w)
+
+
+@pytest.mark.parametrize("number", AFFINE_MACHINES)
+def test_affine_algebra_matches_the_oracle_up_to_w30(monkeypatch, number):
+    # Berlekamp-Massey and the order of t give each affine machine's
+    # transient and cycle from both standard starts and two drawn ones at
+    # w = 3..30 with no table, as the oracle's elimination and order do,
+    # and up to w = 14 lag doubling gives the oracle's first 200 moves.
+    # The machines that are not bijective (39, 45, 114, 120) have a
+    # transient of 1 from some start, the bijective ones none
+    from ifamarket import _engine
+
+    def no_table(*args):
+        pytest.fail("a decision table was built")
+
+    monkeypatch.setattr(_engine, "decision_table", no_table)
+    rule, transients, draws = decode_rule(number), set(), random.Random(number)
+    for w in range(3, 31):
+        c, a = oracles.affine_form(rule, w)
+        assert _engine.affine_form(rule, w) == (c, a), w
+        starts = [window_from_literal(kind, w).bits for kind in ("alternating", "all_up")]
+        for start in starts + [draws.getrandbits(w), draws.getrandbits(w)]:
+            expected = oracles.affine_orbit(c, a, w, start)
+            assert _engine.affine_orbit(c, a, w, start) == expected, (w, start)
+            transients.add(expected[0])
+            if w <= 14:
+                moves = _engine.affine_moves(c, a, w, start, 200)
+                init_moves = _oldest_first(start, w)
+                assert moves.tolist() == oracles.simulate(rule, init_moves, NONE, 200)
+    bijective = number in (16, 54, 60, 64, 99, 105)
+    assert transients == ({0} if bijective else {0, 1})
+
+
+@pytest.mark.parametrize("number", [54, 201, 99, 156])
+def test_affine_rung_gives_the_moves_of_the_tables(monkeypatch, number):
+    # the affine machines whose unregulated orbits outlast the 4w probe:
+    # with no table, find_cycle gives the algebra's orbit at w = 3..22, an
+    # orbit search's moves begin as the oracle's and a long run's are the
+    # oracle's up to w = 12, and at w <= 16 both are the moves of the hop
+    # walk through a step**w built here before the tables are switched off.
+    # The orbit from alternating outlasts the probe from w = 5 on
+    from ifamarket import _engine
+
+    rule, walks = decode_rule(number), {}
+    for w in range(3, 17):
+        power = _engine._power(
+            _engine.step_table(_engine.decision_table(rule, w), w, NONE), w
+        )
+        for kind in ("alternating_up_first", "all_up"):
+            start = window_from_literal(kind, w).bits
+            first, windows = _engine.walk_orbit(power, start, power.size)
+            walks[w, kind] = first, _engine.walk_moves(windows)
+
+    def no_table(*args):
+        pytest.fail("a decision table was built")
+
+    monkeypatch.setattr(_engine, "decision_table", no_table)
+    rung = 0
+    for w in range(3, 23):
+        form = oracles.affine_form(rule, w)
+        for kind in ("alternating_up_first", "all_up"):
+            init = window_from_literal(kind, w)
+            transient, cycle = oracles.affine_orbit(*form, w, init.bits)
+            rung += transient + cycle > 4 * w
+            machine = _engine.Machine(rule, w)
+            first, moves = machine.orbit(NONE, init.bits)
+            assert (first, moves.size) == (transient, transient + cycle), (w, kind)
+            assert find_cycle(rule, w, init, NONE) == CycleReport(transient, cycle)
+            init_moves = oracles.window_moves(init)
+            head = min(moves.size, 300)
+            expected = oracles.simulate(rule, init_moves, NONE, head)
+            assert moves[:head].tolist() == expected
+            ticks = (1 << w) // 8 + 5 * w
+            run = machine.run(NONE, init.bits, ticks)
+            if w <= 12:
+                assert run.tolist() == oracles.simulate(rule, init_moves, NONE, ticks)
+            if w <= 16:
+                walked = walks[w, kind]
+                assert first == walked[0] and np.array_equal(moves, walked[1])
+                assert np.array_equal(run, _engine.tile(*walked, ticks))
+    assert rung >= 18
+
+
+def test_short_affine_orbits_close_in_the_probe(monkeypatch):
+    # every unregulated orbit of the other affine machines from both
+    # standard starts closes within 4w ticks at w = 3..30, so the scalar
+    # probe finds it: no algebra and no table
+    from ifamarket import _engine
+
+    def fail(*args):
+        pytest.fail("the probe did not close the orbit")
+
+    monkeypatch.setattr(_engine, "affine_orbit", fail)
+    monkeypatch.setattr(_engine, "decision_table", fail)
+    for number in set(AFFINE_MACHINES) - {54, 99}:
+        rule = decode_rule(number)
+        for w in range(3, 31):
+            for kind in ("alternating_up_first", "all_up"):
+                init = window_from_literal(kind, w)
+                report = find_cycle(rule, w, init, NONE)
+                form = oracles.affine_form(rule, w)
+                assert (report.transient_length, report.cycle_length) == (
+                    oracles.affine_orbit(*form, w, init.bits)
+                ), (number, w, kind)
+
+
+def test_anchor_default_span_builds_no_table(monkeypatch):
+    # rule 54 from alternating at w = 22 takes the affine rung: no
+    # decision table, step table or step**w.  Its cycle is an m-sequence
+    # of 2**22 - 1 ticks, with 2**21 UPs, which repeats past its end
+    from ifamarket import _engine
+
+    def no_table(*args):
+        pytest.fail("a table was built")
+
+    for name in ("decision_table", "step_table", "_power"):
+        monkeypatch.setattr(_engine, name, no_table)
+    rule, w = decode_rule(54), 22
+    init = window_from_literal("alternating", w)
+    series = simulate(rule, w, init, NONE)
+    assert len(series) == (1 << w) - 1 and int(series.moves.sum()) == 1 << (w - 1)
+    assert series.moves[:500].tolist() == oracles.simulate(
+        rule, oracles.window_moves(init), NONE, 500
+    )
+    longer = simulate(rule, w, init, NONE, None, min_ticks=len(series) + 1000)
+    assert np.array_equal(longer.moves[: len(series)], series.moves)
+    assert np.array_equal(longer.moves[len(series) :], series.moves[:1000])
+
+
 def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
     # unregulated rule 54 steps its window by a GF(2) linear map whose
     # characteristic polynomial is x^22 + x + 1, so the window after k
     # ticks is the XOR of the windows after i < 22 ticks over the powers
     # x^i in x^k mod that trinomial.  The trinomial is primitive, so the
     # cut state at w = 22 is the held cycle of every nonzero window, then
-    # the fixed point 0.  Sampled positions and moves of the held cycle
+    # the fixed point 0, which the scalar walk places: no step table or
+    # step**w is built.  Sampled positions and moves of the held cycle
     # are checked against the identity, with the first 22 windows from
     # the reference decision alone
     from ifamarket import _engine
+
+    def no_table(*args):
+        pytest.fail("a step table was built")
 
     w, rule = 22, decode_rule(54)
     modulus = (1 << w) | 0b11
@@ -1086,10 +1234,12 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
         basis.append(sum(bit << age for age, bit in enumerate(reversed(history))))
         history = history[1:] + [oracles.decide(rule, history)]
     machine = _engine.Machine(rule, w)
-    machine.orbit(NONE, basis[0])
-    pos, moves, (held, rest), starts = machine._cut_state()
-    assert np.shares_memory(held, machine._held[1])
-    assert starts == [0, (1 << w) - 1, 1 << w] and rest.tolist() == [0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "step_table", no_table)
+        machine.orbit(NONE, basis[0])
+        pos, moves, windows, starts = machine._cut_state()
+    assert np.array_equal(moves[:-1], machine._held[1])
+    assert starts == [0, (1 << w) - 1, 1 << w] and windows[-1] == 0
     assert pos[0] == (1 << w) - 1 and moves[-1] == 0
     draws = random.Random(22)
     for _ in range(200):
@@ -1160,9 +1310,10 @@ def _worker_threads(item):
 def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
     # rule 54 at w = 14 from the alternating window, in pieces of 1,000
     # entries: 17 pieces of a table, the last of 384, 17 of the orbit's
-    # rows of windows, and in the cut state 12 of its cycle of 11,811 and
-    # 5 of the 4,573 windows of the other cycles; each pass of every core
-    # count gives the arrays of one core, and leaves no thread alive
+    # rows of windows, and in the cut state 12 of the rows of its held
+    # cycle's windows rebuilt from its moves, 12 of that cycle of 11,811
+    # and 5 of the 4,573 windows of the other cycles; each pass of every
+    # core count gives the arrays of one core, and leaves no thread alive
     from ifamarket import _engine
 
     w, rule = 14, decode_rule(54)
@@ -1188,8 +1339,8 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
         machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
         base = machine.power(NONE)
         first, windows = _engine.walk_orbit(base, start, base.size)
-        pos, moves, (held, rest), starts = machine._cut_state()
-        out = [step, power, windows, pos, moves, held, rest, np.array(starts)]
+        pos, moves, cycles, starts = machine._cut_state()
+        out = [step, power, windows, pos, moves, cycles, np.array(starts)]
         assert len(made) == 0 if cores == 1 else len(made) > 0
         assert not any(thread.is_alive() for thread in made)
         return first, out
