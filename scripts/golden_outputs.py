@@ -63,7 +63,7 @@ COMMANDS = [
     ]),
     ("compare-rule30", ["compare", "--rule", "30", "--w", "12"]),
     # runs of 2**w / 8 ticks or more at a small w: the first closes within
-    # the 4w-tick scalar probe (29 ticks), the second outlasts it and hops
+    # the 4w-tick scalar probe (29 ticks), the second outlasts it and cuts
     ("simulate-rule110-both2", [
         "simulate", "--rule", "110", "--w", "10", "--init", "all_up",
         "--policy", "both:2", "--ticks", "2000",
@@ -72,13 +72,26 @@ COMMANDS = [
         "simulate", "--rule", "54", "--w", "10", "--policy", "prick:4",
         "--ticks", "2000",
     ]),
-    # explicit spans of the anchor: the first hops 1,000,000 ticks without
-    # closing, the second closes at 4,194,303 and tiles the cycle past it
+    # explicit spans of the anchor: the first writes 1,000,000 ticks by lag
+    # doubling without closing, the second 5,000,000, which repeat the
+    # cycle of 4,194,303 past its end
     ("simulate-ticks-1m", [
         "simulate", *ANCHOR, "--ticks", "1000000", "--ticks-out", "ticks-1m.bits",
     ]),
     ("simulate-ticks-5m", [
         "simulate", *ANCHOR, "--ticks", "5000000", "--ticks-out", "ticks-5m.bits",
+    ]),
+    # a regulated orbit of 1.4M ticks on a bijective affine machine: a cut
+    ("cycle-prick16", ["cycle", "--policy", "prick:16"]),
+    # a long regulated run that no table1 shares a cut state for
+    ("simulate-prop2-1m", [
+        "simulate", "--policy", "prop:2", "--ticks", "1000000",
+        "--ticks-out", "prop2-1m.bits",
+    ]),
+    # a machine that is not bijective, whose orbit outlasts the direct
+    # walk's cap for a cut and walks on to 2**w
+    ("cycle-rule35-prick6", [
+        "cycle", "--rule", "35", "--w", "12", "--init", "all_up", "--policy", "prick:6",
     ]),
 ]
 

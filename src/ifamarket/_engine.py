@@ -11,24 +11,26 @@ Every walk returns ``(first, windows)``: ``windows[t]`` is the window
 after t ticks, and the walk stops at the first repeat, so that
 ``windows[-1] == windows[first]``; a walk that finds none within its
 ``limit`` ticks returns ``first`` None and ``limit + 1`` windows.  There
-are three walks, a ladder in which each rung is taken only when the one
-before has cost about what the next costs to set up (ski rental):
-:func:`walk_scalar` decides one window at a time from the rule's 2x2
-tables and builds nothing of size 2**w; :func:`walk_direct` walks the
-step table with a 2**w-bit seen bitmap; :func:`walk_orbit` hops w ticks
-at a time through step**w.  :meth:`Machine.orbit` and :meth:`Machine.run`
-are the only routers, one job each.  The first searches an orbit up the
-whole ladder, so the orbit always closes, and gives it as ``(first,
-moves)``, the moves of its transient and one cycle, which a default span
-tiles (:func:`tile`).  The second takes a run of a given span: a short
-one as a scalar then direct walk of at most its ticks, and a long one as
-a cut of the machine's cycles (below) or as a hop walk of at most its
-ticks; a walk's moves are tiled in the same way.  Neither builds a table
-for an orbit that closes within the scalar budget, about 2**w / (8w)
-ticks: the orbit search and every run take the scalar walk that far
-first, except a long run on a machine with a cut state and an
-unregulated orbit or long run of an affine machine, which probe their
-orbit with 4w scalar ticks, about 50 us at w = 22.
+are two walks: :func:`walk_scalar` decides one window at a time from the
+rule's 2x2 tables and builds nothing of size 2**w; :func:`walk_direct`
+walks the step table with a 2**w-bit seen bitmap.  Past them lie the
+affine rung and the cut (below), each for its own kind of machine.  The
+four rungs form a ladder in which each is taken only when the one before
+has cost about what the next costs to set up (ski rental).
+:meth:`Machine.orbit` and :meth:`Machine.run` are the only routers, one
+job each.  The first searches an orbit up the ladder, so the orbit
+always closes, and gives it as ``(first, moves)``, the moves of its
+transient and one cycle, which a default span tiles (:func:`tile`).  The
+second takes a run of a given span as a scalar then direct walk of at
+most its ticks, or 2**w, within which its orbit closes, except a long
+run that is unregulated on an affine machine (the affine rung) or
+regulated on a bijective affine one (a cut); a walk's moves are tiled in
+the same way.  Neither builds a table for an orbit that closes within
+the scalar budget, about 2**w / (8w) ticks: the orbit search and every
+run take the scalar walk that far first, except an unregulated orbit or
+long run of an affine machine and a long run on a machine whose cut
+state is built, which probe their orbit with 4w scalar ticks, about
+50 us at w = 22.
 
 An affine machine decides each window x as c ^ parity(a & x)
 (:func:`affine_form` tells in O(w)), so its unregulated moves obey the
@@ -44,38 +46,36 @@ is primitive (w = 22 among them) one cycle holds every nonzero window.
 
 A regulated walk is the unregulated one, cut where the policy fires (at
 the windows that :func:`firing` finds, the one place that does) and
-rejoined where the forced move lands.  On a bijective machine, whose
-unregulated step permutes the 2**w windows (:func:`bijective` tells in
-O(w)), every window lies on an unregulated cycle, so once the cycles'
-cut state is built a long run is a cut: between two firing windows it
-follows the cycle it is on.  The cycle positions where the policy fires
-are marked one byte each, so the next one is one ``bytearray.find``,
-and the cycle's moves up to it are copied into the run as the walk
-goes.
+rejoined where the forced move lands.  An affine machine whose a has bit
+w - 1 set is bijective: its unregulated step permutes the 2**w windows,
+so every window lies on an unregulated cycle, and the algebra gives each
+cycle.  Once the cycles' cut state is built, a regulated orbit or long
+run on such a machine is a cut: between two firing windows it follows
+the cycle it is on.  The cycle positions where the policy fires are
+marked one byte each, so the next one is one ``bytearray.find``, and
+the cycle's moves up to it are copied into the run as the walk goes.
+These are the only machines with orbits that outlast the direct walk in
+practice: at w = 22 every other machine's orbits from the standard
+starts close within a few hundred ticks.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
-the unregulated step**w, the moves of the held unregulated orbit and,
-on a bijective machine, built by :meth:`Machine.share`, the cut state of
-every cycle: the cycle position of every window, the windows at the
-positions and their moves, one contiguous 0/1 byte per tick, so that a
-cut run copies each arc of a cycle as one slice.  All but the decision
-table are read-only once built.  A regulated policy that must hop
-squares its own step table.  Besides the machine's own tables, at most a
-regulated step table and two step**w temporaries are held at once.  Hop
-walks use numpy alone, one Python step per w ticks; each tick's window
-is rebuilt from two consecutive hop states with shifts, as are the held
-cycle's windows from its moves.  All state arrays are uint32, which
-holds every w <= 30.
+the moves of the held unregulated orbit and, on a bijective affine
+machine, the cut state of every cycle: the cycle position of every
+window, the windows at the positions and their moves, one contiguous 0/1
+byte per tick, so that a cut copies each arc of a cycle as one slice,
+and one byte per position for the firing marks.  All but the decision
+table and the marks, which each cut clears as it ends, are read-only
+once built.  A policy that walks direct builds its own step table, which
+the machine does not keep.  A cycle's windows are rebuilt from its moves
+with shifts.  All state arrays are uint32, which holds every w <= 30.
 
-The passes over a whole table (the fill of a step table, each gather
-that squares step**w, the rows of a hopped orbit's windows and the cut
-index) run on every core: :func:`_in_pieces` deals their pieces to one
-thread per core of the process's affinity mask, and numpy releases the
-GIL in those calls.  Each pass joins its threads before it returns.  On
-a 2-core x86 host with numpy 2.4, in a fresh process, step**22 squares
-in 92-107 ms against 170-267 ms on one core.  A worker process of
-:func:`ordered_map` runs its passes on one thread, since the pool's
-processes already share the cores.
+The passes over a whole table (the fill of a step table, the rows of a
+cycle's windows and the cut index) run on every core: :func:`_in_pieces`
+deals their pieces to one thread per core of the process's affinity
+mask, and numpy releases the GIL in those calls.  Each pass joins its
+threads before it returns.  A worker process of :func:`ordered_map` runs
+its passes on one thread, since the pool's processes already share the
+cores.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_right
-from functools import cached_property
+from functools import cache, cached_property
 from threading import Thread
 from typing import Callable, Optional, Sequence
 
@@ -111,37 +111,37 @@ _TABLE_PATH_MIN_TICKS_FACTOR = 8
 # ``table1 --w 22`` 0.17 s over its 38 regulated rows.
 _PROBE_TICKS_PER_BIT = 4
 
-# A run of 2**w >> 3 ticks or more hops through step**w rather than walk
-# the step table a tick at a time: the hops pay for the squaring up
-# front, the direct walk by the tick.  At w = 22 on a 2-core x86 host
-# (numpy 2.4) a direct tick costs 0.40 us and squaring step**w on both
-# cores 76-93 ms, so the break-even is near 2**w / 20 ticks; a change of
-# the shift needs its own before/after benchmark.
+# A run of 2**w >> 3 ticks or more is long: regulated on a bijective
+# affine machine it cuts the cycles rather than walk the step table a
+# tick at a time, and unregulated on an affine machine it takes the
+# affine rung.  The cut pays for the cut state up front, the direct walk
+# by the tick.  At w = 22 on a 2-core x86 host (numpy 2.4) a direct tick
+# costs 0.40 us and building the cut state from the held cycle 85-100 ms
+# (in a fresh process), so the break-even is near 2**w / 18 ticks; a
+# change of the shift needs its own before/after benchmark.
 _DIRECT_EMIT_SHIFT = 3
 
-# An orbit search walks the step table directly for up to 2**w >> 6
-# ticks before it squares step**w: the direct walk may close the orbit
-# for a fraction of the squaring's cost, and wastes that fraction if it
-# does not.  At w = 22 on a 2-core x86 host (numpy 2.4) its 65,536 ticks
-# take 26-27 ms with the seen bitmap, against 76-93 ms to square.
+# An orbit search on a bijective affine machine walks the step table
+# directly for up to 2**w >> 6 ticks before it cuts: the direct walk may
+# close the orbit for a fraction of the cut state's cost, and wastes that
+# fraction if it does not.  At w = 22 on a 2-core x86 host (numpy 2.4)
+# its 65,536 ticks take 26-27 ms with the seen bitmap, against 85-100 ms
+# to build the cut state from the held cycle and 0.14-0.18 s from none.
 _DIRECT_VISIT_SHIFT = 6
 
-# entries per piece of a table pass; see _in_pieces and _gather
+# entries per piece of a table pass; see _in_pieces
 _GATHER_CHUNK = 1 << 18
 
 # bytes per window that the table path may hold at once: the decision
-# table (1) and the unregulated step**w (4) of a machine, a regulated step
-# table (4) with the two temporaries of its step**w (4 each), and the
-# windows of every unregulated cycle (4) with their cut index (4) and
-# their moves (1).  A cut run holds no regulated table: its firing marks
-# (1) and visits, with the firing windows and their positions (4 each)
-# that it marks from, fit in the 12 bytes of the step table and its
-# temporaries, as do the placed flags (1) and the hop walk or the held
-# cycle's rebuilt windows (4) that build the cut state, beside the held
-# orbit's moves (1) in either case.  A hop walk holds at most 2**w + 1
-# windows (4): a run's, with its repeat flags and its moves (1 each), fits
-# in those 12 bytes beside the run's squared table too.
-_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 2 * 4 + 4 + 4 + 1
+# table (1); on a bijective affine machine the windows of every cycle (4),
+# their cut index (4), their moves (1) and their firing marks (1); the held
+# orbit's moves (1); and a cut's firing windows and their positions (4
+# each), from which it marks.  The positions stay while the cut runs,
+# beside its visits and, for an orbit, its moves (2 a window at most).  The
+# placed flags (1) and a cycle's rebuilt windows (4) that build the cut
+# state, and a direct walk's step table (4), windows (4) and moves (1),
+# fit in the same count.
+_TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 1 + 1 + 1 + 2 * 4
 
 # tables smaller than this, about what the interpreter with numpy takes
 # already, are built without reading the memory available first
@@ -233,22 +233,6 @@ def scalar_decision(rule: IfaRule, w: int) -> Callable[[int], int]:
         return out[state ^ (flips.bit_count() & 1)][(window >> (w - 1)) & 1]
 
     return decide
-
-
-def bijective(rule: IfaRule, w: int) -> bool:
-    """Whether the unregulated step permutes the 2**w windows, in O(w).
-
-    The two windows that differ only in their oldest bit are the only
-    ones that can step to the same window, and they do exactly where the
-    oldest bit does not change the decision.  That bit is read last, from
-    the automaton state that the newest w - 1 bits lead to, so the step
-    is a permutation exactly when the oldest bit flips the output from
-    every state that w - 1 bits can reach from state 0.
-    """
-    states = {0}
-    for _ in range(w - 1):
-        states = {rule.next_state(s, b) for s in states for b in (0, 1)}
-    return all(rule.output(s, 0) != rule.output(s, 1) for s in states)
 
 
 def affine_form(rule: IfaRule, w: int) -> Optional[tuple[int, int]]:
@@ -345,6 +329,7 @@ def _minimal_polynomial(bits: Sequence[int]) -> tuple[int, int]:
     return length - degree, int(format(conn, "b")[::-1], 2)
 
 
+@cache
 def _order_of_t(q: int) -> int:
     """The multiplicative order of t modulo ``q`` over GF(2), where q(0) = 1.
 
@@ -383,6 +368,11 @@ def _order_of_t(q: int) -> int:
     return order
 
 
+def _start_moves(start: int, w: int) -> list[int]:
+    """The moves of the window ``start``, oldest first."""
+    return [start >> age & 1 for age in range(w - 1, -1, -1)]
+
+
 def affine_orbit(c: int, a: int, w: int, start: int) -> tuple[int, int]:
     """``(transient, cycle)`` of the unregulated orbit of ``start`` on the
     affine machine ``(c, a)`` of width w, from the algebra alone.
@@ -394,7 +384,7 @@ def affine_orbit(c: int, a: int, w: int, start: int) -> tuple[int, int]:
     exactly when every move from its oldest on does, so the transient is
     k and the cycle the order of t modulo q.
     """
-    bits = [start >> age & 1 for age in range(w - 1, -1, -1)]
+    bits = _start_moves(start, w)
     x, mask = start, (1 << w) - 1
     for _ in range(2 * (w + 1)):
         move = c ^ (a & x).bit_count() & 1
@@ -423,7 +413,7 @@ def affine_moves(c: int, a: int, w: int, start: int, num_ticks: int) -> np.ndarr
     _check_memory(num_ticks, f"the moves of {num_ticks:,} ticks need {_mib(num_ticks)}")
     lags = [i + 1 for i in range(w) if a >> i & 1]
     history = np.empty(w + num_ticks, dtype=np.uint8)
-    history[:w] = [start >> age & 1 for age in range(w - 1, -1, -1)]
+    history[:w] = _start_moves(start, w)
     n, r, constant = w, 0, c
     while n < history.size:
         while w + ((2 << r) - 1) * lags[-1] <= n:
@@ -536,14 +526,14 @@ def decision_table(rule: IfaRule, w: int) -> np.ndarray:
     memory available; if not it raises :class:`MemoryError`.  Tables of
     less than ``_MEMORY_CHECK_MIN_BYTES`` are not checked.
     """
-    need, table = _TABLE_BYTES_PER_WINDOW << w, _mib(4 << w)
+    need, table, byte = _TABLE_BYTES_PER_WINDOW << w, _mib(4 << w), _mib(1 << w)
     _check_memory(
         need,
         f"the tables for w = {w} need up to {_mib(need)} "
-        f"(decision {_mib(1 << w)}, unregulated step**w {table}, "
-        f"step {table}, two step**w temporaries of {table}, "
-        f"the windows of every cycle {table}, their cut index {table}, "
-        f"their moves {_mib(1 << w)})",
+        f"(decision {byte}, the windows of every cycle {table}, "
+        f"their cut index {table}, their moves {byte}, their firing marks {byte}, "
+        f"the held orbit's moves {byte}, a cut's firing windows {table} "
+        f"and their positions {table})",
     )
     # the maps of a state by the bit read, and by the oldest bit to the move
     images = [
@@ -616,88 +606,15 @@ def step_table(
     return step
 
 
-def _gather(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """``table[indices]``, a chunk at a time, the chunks spread over the cores.
-
-    numpy copies the indices of a gather to intp first; chunks keep that
-    copy small (a whole uint32 table would take two tables' worth more;
-    a chunk takes 2 MiB in each thread of :func:`_in_pieces`), and on a
-    2-core x86 host with numpy 2.4 they also gather about a third faster
-    on one core.  ``np.take`` releases the GIL, so the threads gather in
-    parallel: the six gathers that square step**22 take 92-107 ms on both
-    cores of that host against 170-267 ms on one (fresh processes).
-    ``clip`` skips the bounds check, which no table here can fail.
-    """
-    out = np.empty_like(indices)
-
-    def gather(lo: int, hi: int) -> None:
-        np.take(table, indices[lo:hi], out=out[lo:hi], mode="clip")
-
-    _in_pieces(indices.size, gather)
-    return out
-
-
-def _power(step: np.ndarray, exponent: int) -> np.ndarray:
-    """``step`` composed with itself ``exponent`` >= 1 times.
-
-    Left-to-right binary exponentiation: about 1.5 * log2(exponent)
-    gathers over the table, with at most two tables alive besides
-    ``step``.  Powers of one map commute, so a multiplication by
-    ``step`` gathers ``result`` at ``step``'s indices, which run nearly
-    in order (x -> 2x or 2x + 1) and cost half a scattered gather.
-    """
-    result = step
-    for bit in bin(exponent)[3:]:
-        result = _gather(result, result)
-        if bit == "1":
-            result = _gather(result, step)
-    return result
-
-
-def _orbit_states(power: np.ndarray, start: int, count: int) -> np.ndarray:
-    """The first ``count`` window states of the orbit, start included.
-
-    ``power`` is step**w, looked up once per hop: after w ticks the
-    window holds only moves realized during the hop, so each hop state
-    is also the hop's w moves, oldest in the top bit, from which
-    :func:`_fill_states` fills the ticks between.
-    """
-    w = power.size.bit_length() - 1
-    nxt = memoryview(power)
-    hops = np.empty(-(-count // w) + 1, dtype=np.uint32)
-    out = memoryview(hops)
-    x = out[0] = start
-    for k in range(1, hops.size):
-        x = out[k] = nxt[x]
-    return _fill_states(hops, w, count)
-
-
-def _fill_states(hops: np.ndarray, w: int, count: int) -> np.ndarray:
-    """The ``count`` first of the w-bit states that ``hops`` holds one in
-    every w of: tick kw + j sees the j newest bits of hop k + 1 behind the
-    w - j newest of hop k.  The rows of w states are built in pieces of
-    about ``_GATHER_CHUNK`` states, spread over the cores."""
-    older, newer = hops[:-1], hops[1:]
-    states = np.empty((older.size, w), dtype=np.uint32)
-    mask = np.uint32((1 << w) - 1)
-
-    def fill(lo: int, hi: int) -> None:
-        rows, old, new = states[lo:hi], older[lo:hi], newer[lo:hi]
-        for j in range(w):
-            np.bitwise_or(old << j, new >> (w - j), out=rows[:, j])
-        rows &= mask
-
-    _in_pieces(older.size, fill, w)
-    return states.reshape(-1)[:count]
-
-
 def _cycle_windows(moves: np.ndarray, w: int) -> np.ndarray:
     """The windows along a cycle from its moves: the window at position p
     has ``moves[p]`` newest, then the moves before it round the cycle.
 
     The moves, led by the w - 1 at the cycle's end and padded with those
-    at its start, are packed w to a hop state, oldest in the top bit, and
-    the windows are filled from the hop states as a hop walk's are.
+    at its start, are packed w to a word, oldest in the top bit.  Position
+    kw + j then sees the j newest bits of word k + 1 behind the w - j
+    newest of word k.  The rows of w windows are built in pieces of about
+    ``_GATHER_CHUNK`` windows, spread over the cores.
     """
     size = moves.size
     rows = -(-size // w) + 1
@@ -706,11 +623,22 @@ def _cycle_windows(moves: np.ndarray, w: int) -> np.ndarray:
     ext[: w - 1] = moves[np.arange(1 - w, 0) % size]
     ext[w - 1 : w - 1 + size] = moves
     ext[ext.size - tail :] = moves[np.arange(tail) % size]
-    hops = np.zeros(rows, dtype=np.uint32)
+    words = np.zeros(rows, dtype=np.uint32)
     for column in ext.reshape(rows, w).T:
-        hops <<= np.uint32(1)
-        hops |= column
-    return _fill_states(hops, w, size)
+        words <<= np.uint32(1)
+        words |= column
+    older, newer = words[:-1], words[1:]
+    windows = np.empty((older.size, w), dtype=np.uint32)
+    mask = np.uint32((1 << w) - 1)
+
+    def fill(lo: int, hi: int) -> None:
+        part, old, new = windows[lo:hi], older[lo:hi], newer[lo:hi]
+        for j in range(w):
+            np.bitwise_or(old << j, new >> (w - j), out=part[:, j])
+        part &= mask
+
+    _in_pieces(older.size, fill, w)
+    return windows.reshape(-1)[:size]
 
 
 def walk_direct(
@@ -744,29 +672,6 @@ def walk_direct(
     return None, states
 
 
-def walk_orbit(
-    power: np.ndarray, start: int, limit: int
-) -> tuple[Optional[int], np.ndarray]:
-    """``(first, windows)`` of the orbit of ``start``, at most ``limit`` ticks.
-
-    The hop rung: see the module docstring for the contract.  ``power``
-    is step**w for a uint32 next-window table as built by
-    :func:`step_table`: every state shifts one bit left and takes its
-    realized move as bit 0.  The hops give the ``limit`` + 1 first
-    states.  The walk has closed exactly when the last of them occurred
-    before: it then lies on the cycle, its previous occurrence gives the
-    cycle length, and the first state equal to the one a cycle later is
-    the first to repeat.  A limit of 2**w ticks or more always closes.
-    """
-    states = _orbit_states(power, int(start), limit + 1)
-    previous = states[:-1] == states[-1]
-    if not previous.any():
-        return None, states
-    cycle = 1 + int(np.argmax(previous[::-1]))
-    first = int(np.argmax(states[:-cycle] == states[cycle:]))
-    return first, states[: first + cycle + 1]
-
-
 def _copy_around(
     dst: memoryview, at: int, src: memoryview, lo: int, count: int
 ) -> None:
@@ -780,21 +685,20 @@ def _copy_around(
 class Machine:
     """One rule's tables at one window width, each built when first needed.
 
-    It holds the decision table, the unregulated step**w, the moves of
-    the last unregulated orbit its affine or hop rung found and, on a
-    bijective machine, the cut state of every unregulated cycle, and
-    nothing else of size 2**w, so that every policy walked on it shares
-    them: see :meth:`power` and :meth:`_cut_run`.  A machine that only
-    serves scalar walks or the affine rung builds no table.
+    It holds the decision table, the moves of the last unregulated orbit
+    its affine rung found and, on a bijective affine machine, the cut
+    state of every unregulated cycle, and nothing else of size 2**w, so
+    that every policy walked on it shares them: see :meth:`_cut_run`.  A
+    machine that only serves scalar walks or the affine rung builds no
+    table.
     """
 
     def __init__(self, rule: IfaRule, w: int) -> None:
         self.rule = rule
         self.w = w
         self._decisions: Optional[np.ndarray] = None
-        self._base: Optional[np.ndarray] = None  # unregulated step**w
-        # the unregulated orbit last found by the affine or hop rung, as
-        # (first, moves), and the cut state, built by share
+        # the unregulated orbit last found by the affine rung, as
+        # (first, moves), and the cut state, built by share or a cut
         self._held: Optional[tuple[int, np.ndarray]] = None
         self._cut: Optional[tuple] = None
 
@@ -805,69 +709,63 @@ class Machine:
         return self._decisions
 
     @cached_property
-    def _affine(self) -> Optional[tuple[int, int]]:
+    def affine(self) -> Optional[tuple[int, int]]:
         """``(c, a)`` of an affine machine (see :func:`affine_form`), else None."""
         return affine_form(self.rule, self.w)
+
+    @property
+    def cuts(self) -> bool:
+        """Whether this is a bijective affine machine, the one kind that
+        cuts: an affine one whose a has bit w - 1 set, so that the oldest
+        bit of every window flips its decision."""
+        return self.affine is not None and self.affine[1] >> (self.w - 1) == 1
 
     def step(self, policy: RegulationPolicy) -> np.ndarray:
         """The policy's step table, built anew: the machine keeps none."""
         return step_table(self.decisions, self.w, policy)
 
-    def power(
-        self, policy: RegulationPolicy, step: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """step**w for ``policy``; ``step`` is its step table if built already.
-
-        ``none`` gets the unregulated table, which the machine builds on
-        first use and holds read-only.  A regulated policy squares its
-        own step table, which the machine does not keep.
-        """
-        if policy.regime != "none":
-            return _power(self.step(policy) if step is None else step, self.w)
-        if self._base is None:
-            self._base = _power(self.step(policy) if step is None else step, self.w)
-            self._base.setflags(write=False)
-        return self._base
-
     def _cut_state(self) -> tuple:
-        """The cycles of a bijective machine's unregulated map, built once.
+        """The cycles of a bijective affine machine's unregulated map, built once.
 
         Every window lies on one cycle, and the cycles lie end to end in
         one range of positions: the held cycle first, if the machine
         holds one, its windows rebuilt from its moves, then each cycle
-        through the smallest window not yet placed.  That is a scalar
-        walk while the walks have taken fewer than ``_scalar_budget(w)``
-        ticks in all, and after that a hop walk through the unregulated
-        step**w at doubling limits, from the last cycle's length; either
-        stops at the windows not yet placed.  A walk that does not close
-        by then, or closes on a window other than its start, shows that
-        the map is not a permutation, and raises :class:`RuntimeError`.
+        through the smallest window not yet placed.  A cycle of at most
+        4w ticks, as every cycle of the machines with thousands of them
+        is, is walked a window at a time; a longer one comes from the
+        algebra: its length from :func:`affine_orbit`, its moves from
+        :func:`affine_moves` and its windows from :func:`_cycle_windows`.
         Position p + 1 holds the unregulated successor of the window at
         p, and a cycle's first position that of its last.  The state is
         the int32 position of every window; the move into each position,
-        one contiguous byte per tick; the window at each position; and
-        the first position of every cycle, then 2**w.
+        one contiguous byte per tick; the window at each position; the
+        first position of every cycle, then 2**w; and the firing marks,
+        one byte per position, all 0 between cuts.
         """
         if self._cut is None:
             # the decision table's memory check counts the cut state, so
-            # it is built first; the cut runs read it
+            # it is built first; the cuts read it
             self.decisions
-            size, none = 1 << self.w, RegulationPolicy("none")
+            c, a = self.affine
+            size = 1 << self.w
+            mask, short = size - 1, _PROBE_TICKS_PER_BIT * self.w
             windows = np.empty(size, dtype=np.uint32)
             done = 0  # windows placed
             if self._held is not None:
+                # rebuilt before the index is allocated, so that the
+                # rebuild's temporaries and the index are never held at once
                 first, orbit = self._held
                 done = orbit.size - first
                 windows[:done] = _cycle_windows(orbit[first:], self.w)
             pos = np.full(size, -1, dtype=np.int32)
 
             def place(lo: int, hi: int) -> None:
-                def index(a: int, b: int) -> None:
+                def index(i: int, j: int) -> None:
                     # the windows are distinct, so the pieces write
                     # disjoint entries; ``clip`` skips the bounds check,
                     # which no window can fail
-                    where = np.arange(lo + a, lo + b, dtype=np.int32)
-                    np.put(pos, windows[lo + a : lo + b], where, mode="clip")
+                    where = np.arange(lo + i, lo + j, dtype=np.int32)
+                    np.put(pos, windows[lo + i : lo + j], where, mode="clip")
 
                 _in_pieces(hi - lo, index)
 
@@ -877,41 +775,29 @@ class Machine:
             unplaced = np.frombuffer(free, dtype=np.bool_)
             np.less(pos, 0, out=unplaced)
             starts = [0, done] if done else [0]
-            held, x, guess = done, 0, self.w  # cycles often repeat a length
-            budget = _scalar_budget(self.w)  # scalar ticks left
+            held, x = done, 0
             while done < size:
-                x = free.find(1, x)
-                # no cycle is longer than the windows not yet placed
-                cap = size - done
-                first, limit = None, min(budget, cap)
-                if limit:
-                    first, cycle = walk_scalar(self.rule, self.w, none, x, limit)
-                    budget -= len(cycle) - 1
-                if first is None and limit < cap:
-                    power, limit = self.power(none), guess
-                    while True:
-                        limit = min(limit, cap)
-                        first, cycle = walk_orbit(power, x, limit)
-                        if first is not None or limit == cap:
-                            break
-                        del cycle
-                        limit *= 2
-                if first != 0:
-                    raise RuntimeError(
-                        f"window {x} lies on no cycle of rule {self.rule.rule_number}"
-                        f" at w = {self.w}: its unregulated step is not a permutation"
-                    )
-                cycle = np.asarray(cycle[:-1], dtype=np.uint32)
+                x = y = free.find(1, x)
+                cycle = [x]
+                for _ in range(short):
+                    y = (y << 1 & mask) | (c ^ (a & y).bit_count() & 1)
+                    if y == x:
+                        break
+                    cycle.append(y)
+                else:
+                    length = affine_orbit(c, a, self.w, x)[1]
+                    cycle = affine_moves(c, a, self.w, x, length)
+                    cycle = _cycle_windows(cycle, self.w)
                 unplaced[cycle] = False
-                windows[done : done + cycle.size] = cycle
-                done, guess = done + cycle.size, cycle.size
+                windows[done : done + len(cycle)] = cycle
+                done += len(cycle)
                 starts.append(done)
-            del unplaced, free
+            del unplaced, free, cycle
             place(held, size)
             moves = np.bitwise_and(_low_bytes(windows), 1)
             for table in (pos, moves, windows):
                 table.setflags(write=False)
-            self._cut = pos, moves, windows, starts
+            self._cut = pos, moves, windows, starts, bytearray(size)
         return self._cut
 
     def share(
@@ -920,23 +806,16 @@ class Machine:
         """Build now what the runs of ``policies`` from ``start``, of
         ``num_ticks`` ticks each, share.
 
-        On a bijective machine a long run cuts its cycles: this builds
-        their cut state, which processes forked after this inherit
-        instead of each building its own.  It is built once the scalar
-        walk of some policy's orbit outlasts the 4w probe, if the machine
-        holds an unregulated cycle that the affine or hop rung found, from
-        which the cut state starts, or else outlasts the whole scalar
-        budget, as an uncut run's would.  The bijective machines other
-        than rule 54's have thousands of short cycles, each a walk to
-        index, and at w = 22 their orbits from the standard starts close
-        within 187 ticks, so they build nothing.
-        Nothing is built for short runs either, nor on other machines,
-        since each regulated run that outlasts the budget squares its
-        own step table.
+        On a bijective affine machine a long regulated run cuts its
+        cycles: this builds their cut state, which processes forked after
+        this inherit instead of each building its own.  It is built once
+        the scalar walk of some policy's orbit outlasts the 4w probe, if
+        the machine holds an unregulated cycle that the affine rung found,
+        from which the cut state starts, or else outlasts the whole scalar
+        budget, as a run's would before it cut.  Nothing is built for
+        short runs, nor on other machines, whose runs walk direct.
         """
-        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT or not bijective(
-            self.rule, self.w
-        ):
+        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT or not self.cuts:
             return
         if self._held is not None:
             limit = _PROBE_TICKS_PER_BIT * self.w
@@ -950,76 +829,93 @@ class Machine:
             self._cut_state()
 
     def _cut_run(
-        self, policy: RegulationPolicy, start: int, num_ticks: int
-    ) -> np.ndarray:
-        """The run's realized moves, cut from the cycles of the cut state.
+        self, policy: RegulationPolicy, start: int, num_ticks: Optional[int] = None
+    ) -> np.ndarray | tuple[int, np.ndarray]:
+        """The realized moves of a run of ``num_ticks`` ticks from
+        ``start``, cut from the cycles of the cut state, or if None,
+        ``(first, moves)`` of its orbit as :meth:`orbit` gives it.
 
         Between firing windows the run follows the cycle it is on; at
         one, it steps to the window the policy forces and goes on from
         that window's position, on whichever cycle it lies.  The firing
-        positions are marked in a ``bytearray``, one byte per position,
-        so the next one is a ``find`` from the current position to the
-        end of its cycle, then from the cycle's start, and the arc of
-        moves up to it is copied into the result as one slice, two where
-        it wraps round the cycle's end.  On a cycle with no mark the run
-        follows the cycle over the ticks left.  The override at a firing
-        position repeats whatever led there, so the first repeated one
-        closes the orbit: each visit records its tick, and the moves
-        since the first visit to that position are tiled over the ticks
-        left.
+        positions are marked in the cut state's marks, one byte per
+        position, so the next one is a ``find`` from the current position
+        to the end of its cycle, then from the cycle's start, and the arc
+        of moves up to it is copied into the result as one slice, two
+        where it wraps round the cycle's end.  The marks are cleared again
+        as the cut ends.  On a cycle with no mark the run follows the
+        cycle for ever.  The override at a firing position repeats
+        whatever led there, so the first repeated one closes the orbit:
+        each visit records its tick, and a run tiles the moves since the
+        first visit to that position over the ticks left.  An orbit's
+        transient is then 1 + the last index at which its history, the
+        start window's moves and then the moves, differs from itself one
+        cycle later, or 0 if it nowhere does.  An orbit's transient and
+        cycle take at most 2**w ticks, and the walk sees the cycle close
+        within one more cycle, so an orbit's moves are written into
+        2**(w + 1) bytes.
         """
-        pos, moves, windows, starts = self._cut_state()
-        # found before the marks are made, so that firing's temporaries
-        # and the marks are never held at once
+        pos, moves, windows, starts, marks = self._cut_state()
+        size = 2 << self.w if num_ticks is None else num_ticks
         fire = pos[firing(self.decisions, self.w, policy)]
-        marks = bytearray(pos.size)
-        np.frombuffer(marks, dtype=np.uint8)[fire] = 1
-        del fire
-        out = np.empty(num_ticks, dtype=np.uint8)
-        dst, src = memoryview(out), memoryview(moves)
-        index, at = memoryview(pos), memoryview(windows)
-        mask = (1 << self.w) - 1
-        # the firing positions the walk has visited, a bit each, and each
-        # visit's position (below 2**30, as w <= 30) and tick in turn
-        seen = bytearray((pos.size >> 3) + 1)
-        visits, ticks = array("i"), array("q")
-        lo, t = int(pos[start]), 0
-        c0 = c1 = 0  # the bounds of lo's cycle
-        while True:
-            if not c0 <= lo < c1:
-                c = bisect_right(starts, lo)
-                c0, c1 = starts[c - 1], starts[c]
-                cycle = src[c0:c1]
-            # the arc: the moves into positions lo + 1 .. q, taken round
-            # the cycle
-            q = marks.find(1, lo, c1)
-            back = q - lo
-            if q < 0:  # it wraps, once per pass of the cycle
-                q = marks.find(1, c0, lo)
-                back = q + c1 - c0 - lo
-            end = t + back
-            if q < 0 or end >= num_ticks:
-                # no firing position before the run ends, as on a cycle
-                # where the policy never fires, which then repeats
-                count = min(c1 - c0, num_ticks - t)
-                _copy_around(dst, t, cycle, lo + 1 - c0, count)
-                return _repeat_cycle(out, t, t + count)
-            if q >= lo:  # most arcs: copied inline, saving a call a visit
-                dst[t:end] = src[lo + 1 : q + 1]
-            else:
-                _copy_around(dst, t, cycle, lo + 1 - c0, back)
-            t = end
-            if seen[q >> 3] & (1 << (q & 7)):
-                return _repeat_cycle(out, ticks[visits.index(q)], t)
-            seen[q >> 3] |= 1 << (q & 7)
-            visits.append(q)
-            ticks.append(t)
-            # a firing window's move reverses the run it ends
-            x = at[q]
-            move = ~x & 1
-            dst[t] = move
-            lo = index[((x << 1) & mask) | move]
-            t += 1
+        flags = np.frombuffer(marks, dtype=np.uint8)
+        flags[fire] = 1
+        try:
+            out = np.empty(size, dtype=np.uint8)
+            dst, src = memoryview(out), memoryview(moves)
+            index, at = memoryview(pos), memoryview(windows)
+            mask = (1 << self.w) - 1
+            # the firing positions the walk has visited, a bit each, and
+            # each visit's position (below 2**30, as w <= 30) and tick in turn
+            seen = bytearray((pos.size >> 3) + 1)
+            visits, ticks = array("i"), array("q")
+            lo, t = int(pos[start]), 0
+            c0 = c1 = 0  # the bounds of lo's cycle
+            while True:
+                if not c0 <= lo < c1:
+                    c = bisect_right(starts, lo)
+                    c0, c1 = starts[c - 1], starts[c]
+                    cycle = src[c0:c1]
+                # the arc: the moves into positions lo + 1 .. q, taken
+                # round the cycle
+                q = marks.find(1, lo, c1)
+                back = q - lo
+                if q < 0:  # it wraps, once per pass of the cycle
+                    q = marks.find(1, c0, lo)
+                    back = q + c1 - c0 - lo
+                end = t + back
+                if q < 0 or end >= size:
+                    # no firing position before the run ends, as on a
+                    # cycle where the policy never fires, which repeats
+                    count, period = min(c1 - c0, size - t), c1 - c0
+                    _copy_around(dst, t, cycle, lo + 1 - c0, count)
+                    t += count
+                    break
+                if q >= lo:  # most arcs: copied inline, saving a call a visit
+                    dst[t:end] = src[lo + 1 : q + 1]
+                else:
+                    _copy_around(dst, t, cycle, lo + 1 - c0, back)
+                t = end
+                if seen[q >> 3] & (1 << (q & 7)):
+                    period = t - ticks[visits.index(q)]
+                    break
+                seen[q >> 3] |= 1 << (q & 7)
+                visits.append(q)
+                ticks.append(t)
+                # a firing window's move reverses the run it ends
+                x = at[q]
+                move = ~x & 1
+                dst[t] = move
+                lo = index[((x << 1) & mask) | move]
+                t += 1
+        finally:
+            flags[fire] = 0
+        if num_ticks is not None:
+            return _repeat_cycle(out, t - period, t)
+        history = np.concatenate((_start_moves(start, self.w), out[:t]))
+        differs = np.flatnonzero(history[:-period] != history[period:])
+        first = int(differs[-1]) + 1 if differs.size else 0
+        return first, out[: first + period]
 
     def orbit(
         self, policy: RegulationPolicy, start: int
@@ -1031,42 +927,34 @@ class Machine:
         4w ticks first, and past them, on an affine machine, the affine
         rung: the transient and cycle from the algebra
         (:func:`affine_orbit`) and their moves by lag doubling
-        (:func:`affine_moves`), with no table.  Any other orbit takes the
-        scalar walk for ``_scalar_budget(w)`` ticks, then the step table
-        walked directly up to 2**w >> ``_DIRECT_VISIT_SHIFT`` ticks, and
-        only then the hops through step**w.  An unregulated orbit found by
-        the affine rung or the hops is held, read-only, for the cut state
-        to start from; an orbit search never cuts.
+        (:func:`affine_moves`), with no table; the machine holds that
+        orbit, read-only, for the cut state to start from.  Any other
+        orbit takes the scalar walk for ``_scalar_budget(w)`` ticks, then
+        the step table walked directly: on a bijective affine machine up
+        to 2**w >> ``_DIRECT_VISIT_SHIFT`` ticks, and then a cut (see
+        :meth:`_cut_run`), and on any other machine up to 2**w ticks, within
+        which every orbit closes.
         """
         none = policy.regime == "none"
         budget = _scalar_budget(self.w)
         probe = _PROBE_TICKS_PER_BIT * self.w if none else budget
         first, windows = walk_scalar(self.rule, self.w, policy, start, probe)
-        if first is None and none and self._affine is not None:
-            transient, cycle = affine_orbit(*self._affine, self.w, start)
-            moves = affine_moves(*self._affine, self.w, start, transient + cycle)
-            return self._hold(transient, moves)
+        if first is None and none and self.affine is not None:
+            transient, cycle = affine_orbit(*self.affine, self.w, start)
+            moves = affine_moves(*self.affine, self.w, start, transient + cycle)
+            moves.setflags(write=False)
+            self._held = transient, moves
+            return self._held
         if first is None and probe < budget:
             first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
-        if first is not None:
-            return first, walk_moves(windows)
-        step = self.step(policy)
-        first, windows = walk_direct(step, windows, step.size >> _DIRECT_VISIT_SHIFT)
-        if first is not None:
-            return first, walk_moves(windows)
-        del windows
-        power = self.power(policy, step)
-        del step  # the walk should not hold it
-        first, windows = walk_orbit(power, start, power.size)
-        moves = walk_moves(windows)
-        del windows
-        return self._hold(first, moves) if none else (first, moves)
-
-    def _hold(self, first: int, moves: np.ndarray) -> tuple[int, np.ndarray]:
-        """Hold an unregulated orbit, read-only, and give it back."""
-        moves.setflags(write=False)
-        self._held = first, moves
-        return self._held
+        if first is None:
+            step = self.step(policy)
+            limit = step.size >> _DIRECT_VISIT_SHIFT if self.cuts else step.size
+            first, windows = walk_direct(step, windows, limit)
+            del step
+            if first is None:
+                return self._cut_run(policy, start)
+        return first, walk_moves(windows)
 
     def run(
         self, policy: RegulationPolicy, start: int, num_ticks: int
@@ -1077,23 +965,23 @@ class Machine:
         the orbit of :meth:`orbit`, tiled.  Every run takes the scalar
         walk first, for as many of its ticks as ``_scalar_budget(w)``
         allows, except a run of 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks or
-        more that is unregulated on an affine machine or on a machine
-        with a cut state, which probes 4w ticks.  If the walk closes the
-        orbit or runs out of ticks first, its cycle is tiled over the
-        ticks left and no table is built.  Otherwise a long unregulated
-        run on an affine machine is written by lag doubling
-        (:func:`affine_moves`); a long run on a machine with a cut state
-        is a cut of its cycles (see :meth:`_cut_run`), copied from the
-        cycles' moves; a short run walks the step table directly for the
-        rest; and any other run hops through step**w for at most its
-        ticks, or 2**w, within which its orbit closes, which costs a few
-        passes over the table, but then only one Python step per w ticks.
-        Each walk's moves are tiled over the run's ticks.
+        more that is unregulated on an affine machine, or regulated on a
+        machine whose cut state is built, which probes 4w ticks.  If the
+        walk closes the orbit or runs out of ticks first, its cycle is
+        tiled over the ticks left and no table is built.  Otherwise a long
+        unregulated run on an affine machine is written by lag doubling
+        (:func:`affine_moves`); a long regulated run on a bijective affine
+        machine is a cut of its cycles (see :meth:`_cut_run`), which builds
+        their cut state if no run has yet; and any other run walks the
+        step table directly for at most its ticks, or 2**w, within which
+        its orbit closes, and its moves are tiled over the run's ticks.
         """
-        short = num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT
-        affine = not short and policy.regime == "none" and self._affine is not None
-        cut = not short and self._cut is not None
-        if affine or cut:
+        long = num_ticks >= (1 << self.w) >> _DIRECT_EMIT_SHIFT
+        none = policy.regime == "none"
+        affine = long and none and self.affine is not None
+        # a machine that holds a cut state cuts; whether one without it
+        # would is asked only of a run that outlasts the scalar walk
+        if affine or (long and not none and self._cut is not None):
             budget = _PROBE_TICKS_PER_BIT * self.w
         else:
             budget = _scalar_budget(self.w)
@@ -1102,14 +990,11 @@ class Machine:
         if first is not None or budget == num_ticks:
             return tile(first, walk_moves(windows), num_ticks)
         if affine:
-            return affine_moves(*self._affine, self.w, start, num_ticks)
-        if cut:
+            return affine_moves(*self.affine, self.w, start, num_ticks)
+        if long and not none and self.cuts:
             return self._cut_run(policy, start, num_ticks)
-        if short:
-            first, windows = walk_direct(self.step(policy), windows, num_ticks)
-        else:
-            power = self.power(policy)
-            first, windows = walk_orbit(power, start, min(num_ticks, power.size))
+        limit = min(num_ticks, 1 << self.w)
+        first, windows = walk_direct(self.step(policy), windows, limit)
         return tile(first, walk_moves(windows), num_ticks)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._engine import Machine, scalar_decision, tile
+from ._engine import Machine, affine_orbit, scalar_decision, tile
 from .ifa import IfaRule
 from .regulation import RegulationPolicy, regulator
 
@@ -202,17 +202,21 @@ def find_cycle(
 ) -> CycleReport:
     """Exact transient and cycle length of the closed-loop orbit.
 
-    The orbit is :meth:`~ifamarket._engine.Machine.orbit` of
-    ``machine`` (a new one if None), which walks without tables for up
-    to about 2**w / (8w) ticks, and at least 4w, and builds them only for
-    an orbit that lasts longer; an unregulated orbit of an affine
-    machine, such as rule 54's, past 4w ticks takes the algebra of its
-    linear recurrence instead and builds no table.  The default span of
-    :func:`simulate` tiles this orbit's moves.  A trend length n > w
-    walks the machine clamped to n = w, then adds its holds to the moves
-    of that orbit.
+    The lengths of an unregulated orbit of an affine machine, such as
+    rule 54's, come from the algebra of its linear recurrence alone
+    (:func:`~ifamarket._engine.affine_orbit`), with no moves and no
+    table.  Any other orbit is :meth:`~ifamarket._engine.Machine.orbit`
+    of ``machine`` (a new one if None), which walks without tables for
+    up to about 2**w / (8w) ticks, and builds them only for an orbit
+    that lasts longer; the default span of :func:`simulate` tiles its
+    moves.  A trend length n > w walks the machine clamped to n = w,
+    then adds its holds to the moves of that orbit.
     """
-    return _orbit(_machine_for(rule, w, init, machine), init, policy)[0]
+    machine = _machine_for(rule, w, init, machine)
+    if policy.regime == "none" and machine.affine is not None:
+        # no hold applies under none, so the lengths need no moves
+        return CycleReport(*affine_orbit(*machine.affine, w, init.bits))
+    return _orbit(machine, init, policy)[0]
 
 
 _MOVE_LETTERS = str.maketrans("01", "DU")

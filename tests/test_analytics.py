@@ -290,19 +290,21 @@ def test_table1_rows_that_close_within_the_scalar_budget_build_no_table(
     monkeypatch, number, outlast, longest
 ):
     # each row takes the scalar walk for the whole budget (512 ticks at
-    # w = 16) before it builds a table: rule 35 is not bijective, so it
-    # has no cut state, and rule 97 is, but shares none while every
-    # orbit closes within the budget.  From all-UP, some regulated orbits
-    # outlast the 4w-tick probe, and all close within the budget, so no
-    # row builds a decision table; with the budget forced down to 4w
-    # those rows hop through tables, or cut rule 97's cycles, to the same
-    # rows
+    # w = 16) before it builds a table: rule 35 is not bijective and rule
+    # 97 is, but neither is affine, so neither has a cut state.  From
+    # all-UP, some regulated orbits outlast the 4w-tick probe, and all
+    # close within the budget, so no row builds a decision table; with
+    # the budget forced down to 4w those rows walk the step table
+    # directly, to the same rows
     from ifamarket import _engine
     from ifamarket.market import find_cycle
 
     rule, w = decode_rule(number), 16
     init = window_from_literal("all_up", w)
-    assert _engine.bijective(rule, w) == (number == 97)
+    decisions = _engine.decision_table(rule, w)
+    half = decisions.size // 2
+    assert bool((decisions[:half] != decisions[half:]).all()) == (number == 97)
+    assert not _engine.Machine(rule, w).cuts
     assert _engine._scalar_budget(w) == 512
     spans = [
         sum(dataclasses.astuple(find_cycle(rule, w, init, RegulationPolicy(regime, n))))
@@ -387,9 +389,9 @@ def test_table1_rows_come_in_policy_order(workers):
 
 
 def test_rows_leave_the_machine_unregulated(monkeypatch):
-    # after every row's walk, squared or cut, the machine's unregulated
-    # step**w is the one it held before, also when a walk raises, and a
-    # cut leaves the cut state as it was
+    # after every row's walk, direct or cut, the machine's held orbit and
+    # cut state are the ones it held before, also when a cut raises, and
+    # the cut's marks are clear
     from ifamarket import _engine
     from ifamarket.market import Machine, simulate
 
@@ -397,7 +399,8 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
     rule = decode_rule(54)
     init = window_from_literal("alternating_up_first", w)
     machine = Machine(rule, w)
-    base = machine.power(RegulationPolicy("none")).copy()
+    machine.orbit(RegulationPolicy("none"), init.bits)
+    held = machine._held[1].copy()
     policies = [
         RegulationPolicy(regime, n)
         for n in range(1, w + 3)
@@ -408,26 +411,29 @@ def test_rows_leave_the_machine_unregulated(monkeypatch):
         for policy in policies:
             series = simulate(rule, w, init, policy, 1 << w, machine=machine)
             assert series == simulate(rule, w, init, policy, 1 << w), policy
-            assert np.array_equal(machine._base, base), policy
+            assert np.array_equal(machine._held[1], held), policy
 
     def failing_walk(*args, **kwargs):
         raise RuntimeError("walk failed")
 
     rows()
+    pos, moves, windows, starts, marks = machine._cut
+    cut = [array.copy() for array in (pos, moves, windows)]
     with monkeypatch.context() as mp:
-        # these runs take no orbit search, so every hop walk is a run's
-        mp.setattr(_engine, "walk_orbit", failing_walk)
+        # every cut looks up its first cycle's bounds once its marks are made
+        mp.setattr(_engine, "bisect_right", failing_walk)
         for text in ("prick:3", "prick:9", "both:12"):
             policy = RegulationPolicy.parse(text)
             with pytest.raises(RuntimeError, match="walk failed"):
                 simulate(rule, w, init, policy, 1 << w, machine=machine)
-            assert np.array_equal(machine._base, base), policy
+            assert np.array_equal(machine._held[1], held), policy
+            assert marks == bytearray(1 << w), policy
     machine.share(policies, init.bits, 1 << w)
-    pos, moves, windows, starts = machine._cut
-    cut = [array.copy() for array in (pos, moves, windows)]
+    assert machine._cut[0] is pos
     rows()
     assert all(np.array_equal(a, b) for a, b in zip((pos, moves, windows), cut))
-    assert not machine._base.flags.writeable
+    assert marks == bytearray(1 << w)
+    assert not machine._held[1].flags.writeable
 
 
 def test_machine_must_match_rule_and_width():

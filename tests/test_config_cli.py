@@ -404,10 +404,11 @@ def test_table_memory_checked_before_allocating(monkeypatch, capsys):
     monkeypatch.setattr(_engine, "step_table", no_step_table)
     assert run_cli(["cycle", "--w", "22", "--policy", "prick:7"]) == 2
     assert capsys.readouterr().err == (
-        "ifamarket: error: the tables for w = 22 need up to 104 MiB "
-        "(decision 4 MiB, unregulated step**w 16 MiB, step 16 MiB, "
-        "two step**w temporaries of 16 MiB, the windows of every cycle 16 MiB, "
-        "their cut index 16 MiB, their moves 4 MiB), but only 50 MiB is available\n"
+        "ifamarket: error: the tables for w = 22 need up to 80 MiB "
+        "(decision 4 MiB, the windows of every cycle 16 MiB, "
+        "their cut index 16 MiB, their moves 4 MiB, their firing marks 4 MiB, "
+        "the held orbit's moves 4 MiB, a cut's firing windows 16 MiB "
+        "and their positions 16 MiB), but only 50 MiB is available\n"
     )
     # an unknown amount of memory is not checked
     monkeypatch.setattr(_engine, "available_memory", lambda: None)
@@ -429,13 +430,29 @@ def test_rule54_cycles_at_w29_and_w30_from_the_algebra(monkeypatch, capsys):
         assert (payload["transient_length"], payload["cycle_length"]) == (0, cycle)
 
 
+def test_cycle_lengths_of_an_affine_orbit_need_no_moves(monkeypatch, capsys):
+    # the lengths of rule 54's w = 29 orbit come from the algebra alone:
+    # with 100 MiB available, less than its 384 MiB of moves, exit 0
+    from ifamarket import _engine
+
+    def no_moves(*args):
+        pytest.fail("the moves were written")
+
+    monkeypatch.setattr(_engine, "available_memory", lambda: 100 << 20)
+    monkeypatch.setattr(_engine, "affine_moves", no_moves)
+    assert run_cli(["cycle", "--rule", "54", "--w", "29"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["transient_length"], payload["cycle_length"]) == (0, 402_653_181)
+
+
 def test_affine_moves_memory_checked_before_allocating(monkeypatch, capsys):
-    # the moves of rule 54's w = 29 orbit take a byte a tick, 384 MiB:
-    # with 100 MiB available, exit 2 before they are allocated
+    # the moves of rule 54's w = 29 orbit take a byte a tick, 384 MiB, and
+    # its default span needs them: with 100 MiB available, exit 2 before
+    # they are allocated
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "available_memory", lambda: 100 << 20)
-    assert run_cli(["cycle", "--rule", "54", "--w", "29"]) == 2
+    assert run_cli(["simulate", "--rule", "54", "--w", "29"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -458,7 +475,7 @@ def test_cycle_of_a_machine_that_is_not_affine_at_w30_needs_the_tables(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "ifamarket: error: the tables for w = 30 need up to 26,624 MiB (decision"
+        "ifamarket: error: the tables for w = 30 need up to 20,480 MiB (decision"
     )
     assert captured.err.endswith("but only 7,168 MiB is available\n")
 
@@ -477,7 +494,8 @@ def test_small_tables_do_not_read_the_memory_available(monkeypatch):
 
 
 def test_scalar_orbit_needs_no_table_memory(monkeypatch, capsys):
-    # the constant-UP rule closes its w = 30 orbit in the scalar walk
+    # the constant-UP rule is affine, so the lengths of its w = 30 orbit
+    # come from the algebra, with no table
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "available_memory", lambda: 0)
@@ -488,19 +506,19 @@ def test_scalar_orbit_needs_no_table_memory(monkeypatch, capsys):
 
 def test_default_span_walks_the_orbit_once(monkeypatch, capsys):
     # prop:8 at w = 12 from alternating closes after 2,441 ticks, past the
-    # direct walk, so its orbit search squares step**w; that one walk also
-    # gives the span, a long run, and its moves, so nothing squares again
+    # direct walk's cap, so its orbit search cuts rule 54's cycles; that one
+    # cut also gives the span and its moves, so nothing cuts again
     from ifamarket import _engine
 
-    squared = []
-    power = _engine._power
+    cuts = []
+    cut_run = _engine.Machine._cut_run
     monkeypatch.setattr(
-        _engine, "_power", lambda *args: squared.append(args) or power(*args)
+        _engine.Machine, "_cut_run", lambda *args: cuts.append(args) or cut_run(*args)
     )
     argv = ["moments", "--w", "12", "--policy", "prop:8", "--ticks-per-day", "64",
             "--window-days", "8"]
     assert run_cli(argv) == 0
-    assert len(squared) == 1
+    assert len(cuts) == 1
     assert '"ticks": 2441' in capsys.readouterr().out
 
 

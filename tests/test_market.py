@@ -155,7 +155,7 @@ def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     w=st.integers(min_value=1, max_value=9),
     init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
     regime=st.sampled_from(["prick", "prop", "both"]),
-    path=st.sampled_from(["auto", "scalar", "direct", "table", "hop"]),
+    path=st.sampled_from(["auto", "scalar", "direct", "cap", "long"]),
     cut=st.booleans(),
     ticks=st.integers(min_value=0, max_value=120),
     data=st.data(),
@@ -166,16 +166,17 @@ def test_trend_longer_than_window_matches_reference(
     # n > w: the clamped machine stretched at its held windows, on every
     # engine path, against the oracles that track the whole history.
     # "direct" finds every orbit by the direct walk on the step table,
-    # "table" and "hop" search every orbit through step**w; all but
-    # "scalar" switch off the scalar budget and the 4w-tick probe.  With
-    # ``cut`` the rule is a bijective one and its machine holds the cut
-    # state, so that its long runs ("hop" makes every run long) are cuts
+    # "cap" and "long" cap that walk at 0 ticks, so that a bijective
+    # affine machine cuts every orbit; all but "scalar" switch off the
+    # scalar budget and the 4w-tick probe.  With ``cut`` the rule is a
+    # bijective affine one and its machine holds the cut state, so that
+    # its long runs ("long" makes every run long) are cuts
     from ifamarket import _engine
 
     machine = None
     if cut:
-        bijective = [j for j in range(256) if _engine.bijective(decode_rule(j), w)]
-        k = bijective[k % len(bijective)]
+        cutting = [j for j in range(256) if _engine.Machine(decode_rule(j), w).cuts]
+        k = cutting[k % len(cutting)]
         machine = _engine.Machine(decode_rule(k), w)
         machine._cut_state()
     init = WindowState(bits=init_bits & ((1 << w) - 1), width=w)
@@ -190,9 +191,9 @@ def test_trend_longer_than_window_matches_reference(
                 mp.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
         if path == "direct":
             mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 0)
-        if path in ("table", "hop"):
+        if path in ("cap", "long"):
             mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
-        if path == "hop":
+        if path == "long":
             mp.setattr(_engine, "_DIRECT_EMIT_SHIFT", 64)
         series = simulate(decode_rule(k), w, init, policy, ticks, machine=machine)
         report = find_cycle(decode_rule(k), w, init, policy, machine=machine)
@@ -320,9 +321,10 @@ def test_every_rung_matches_the_oracles(monkeypatch):
     # limits, then forced onto each path: the scalar walk alone (an
     # unbounded budget, which runs on a machine with no cut state take
     # whatever their length), the tables walked tick by tick
-    # up to 2**w ticks (budget 0, emit shift 0), and the tables with every
-    # walk hopping w ticks at a time through step**w (budget 0, emit shift
-    # 64); budget 0 also switches the probe off
+    # up to 2**w ticks (budget 0, emit shift 0), and every run long
+    # (budget 0, emit shift 64), so that the regulated runs of rule 54, a
+    # bijective affine machine, are cuts and the rest walk direct up to
+    # 2**w ticks; budget 0 also switches the probe off
     from ifamarket import _engine
 
     w = 10
@@ -482,33 +484,6 @@ def test_scalar_walk_stops_at_budget_or_first_repeat():
     assert len(set(windows)) == transient + cycle
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    k=st.integers(min_value=0, max_value=255),
-    w=st.integers(min_value=2, max_value=12),
-    regime=st.sampled_from(["prick", "prop", "both"]),
-    data=st.data(),
-)
-def test_machine_power_matches_full_build(k, w, regime, data):
-    # every policy's step**w from the machine equals the square of its
-    # own step table and is a table of its own: the unregulated step**w
-    # the machine holds is read-only and unchanged
-    from ifamarket import _engine
-
-    n = data.draw(st.integers(min_value=1, max_value=w + 3), label="n")
-    policy = RegulationPolicy(regime, n)
-    machine = _engine.Machine(decode_rule(k), w)
-    decisions = _engine.decision_table(decode_rule(k), w)
-    base = _engine._power(_engine.step_table(decisions, w, NONE), w)
-    expected = _engine._power(_engine.step_table(decisions, w, policy), w)
-    assert np.array_equal(machine.power(NONE), base)
-    power = machine.power(policy)
-    assert np.array_equal(power, expected)
-    assert power is not machine._base
-    assert np.array_equal(machine._base, base)
-    assert not machine._base.flags.writeable
-
-
 def test_direct_walk_continues_the_scalar_walk():
     # the direct walk picks up where the scalar walk's budget ran out and
     # stops at the first repeat, or gives first None past its limit
@@ -543,9 +518,10 @@ def test_direct_walk_continues_the_scalar_walk():
     data=st.data(),
 )
 def test_walks_share_one_contract(k, w, start, regime, limit, data):
-    # the scalar, direct and hop walks give the same (first, windows) from
-    # the same start and limit; with a limit of 2**w ticks or more every
-    # orbit closes
+    # the scalar and direct walks give the same (first, windows) from the
+    # same start and limit; with a limit of 2**w ticks or more every orbit
+    # closes, and a regulated orbit cut on a bijective affine machine has
+    # the moves of the closed walk
     from ifamarket import _engine
 
     rule = decode_rule(k)
@@ -560,8 +536,10 @@ def test_walks_share_one_contract(k, w, start, regime, limit, data):
     assert first is not None or limit < 1 << w
     if first is not None:
         assert windows[-1] == windows[first] and len(set(windows)) == len(windows) - 1
-    hop = _engine.walk_orbit(_engine._power(step, w), start, limit)
-    assert (hop[0], hop[1].tolist()) == (first, windows)
+    machine = _engine.Machine(rule, w)
+    if first is not None and machine.cuts and regime != "none":
+        cut = machine._cut_run(policy, start)
+        assert (cut[0], cut[1].tolist()) == (first, _engine.walk_moves(windows).tolist())
 
 
 def test_short_run_closed_by_the_scalar_walk_builds_no_table(monkeypatch):
@@ -698,13 +676,13 @@ def test_simulate_finds_the_held_moves_once(monkeypatch, ticks):
 
 def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
     # rule 54 at w = 22 under prick:7..10 closes in 43,818 to 61,499
-    # ticks: past the scalar budget, within the direct walk, so no step**w
+    # ticks: past the scalar budget, within the direct walk, so no cut
     from ifamarket import _engine
 
-    def no_power(*args):
-        pytest.fail("step**w was built")
+    def no_cut(*args):
+        pytest.fail("the orbit was cut")
 
-    monkeypatch.setattr(_engine, "_power", no_power)
+    monkeypatch.setattr(_engine.Machine, "_cut_run", no_cut)
     init = window_from_literal("alternating_up_first", 22)
     lengths = [
         find_cycle(decode_rule(54), 22, init, RegulationPolicy("prick", n))
@@ -716,29 +694,40 @@ def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
 
 
 def test_bijectivity_is_read_from_the_automaton():
-    # the O(w) check against the table: the unregulated step permutes the
-    # windows exactly when every two windows that differ only in the
-    # oldest bit decide differently.  128 rule numbers are bijective at
-    # w = 1, 96 at w = 2 and 88 from w = 3 on, 18 machines by their
-    # smallest numbers
+    # the cut's O(w) gate against the table: the unregulated step
+    # permutes the windows exactly when every two windows that differ only
+    # in the oldest bit decide differently, and a machine cuts exactly
+    # when it is affine and permutes them.  128 rule numbers are bijective
+    # at w = 1, 96 at w = 2 and 88 from w = 3 on, 18 machines by their
+    # smallest numbers, of which 6 are affine
     from ifamarket import _engine
     from ifamarket.survey import machine_groups
 
     counts = []
     for w in range(1, 15):
-        found = []
+        found, cutting = [], []
         for k in range(256):
             decisions = _engine.decision_table(decode_rule(k), w)
             half = decisions.size // 2
             table = bool((decisions[:half] != decisions[half:]).all())
-            assert _engine.bijective(decode_rule(k), w) == table, (k, w)
+            # affine: every window decides as the zero and unit windows say
+            c = int(decisions[0])
+            a = sum((int(decisions[1 << i]) ^ c) << i for i in range(w))
+            parity = np.bitwise_count(np.arange(1 << w, dtype=np.uint32) & a) & 1
+            affine = bool((decisions == c ^ parity).all())
+            cuts = _engine.Machine(decode_rule(k), w).cuts
+            assert cuts == (table and affine), (k, w)
             if table:
                 found.append(k)
+            if cuts:
+                cutting.append(k)
         counts.append(len(found))
     assert counts == [128, 96] + [88] * 12
-    assert [group[0] for group in machine_groups(14) if group[0] in found] == [
+    groups = [group[0] for group in machine_groups(14)]
+    assert [k for k in groups if k in found] == [
         16, 52, 54, 60, 62, 64, 97, 99, 105, 107, 148, 158, 182, 188, 193, 203, 227, 233
     ]
+    assert [k for k in groups if k in cutting] == [16, 54, 60, 64, 99, 105]
 
 
 def _cutting_machine(rule, w, init):
@@ -757,13 +746,13 @@ def _window_at(machine, p):
     return int(machine._cut[2][p])
 
 
-def _run_hops(monkeypatch):
-    """A list to which each hop walk that ``Machine.run`` takes appends
-    its arguments; orbit searches and the cut state still hop unlisted."""
+def _run_walks(monkeypatch):
+    """A list to which each direct walk that ``Machine.run`` takes appends
+    its arguments; orbit searches still walk unlisted."""
     from ifamarket import _engine
 
-    run, walk_orbit = _engine.Machine.run, _engine.walk_orbit
-    running, hops = [], []
+    run, walk_direct = _engine.Machine.run, _engine.walk_direct
+    running, walks = [], []
 
     def listed_run(*args):
         running.append(args)
@@ -774,39 +763,48 @@ def _run_hops(monkeypatch):
 
     def listed_walk(*args):
         if running:
-            hops.append(args)
-        return walk_orbit(*args)
+            walks.append(args)
+        return walk_direct(*args)
 
     monkeypatch.setattr(_engine.Machine, "run", listed_run)
-    monkeypatch.setattr(_engine, "walk_orbit", listed_walk)
-    return hops
+    monkeypatch.setattr(_engine, "walk_direct", listed_walk)
+    return walks
+
+
+def _counted_cuts(monkeypatch):
+    """A list to which each cut appends its ticks, None for an orbit."""
+    from ifamarket import _engine
+
+    cut_run, cuts = _engine.Machine._cut_run, []
+
+    def counted_cut(self, policy, start, num_ticks=None):
+        cuts.append(num_ticks)
+        return cut_run(self, policy, start, num_ticks)
+
+    monkeypatch.setattr(_engine.Machine, "_cut_run", counted_cut)
+    return cuts
 
 
 @pytest.mark.parametrize("w", range(6, 15))
 def test_cut_rung_matches_the_oracles(monkeypatch, w):
     # every policy with n <= w, from both standard starts, for rule 54,
     # its relabelling 201 and, up to w = 12, rule 52, which is bijective
-    # but not affine: the orbit (first, moves), which the ladder walks
-    # without building the cut state, and a run past the orbit's end,
-    # walked as cuts of the machine's unregulated cycles once share has
-    # built them, against the oracles.  At w = 6 and 7, x^w + x + 1 is
+    # but not affine: the orbit (first, moves), and a run past the orbit's
+    # end, walked as cuts of the machine's unregulated cycles once share
+    # has built them, against the oracles.  At w = 6 and 7, x^w + x + 1 is
     # primitive and rule 54's held cycle holds every nonzero window; at
     # w = 8, 9 and 14 it is one of several, and runs that leave it cut
-    # another.  With the probe off, every run is a cut, also one whose
-    # orbit closes within 4w ticks, and none hops
+    # another.  With the probe and the direct walk's cap off, every orbit
+    # and every run of 54 and 201 is a cut, also one whose orbit closes
+    # within 4w ticks, and none walks direct; rule 52 builds no cut state,
+    # and its runs walk direct
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
-    taken = {"cut": 0}
-    cut_run = _engine.Machine._cut_run
-
-    def counted_cut(*args):
-        taken["cut"] += 1
-        return cut_run(*args)
-
-    monkeypatch.setattr(_engine.Machine, "_cut_run", counted_cut)
-    hops = _run_hops(monkeypatch)
+    monkeypatch.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
+    cuts = _counted_cuts(monkeypatch)
+    walks = _run_walks(monkeypatch)
     groups = [(54, 201)] + ([(52,)] if w <= 12 else [])
     for kind in ("alternating_up_first", "all_up"):
         init = window_from_literal(kind, w)
@@ -833,35 +831,68 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
                         first, orbit = machine.orbit(policy, init.bits)
                         assert (first, orbit.size) == (transient, transient + cycle)
                         assert orbit.tolist() == moves[: orbit.size]
-                        assert machine._cut is None
             for machine in machines:
                 machine.share([policy for policy, _, _ in runs], init.bits, 1 << w)
-                assert machine._cut is not None
+                assert (machine._cut is not None) == machine.cuts == (52 not in numbers)
                 for policy, ticks, moves in runs:
                     assert machine.run(policy, init.bits, ticks).tolist() == moves
-    runs = 2 * 3 * w * sum(len(numbers) for numbers in groups)
-    assert (taken["cut"], len(hops)) == (runs, 0)
+    orbits = 2 * 3 * w * 2
+    assert (cuts.count(None), len(cuts) - cuts.count(None)) == (orbits, orbits)
+    assert len(walks) == (2 * 3 * w if w <= 12 else 0)
 
 
-def test_cut_state_of_a_map_that_is_not_a_permutation_raises():
-    # a window on no cycle of the unregulated map, which the walk from it
-    # shows by closing on another window or not within the windows left,
-    # makes the cut state raise rather than hop for ever: rule 35 at w = 8
-    # and every machine at w = 6 that is not bijective
+@pytest.mark.parametrize("w", range(6, 15))
+def test_orbit_searches_through_the_cut_match_the_oracles(monkeypatch, w):
+    # with the scalar budget, the probe and the direct walk's cap off,
+    # every regulated orbit search of rule 54 and its relabelling 201 is a
+    # cut: from both standard starts and two drawn ones, under every
+    # policy with n <= w + 3, find_cycle and the default span of simulate
+    # give the oracle's transient, cycle and moves (n > w stretches the
+    # clamped orbit at its held windows).  The two rules decide every
+    # window alike, so one oracle orbit serves both.  Among the orbits are
+    # transients that end mid-arc, with a move the policy did not force,
+    # so that the cut sees the orbit close only at a later firing window
+    # and reads the transient back from the history
     from ifamarket import _engine
 
-    machines = [_engine.Machine(decode_rule(35), 8)]
-    machines += [_engine.Machine(decode_rule(k), 6) for k in range(256)]
-    for machine in machines:
-        if not _engine.bijective(machine.rule, machine.w):
-            with pytest.raises(RuntimeError, match="not a permutation"):
-                machine._cut_state()
-            assert machine._cut is None
+    monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
+    monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
+    monkeypatch.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
+    cuts = _counted_cuts(monkeypatch)
+    rule = decode_rule(54)
+    for x in range(1 << w):
+        window = _oldest_first(x, w)
+        assert oracles.decide(decode_rule(201), window) == oracles.decide(rule, window)
+    draws = random.Random(w)
+    starts = [window_from_literal(kind, w).bits for kind in ("alternating", "all_up")]
+    starts += [draws.getrandbits(w) for _ in range(2)]
+    machines = [_engine.Machine(decode_rule(k), w) for k in (54, 201)]
+    searches = mid_arc = 0
+    for start in starts:
+        init, init_moves = WindowState(bits=start, width=w), _oldest_first(start, w)
+        for regime in ("prick", "prop", "both"):
+            for n in range(1, w + 4):
+                policy = RegulationPolicy(regime, n)
+                transient, cycle, moves = oracles.orbit_moves(rule, init_moves, policy)
+                for machine in machines:
+                    case = machine.rule.rule_number, start, policy
+                    report = find_cycle(machine.rule, w, init, policy, machine=machine)
+                    assert (report.transient_length, report.cycle_length) == (
+                        transient, cycle
+                    ), case
+                    series = simulate(machine.rule, w, init, policy, None, machine=machine)
+                    assert series.moves.tolist() == moves, case
+                    searches += 2
+                window = (init_moves + moves)[transient - 1 : transient - 1 + w]
+                mid_arc += n <= w and transient > 0 and (
+                    oracles.decide(rule, window) == moves[transient - 1]
+                )
+    assert cuts == [None] * searches and mid_arc > 0
 
 
 @functools.lru_cache(maxsize=None)
 def _cut_machine(number, w):
-    """A machine of a bijective rule with its cut state, nothing held."""
+    """A machine of a bijective affine rule with its cut state, nothing held."""
     from ifamarket import _engine
 
     machine = _engine.Machine(decode_rule(number), w)
@@ -873,13 +904,14 @@ def _cut_machine(number, w):
 @given(data=st.data())
 def test_cut_runs_from_any_cycle_position_match_the_oracle(data):
     # rule 54 at w = 6..14, which splits into several cycles at w = 8, 9
-    # and 14, and rule 52 at w = 6..12: a run cut from a drawn position of
+    # and 14, and rule 150 at w = 6..12, whose many short cycles are
+    # walked a window at a time: a run cut from a drawn position of
     # a drawn cycle (one within w of the cycle's end among them, so that
     # an arc wraps), for a span below the first firing window, about
     # transient + cycle or three times that, gives the oracle's moves.
     # n = w and ``none`` fire seldom or never
     number, w = data.draw(
-        st.sampled_from([(54, w) for w in range(6, 15)] + [(52, w) for w in range(6, 13)]),
+        st.sampled_from([(54, w) for w in range(6, 15)] + [(150, w) for w in range(6, 13)]),
         label="machine",
     )
     rule, machine = decode_rule(number), _cut_machine(number, w)
@@ -910,7 +942,7 @@ def test_cut_runs_from_any_cycle_position_match_the_oracle(data):
 
 
 @pytest.mark.parametrize(
-    "number, w, text", [(54, 8, "prop:1"), (54, 14, "prick:2"), (52, 10, "both:3")]
+    "number, w, text", [(54, 8, "prop:1"), (54, 14, "prick:2"), (150, 10, "both:3")]
 )
 def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
     # runs of 300 ticks from the last position of every cycle, and from
@@ -922,7 +954,7 @@ def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
 
     rule, machine, ticks = decode_rule(number), _cut_machine(number, w), 300
     policy = RegulationPolicy.parse(text)
-    pos, _, _, starts = machine._cut
+    pos, _, _, starts, _ = machine._cut
     fires = set(_engine.firing(machine.decisions, w, policy).tolist())
     marked = {bisect.bisect_right(starts, pos[x]) - 1 for x in fires}
     ends = [_window_at(machine, hi - 1) for hi in starts[1:]]
@@ -949,7 +981,7 @@ def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     # a default span of an orbit past the scalar probe tiles the moves of
     # that one orbit search, which the machine then holds: no cut state,
-    # and no run hops.  Once share builds the cut state, which starts
+    # and no run walks direct.  Once share builds the cut state, which starts
     # with the held cycle, its windows rebuilt from the held moves, a cut
     # from another window of the cycle has no firing window, and gives
     # the moves of the unregulated run from there
@@ -959,7 +991,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     init = window_from_literal("alternating_up_first", w)
     init_moves = oracles.window_moves(init)
     machine = _engine.Machine(rule, w)
-    hops = _run_hops(monkeypatch)
+    walks = _run_walks(monkeypatch)
     series = simulate(rule, w, init, NONE, None, machine=machine)
     assert len(series) == oracles.order_of_x(w)
     assert machine._held is not None and machine._cut is None
@@ -968,7 +1000,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
         assert series.moves.tolist() == oracles.simulate(rule, init_moves, NONE, ticks)
         assert machine._cut is None
     machine.share([NONE], init.bits, 5000)
-    windows, starts = machine._cut[2:]
+    windows, starts = machine._cut[2:4]
     held = windows[: starts[1]]
     assert held.size == oracles.order_of_x(w)
     assert np.array_equal(held & 1, machine._held[1])
@@ -976,7 +1008,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     expected = oracles.simulate(rule, _oldest_first(other, w), NONE, 5000)
     assert machine._cut_run(NONE, other, 5000).tolist() == expected
     assert machine.run(NONE, other, 5000).tolist() == expected
-    assert hops == [], "the run hopped"
+    assert walks == [], "the run walked direct"
 
 
 def test_cycle_moves_follow_the_held_orbit():
@@ -987,14 +1019,14 @@ def test_cycle_moves_follow_the_held_orbit():
     # once, and each move is its window's newest bit, the held moves on
     # the held cycle.  The orbit search of 7's unregulated orbit of 3,937
     # then holds that cycle, but the cut state stays, and runs from 7 are
-    # cut from it
+    # cut from it; each cut clears the marks it made
     from ifamarket import _engine
 
     w, rule, ticks = 14, decode_rule(54), 5000
     init = window_from_literal("alternating_up_first", w)
     machine = _cutting_machine(rule, w, init)
     held_moves = machine._held[1]
-    pos, moves, windows, starts = cut = machine._cut_state()
+    pos, moves, windows, starts, marks = cut = machine._cut_state()
     assert np.array_equal(moves[:11811], held_moves)
     assert starts[:2] == [0, 11811] and starts[-1] == 1 << w
     assert sorted(np.diff(starts).tolist()) == [1, 3, 31, 93, 127, 381, 3937, 11811]
@@ -1013,9 +1045,34 @@ def test_cycle_moves_follow_the_held_orbit():
             policy = RegulationPolicy(regime, n)
             expected = oracles.simulate(rule, _oldest_first(7, w), policy, ticks)
             assert machine.run(policy, 7, ticks).tolist() == expected, policy
-    # the held moves and the cut state are read-only
+            assert marks == bytearray(1 << w), policy
+    # the held moves and the cut state are read-only, but for the marks
     tables = (held_moves, pos, moves, windows)
     assert not any(table.flags.writeable for table in tables)
+
+
+def test_a_cut_that_fails_clears_its_marks(monkeypatch):
+    # the marks are the cut state's one buffer, shared by every cut: a cut
+    # that raises part way leaves them clear, and the next cut matches the
+    # oracle
+    from ifamarket import _engine
+
+    w, rule, ticks = 12, decode_rule(54), 3000
+    policy = RegulationPolicy("prick", 4)
+    machine = _cut_machine(54, w)
+    marks = machine._cut[4]
+
+    def broken(*args):
+        raise ZeroDivisionError
+
+    with pytest.MonkeyPatch.context() as mp:
+        # every cut looks up its first cycle's bounds once its marks are made
+        mp.setattr(_engine, "bisect_right", broken)
+        with pytest.raises(ZeroDivisionError):
+            machine._cut_run(policy, 7, ticks)
+    assert marks == bytearray(1 << w)
+    expected = oracles.simulate(rule, _oldest_first(7, w), policy, ticks)
+    assert machine._cut_run(policy, 7, ticks).tolist() == expected
 
 
 def test_orbit_searches_and_surveys_build_no_cut_index(monkeypatch):
@@ -1120,19 +1177,18 @@ def test_affine_rung_gives_the_moves_of_the_tables(monkeypatch, number):
     # the affine machines whose unregulated orbits outlast the 4w probe:
     # with no table, find_cycle gives the algebra's orbit at w = 3..22, an
     # orbit search's moves begin as the oracle's and a long run's are the
-    # oracle's up to w = 12, and at w <= 16 both are the moves of the hop
-    # walk through a step**w built here before the tables are switched off.
+    # oracle's up to w = 12, and at w <= 16 both are the moves of the direct
+    # walk through a step table built here before the tables are switched
+    # off.
     # The orbit from alternating outlasts the probe from w = 5 on
     from ifamarket import _engine
 
     rule, walks = decode_rule(number), {}
     for w in range(3, 17):
-        power = _engine._power(
-            _engine.step_table(_engine.decision_table(rule, w), w, NONE), w
-        )
+        step = _engine.step_table(_engine.decision_table(rule, w), w, NONE)
         for kind in ("alternating_up_first", "all_up"):
             start = window_from_literal(kind, w).bits
-            first, windows = _engine.walk_orbit(power, start, power.size)
+            first, windows = _engine.walk_direct(step, [start], step.size)
             walks[w, kind] = first, _engine.walk_moves(windows)
 
     def no_table(*args):
@@ -1190,14 +1246,14 @@ def test_short_affine_orbits_close_in_the_probe(monkeypatch):
 
 def test_anchor_default_span_builds_no_table(monkeypatch):
     # rule 54 from alternating at w = 22 takes the affine rung: no
-    # decision table, step table or step**w.  Its cycle is an m-sequence
+    # decision table or step table.  Its cycle is an m-sequence
     # of 2**22 - 1 ticks, with 2**21 UPs, which repeats past its end
     from ifamarket import _engine
 
     def no_table(*args):
         pytest.fail("a table was built")
 
-    for name in ("decision_table", "step_table", "_power"):
+    for name in ("decision_table", "step_table"):
         monkeypatch.setattr(_engine, name, no_table)
     rule, w = decode_rule(54), 22
     init = window_from_literal("alternating", w)
@@ -1217,8 +1273,8 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
     # ticks is the XOR of the windows after i < 22 ticks over the powers
     # x^i in x^k mod that trinomial.  The trinomial is primitive, so the
     # cut state at w = 22 is the held cycle of every nonzero window, then
-    # the fixed point 0, which the scalar walk places: no step table or
-    # step**w is built.  Sampled positions and moves of the held cycle
+    # the fixed point 0, which the cycle walk places: no step table is
+    # built.  Sampled positions and moves of the held cycle
     # are checked against the identity, with the first 22 windows from
     # the reference decision alone
     from ifamarket import _engine
@@ -1237,7 +1293,7 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, "step_table", no_table)
         machine.orbit(NONE, basis[0])
-        pos, moves, windows, starts = machine._cut_state()
+        pos, moves, windows, starts, _ = machine._cut_state()
     assert np.array_equal(moves[:-1], machine._held[1])
     assert starts == [0, (1 << w) - 1, 1 << w] and windows[-1] == 0
     assert pos[0] == (1 << w) - 1 and moves[-1] == 0
@@ -1309,11 +1365,11 @@ def _worker_threads(item):
 
 def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
     # rule 54 at w = 14 from the alternating window, in pieces of 1,000
-    # entries: 17 pieces of a table, the last of 384, 17 of the orbit's
-    # rows of windows, and in the cut state 12 of the rows of its held
-    # cycle's windows rebuilt from its moves, 12 of that cycle of 11,811
-    # and 5 of the 4,573 windows of the other cycles; each pass of every
-    # core count gives the arrays of one core, and leaves no thread alive
+    # entries: 17 pieces of a table, the last of 384, and in the cut state
+    # 12 of the rows of its held cycle's windows rebuilt from its moves,
+    # 12 of that cycle of 11,811 and 5 of the 4,573 windows of the other
+    # cycles; each pass of every core count gives the arrays of one core,
+    # and leaves no thread alive
     from ifamarket import _engine
 
     w, rule = 14, decode_rule(54)
@@ -1335,18 +1391,17 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
         made.clear()
         decisions = _engine.decision_table(rule, w)
         step = _engine.step_table(decisions, w, policy)
-        power = _engine._power(step, w)
         machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
-        base = machine.power(NONE)
-        first, windows = _engine.walk_orbit(base, start, base.size)
-        pos, moves, cycles, starts = machine._cut_state()
-        out = [step, power, windows, pos, moves, cycles, np.array(starts)]
+        first, held = machine._held
+        windows = _engine._cycle_windows(held[first:], w)
+        pos, moves, cycles, starts, _ = machine._cut_state()
+        out = [step, windows, pos, moves, cycles, np.array(starts)]
         assert len(made) == 0 if cores == 1 else len(made) > 0
         assert not any(thread.is_alive() for thread in made)
         return first, out
 
     first, expected = tables(1)
-    assert first == 0 and expected[2].size == 11812
+    assert first == 0 and expected[1].size == 11811
     # threads switched as often as the interpreter allows, three of them
     # on a host that may have fewer cores
     interval = sys.getswitchinterval()
