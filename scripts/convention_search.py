@@ -23,7 +23,6 @@ convention.
 
 import numpy as np
 
-from ifamarket._engine import walk_direct
 from ifamarket.ifa import decode_rule
 from ifamarket.market import window_from_literal
 
@@ -55,18 +54,28 @@ def decision_table_variant(rule, w, read_newest_first, decide_by_output):
     return last_output if decide_by_output else states
 
 
+def cycle_length(step, start):
+    """The cycle of the orbit of ``start`` under the window map ``step``:
+    each window's tick is recorded until one repeats."""
+    ticks = np.full(step.size, -1, dtype=np.int32)
+    tick_of, nxt = memoryview(ticks), memoryview(step)
+    x, t = start, 0
+    while tick_of[x] < 0:
+        tick_of[x] = t
+        x, t = nxt[x], t + 1
+    return t - tick_of[x]
+
+
 def orbit_cycles(rule_number, w, read_newest_first, decide_by_output):
     d = decision_table_variant(
         decode_rule(rule_number), w, read_newest_first, decide_by_output
     )
     values = np.arange(1 << w, dtype=np.uint32)
     step = ((values << np.uint32(1)) & np.uint32((1 << w) - 1)) | d.astype(np.uint32)
-    cycles = []
-    for kind in ("alternating_up_first", "all_up"):
-        start = window_from_literal(kind, w).bits
-        first, windows = walk_direct(step, [start], step.size)
-        cycles.append(len(windows) - 1 - first)
-    return tuple(cycles)
+    return tuple(
+        cycle_length(step, window_from_literal(kind, w).bits)
+        for kind in ("alternating_up_first", "all_up")
+    )
 
 
 def main():

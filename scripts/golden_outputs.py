@@ -43,6 +43,9 @@ COMMANDS = [
     ("table1-w14-both", ["table1", "--w", "14", "--include-both", "--workers", "2"]),
     # 386 unregulated cycles, none of them held by an orbit search
     ("table1-w21", ["table1", "--w", "21", "--workers", "2"]),
+    # rule 54's span at w = 24 is one tick short of 2**w / 8, so each row
+    # is no long run alone; together the rows share one cut state
+    ("table1-w24", ["table1", "--w", "24", "--workers", "2"]),
     # a machine that is not bijective, whose rows close within the scalar budget
     ("table1-rule35-both", [
         "table1", "--rule", "35", "--w", "22", "--init", "all_up",
@@ -88,8 +91,8 @@ COMMANDS = [
         "simulate", "--policy", "prop:2", "--ticks", "1000000",
         "--ticks-out", "prop2-1m.bits",
     ]),
-    # a machine that is not bijective, whose orbit outlasts the direct
-    # walk's cap for a cut and walks on to 2**w
+    # a machine that is not bijective, whose orbit outlasts the scalar
+    # budget and 2**w >> 6 ticks, and walks on to 2**w since it cannot cut
     ("cycle-rule35-prick6", [
         "cycle", "--rule", "35", "--w", "12", "--init", "all_up", "--policy", "prick:6",
     ]),

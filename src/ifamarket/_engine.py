@@ -7,30 +7,30 @@ ticks ago (bit 0 = newest).  The closed-loop dynamics is a map over the
 that agree on their newest bits), which costs about 2 * 2**w cheap array
 operations instead of w * 2**w.
 
-Every walk returns ``(first, windows)``: ``windows[t]`` is the window
-after t ticks, and the walk stops at the first repeat, so that
-``windows[-1] == windows[first]``; a walk that finds none within its
-``limit`` ticks returns ``first`` None and ``limit + 1`` windows.  There
-are two walks: :func:`walk_scalar` decides one window at a time from the
-rule's 2x2 tables and builds nothing of size 2**w; :func:`walk_direct`
-walks the step table with a 2**w-bit seen bitmap.  Past them lie the
-affine rung and the cut (below), each for its own kind of machine.  The
-four rungs form a ladder in which each is taken only when the one before
-has cost about what the next costs to set up (ski rental).
-:meth:`Machine.orbit` and :meth:`Machine.run` are the only routers, one
-job each.  The first searches an orbit up the ladder, so the orbit
-always closes, and gives it as ``(first, moves)``, the moves of its
-transient and one cycle, which a default span tiles (:func:`tile`).  The
-second takes a run of a given span as a scalar then direct walk of at
-most its ticks, or 2**w, within which its orbit closes, except a long
-run that is unregulated on an affine machine (the affine rung) or
-regulated on a bijective affine one (a cut); a walk's moves are tiled in
-the same way.  Neither builds a table for an orbit that closes within
-the scalar budget, about 2**w / (8w) ticks: the orbit search and every
-run take the scalar walk that far first, except an unregulated orbit or
-long run of an affine machine and a long run on a machine whose cut
-state is built, which probe their orbit with 4w scalar ticks, about
-50 us at w = 22.
+The one walk, :func:`walk_scalar`, returns ``(first, windows)``:
+``windows[t]`` is the window after t ticks, and the walk stops at the
+first repeat, so that ``windows[-1] == windows[first]``; a walk that
+finds none within its ``limit`` ticks returns ``first`` None and
+``limit + 1`` windows.  It decides one window at a time from the rule's
+2x2 tables and builds no table.  Past it lie the affine rung and the cut
+(below), each for its own kind of machine.  The three rungs form a
+ladder in which each is taken only when the one before has cost about
+what the next costs to set up (ski rental).  :meth:`Machine.orbit` and
+:meth:`Machine.run` are the only routers, one job each.  The first
+searches an orbit up the ladder, so the orbit always closes, and gives
+it as ``(first, moves)``, the moves of its transient and one cycle,
+which a default span tiles (:func:`tile`).  The second takes a run of a
+given span as a walk of at most its ticks, or 2**w, within which its
+orbit closes, except a long run that is unregulated on an affine machine
+(the affine rung) and a regulated run on a bijective affine one that is
+long or whose machine holds a cut state (a cut); a walk's moves are
+tiled in the same way.  A walk can go on from the windows that an
+earlier one left, so no router walks a prefix twice.  Neither builds a
+table for an orbit that closes within the scalar budget, about
+2**w / (8w) ticks: the orbit search and every run walk that far first,
+except an unregulated orbit or long run of an affine machine and a
+regulated run on a machine whose cut state is built, which probe their
+orbit with 4w ticks, about 50 us at w = 22.
 
 An affine machine decides each window x as c ^ parity(a & x)
 (:func:`affine_form` tells in O(w)), so its unregulated moves obey the
@@ -54,9 +54,10 @@ run on such a machine is a cut: between two firing windows it follows
 the cycle it is on.  The cycle positions where the policy fires are
 marked one byte each, so the next one is one ``bytearray.find``, and
 the cycle's moves up to it are copied into the run as the walk goes.
-These are the only machines with orbits that outlast the direct walk in
+These are the only machines whose orbits outlast the scalar budget in
 practice: at w = 22 every other machine's orbits from the standard
-starts close within a few hundred ticks.
+starts close within a few hundred ticks, and one that does not is
+walked to 2**w, where it closes.
 
 A :class:`Machine` holds one rule's tables at one w: the decision table,
 the moves of the held unregulated orbit and, on a bijective affine
@@ -65,17 +66,15 @@ window, the windows at the positions and their moves, one contiguous 0/1
 byte per tick, so that a cut copies each arc of a cycle as one slice,
 and one byte per position for the firing marks.  All but the decision
 table and the marks, which each cut clears as it ends, are read-only
-once built.  A policy that walks direct builds its own step table, which
-the machine does not keep.  A cycle's windows are rebuilt from its moves
-with shifts.  All state arrays are uint32, which holds every w <= 30.
+once built.  A cycle's windows are rebuilt from its moves with shifts.
+All state arrays are uint32, which holds every w <= 30.
 
-The passes over a whole table (the fill of a step table, the rows of a
-cycle's windows and the cut index) run on every core: :func:`_in_pieces`
-deals their pieces to one thread per core of the process's affinity
-mask, and numpy releases the GIL in those calls.  Each pass joins its
-threads before it returns.  A worker process of :func:`ordered_map` runs
-its passes on one thread, since the pool's processes already share the
-cores.
+The passes over a whole table (the rows of a cycle's windows and the cut
+index) run on every core: :func:`_in_pieces` deals their pieces to one
+thread per core of the process's affinity mask, and numpy releases the
+GIL in those calls.  Each pass joins its threads before it returns.  A
+worker process of :func:`ordered_map` runs its passes on one thread,
+since the pool's processes already share the cores.
 """
 
 from __future__ import annotations
@@ -94,13 +93,14 @@ import numpy as np
 from .ifa import IfaRule
 from .regulation import RegulationPolicy, regulator
 
-# The scalar walk's budget, 2**w / (8w) ticks, weighs a table-free walk
-# against the decision and step tables it would otherwise build.  At
-# w = 22 on a 2-core x86 host (Python 3.11, numpy 2.4) its 23,832 ticks
-# take 12.8-15.0 ms, 0.54-0.63 us a tick (rule 54 from alternating, none
-# and prick:12, min and median of 7 walks in each of 2 processes),
-# against 12-26 ms for the two tables; a change of it needs its own
-# before/after benchmark.
+# The scalar budget, 2**w / (8w) ticks, is as far as the scalar walk keeps
+# its windows in a dict, which needs no 2**w-bit seen bitmap, and as far
+# as a long regulated run on a machine with no cut state walks before it
+# builds one.  At w = 22 on a 2-core x86 host (Python 3.11, numpy 2.4)
+# its 23,832 ticks take 12.8-15.0 ms, 0.54-0.63 us a tick (rule 54 from
+# alternating, none and prick:12, min and median of 7 walks in each of 2
+# processes); past it a tick costs 0.60-0.68 us with the bitmap.  A
+# change of it needs its own before/after benchmark.
 _TABLE_PATH_MIN_TICKS_FACTOR = 8
 
 # No router builds a table before the scalar walk has taken this many
@@ -112,22 +112,25 @@ _TABLE_PATH_MIN_TICKS_FACTOR = 8
 _PROBE_TICKS_PER_BIT = 4
 
 # A run of 2**w >> 3 ticks or more is long: regulated on a bijective
-# affine machine it cuts the cycles rather than walk the step table a
-# tick at a time, and unregulated on an affine machine it takes the
-# affine rung.  The cut pays for the cut state up front, the direct walk
-# by the tick.  At w = 22 on a 2-core x86 host (numpy 2.4) a direct tick
-# costs 0.40 us and building the cut state from the held cycle 85-100 ms
-# (in a fresh process), so the break-even is near 2**w / 18 ticks; a
-# change of the shift needs its own before/after benchmark.
-_DIRECT_EMIT_SHIFT = 3
+# affine machine it cuts the cycles rather than walk a tick at a time,
+# and unregulated on an affine machine it takes the affine rung.  The
+# rows of a table count together: Machine.share builds their cut state
+# once rows x ticks is long.  The cut pays for the cut state up front,
+# the walk by the tick.  At w = 22 on a 2-core x86 host (numpy 2.4) a
+# walked tick costs 0.54-0.68 us and building the cut state from the held
+# cycle 85-100 ms (in a fresh process), so the break-even lies between
+# 2**w / 34 and 2**w / 22 ticks; a change of the shift needs its own
+# before/after benchmark.
+_LONG_RUN_SHIFT = 3
 
-# An orbit search on a bijective affine machine walks the step table
-# directly for up to 2**w >> 6 ticks before it cuts: the direct walk may
-# close the orbit for a fraction of the cut state's cost, and wastes that
-# fraction if it does not.  At w = 22 on a 2-core x86 host (numpy 2.4)
-# its 65,536 ticks take 26-27 ms with the seen bitmap, against 85-100 ms
-# to build the cut state from the held cycle and 0.14-0.18 s from none.
-_DIRECT_VISIT_SHIFT = 6
+# A regulated orbit search on a bijective affine machine walks for up to
+# 2**w >> 6 ticks, or the scalar budget if that is more, before it cuts:
+# the walk may close the orbit for a fraction of the cut state's cost,
+# and wastes that fraction if it does not.  At w = 22 on a 2-core x86
+# host (numpy 2.4) its 65,536 ticks take 57-77 ms (min and median of 7),
+# the last 41,704 with the seen bitmap, against 85-100 ms to build the
+# cut state from the held cycle and 0.14-0.18 s from none.
+_CUT_AFTER_SHIFT = 6
 
 # entries per piece of a table pass; see _in_pieces
 _GATHER_CHUNK = 1 << 18
@@ -139,8 +142,9 @@ _GATHER_CHUNK = 1 << 18
 # each), from which it marks.  The positions stay while the cut runs,
 # beside its visits and, for an orbit, its moves (2 a window at most).  The
 # placed flags (1) and a cycle's rebuilt windows (4) that build the cut
-# state, and a direct walk's step table (4), windows (4) and moves (1),
-# fit in the same count.
+# state fit in the same count.  A scalar walk past its budget, which
+# builds no table, holds its windows (4 a tick) and a seen bitmap (1 bit
+# a window) unchecked.
 _TABLE_BYTES_PER_WINDOW = 1 + 4 + 4 + 1 + 1 + 1 + 2 * 4
 
 # tables smaller than this, about what the interpreter with numpy takes
@@ -428,25 +432,51 @@ def affine_moves(c: int, a: int, w: int, start: int, num_ticks: int) -> np.ndarr
 
 
 def walk_scalar(
-    rule: IfaRule, w: int, policy: RegulationPolicy, start: int, limit: int
-) -> tuple[Optional[int], list[int]]:
+    rule: IfaRule,
+    w: int,
+    policy: RegulationPolicy,
+    start: int,
+    limit: int,
+    walked: Optional[Sequence[int]] = None,
+) -> tuple[Optional[int], Sequence[int]]:
     """``(first, windows)`` of the orbit of ``start``, at most ``limit`` ticks.
 
-    The scalar rung: see the module docstring for the contract.  Moves
-    pass through :func:`~ifamarket.regulation.regulator`, bound once, as
-    in :func:`step_table`.
+    The scalar rung: see the module docstring for the contract.  Each
+    tick decides with :func:`scalar_decision` and regulates with
+    :func:`~ifamarket.regulation.regulator`, each bound once.  The first
+    ``_scalar_budget(w)`` windows are kept in a dict of their ticks, and
+    returned as a list; a walk past them goes on in an ``array('I')``,
+    which it returns, with a 2**w-bit seen bitmap, about 4 bytes a tick.
+    ``walked``, the windows of an earlier walk of this orbit that found
+    no repeat, are the walk's first windows: it goes on from the last of
+    them rather than walk them again.
     """
     decide = scalar_decision(rule, w)
     regulate = regulator(policy, w)
-    mask = (1 << w) - 1
-    seen: dict[int, int] = {}  # window -> tick; keeps the windows in order
-    x = int(start)
-    for t in range(limit + 1):
-        if x in seen:
-            return seen[x], [*seen, x]
-        seen[x] = t
+    mask, budget = (1 << w) - 1, _scalar_budget(w)
+    windows = [int(start)] if walked is None else walked
+    x = windows[-1]
+    if len(windows) <= budget:
+        seen = {y: t for t, y in enumerate(windows)}  # window -> tick, in order
+        for t in range(len(seen), min(limit, budget) + 1):
+            x = ((x << 1) & mask) | regulate(x, decide(x))
+            if x in seen:
+                return seen[x], [*seen, x]
+            seen[x] = t
+        windows = list(seen)
+    if len(windows) > limit:
+        return None, windows
+    windows, bits = array("I", windows), bytearray((mask >> 3) + 1)
+    for y in windows:
+        bits[y >> 3] |= 1 << (y & 7)
+    for _ in range(len(windows), limit + 1):
         x = ((x << 1) & mask) | regulate(x, decide(x))
-    return None, list(seen)
+        byte, bit = x >> 3, 1 << (x & 7)
+        windows.append(x)
+        if bits[byte] & bit:
+            return windows.index(x), windows
+        bits[byte] |= bit
+    return None, windows
 
 
 def _low_bytes(windows: np.ndarray) -> np.ndarray:
@@ -582,30 +612,6 @@ def firing(decisions: np.ndarray, w: int, policy: RegulationPolicy) -> np.ndarra
     return np.concatenate(found)
 
 
-def step_table(
-    decisions: np.ndarray, w: int, policy: RegulationPolicy
-) -> np.ndarray:
-    """Next-window map over all 2**w states, regulation applied.
-
-    For a trend length n > w this is the machine clamped to n = w (see
-    :func:`~ifamarket.regulation.regulator`).  The policy reverses
-    the decision on the windows where it fires, as :func:`firing` finds.
-    """
-    step = np.arange(1 << w, dtype=np.uint32)
-    one, mask = np.uint32(1), np.uint32((1 << w) - 1)
-
-    def fill(lo: int, hi: int) -> None:
-        # in place, so that no more uint32 tables are alive than ``step``
-        part = step[lo:hi]
-        part <<= one
-        part &= mask
-        part |= decisions[lo:hi]
-
-    _in_pieces(step.size, fill)
-    step[firing(decisions, w, policy)] ^= one
-    return step
-
-
 def _cycle_windows(moves: np.ndarray, w: int) -> np.ndarray:
     """The windows along a cycle from its moves: the window at position p
     has ``moves[p]`` newest, then the moves before it round the cycle.
@@ -639,37 +645,6 @@ def _cycle_windows(moves: np.ndarray, w: int) -> np.ndarray:
 
     _in_pieces(older.size, fill, w)
     return windows.reshape(-1)[:size]
-
-
-def walk_direct(
-    step: np.ndarray, walked: Sequence[int], limit: int
-) -> tuple[Optional[int], np.ndarray]:
-    """``(first, windows)`` of the orbit ``walked`` begins, at most ``limit`` ticks.
-
-    The direct rung: see the module docstring for the contract.
-    ``walked`` holds the first windows of the orbit, all distinct, as
-    :func:`walk_scalar` leaves them when its limit runs out; the walk
-    goes on from the last one through the step table, one lookup a tick,
-    and marks each window in a 2**w-bit seen bitmap until a window
-    repeats.
-    """
-    known = min(len(walked), limit + 1)
-    states = np.empty(limit + 1, dtype=np.uint32)
-    states[:known] = walked[:known]
-    seen = np.zeros(-(-step.size // 8), dtype=np.uint8)
-    done = states[: known - 1]
-    np.bitwise_or.at(seen, done >> 3, (1 << (done & 7)).astype(np.uint8))
-    bits, out, nxt = memoryview(seen), memoryview(states), memoryview(step)
-    x = out[known - 1]
-    for t in range(known - 1, limit + 1):
-        byte, bit = x >> 3, 1 << (x & 7)
-        if bits[byte] & bit:
-            out[t] = x
-            return int(np.flatnonzero(states[:t] == x)[0]), states[: t + 1]
-        bits[byte] |= bit
-        out[t] = x
-        x = nxt[x]
-    return None, states
 
 
 def _copy_around(
@@ -719,10 +694,6 @@ class Machine:
         cuts: an affine one whose a has bit w - 1 set, so that the oldest
         bit of every window flips its decision."""
         return self.affine is not None and self.affine[1] >> (self.w - 1) == 1
-
-    def step(self, policy: RegulationPolicy) -> np.ndarray:
-        """The policy's step table, built anew: the machine keeps none."""
-        return step_table(self.decisions, self.w, policy)
 
     def _cut_state(self) -> tuple:
         """The cycles of a bijective affine machine's unregulated map, built once.
@@ -806,16 +777,20 @@ class Machine:
         """Build now what the runs of ``policies`` from ``start``, of
         ``num_ticks`` ticks each, share.
 
-        On a bijective affine machine a long regulated run cuts its
-        cycles: this builds their cut state, which processes forked after
-        this inherit instead of each building its own.  It is built once
-        the scalar walk of some policy's orbit outlasts the 4w probe, if
-        the machine holds an unregulated cycle that the affine rung found,
-        from which the cut state starts, or else outlasts the whole scalar
-        budget, as a run's would before it cut.  Nothing is built for
-        short runs, nor on other machines, whose runs walk direct.
+        On a bijective affine machine a regulated run cuts its cycles once
+        their cut state is built: this builds it, which processes forked
+        after this inherit instead of each building its own, when the
+        runs together are long, ``len(policies) * num_ticks`` ticks of
+        2**w >> ``_LONG_RUN_SHIFT`` or more, though each may be short.  It
+        is built once the scalar walk of some policy's orbit outlasts the
+        4w probe, if the machine holds an unregulated cycle that the affine
+        rung found, from which the cut state starts, or else outlasts the
+        whole scalar budget, as a long run's would before it cut.  Nothing
+        is built for runs that are short together, nor on other machines,
+        whose runs walk.
         """
-        if num_ticks < (1 << self.w) >> _DIRECT_EMIT_SHIFT or not self.cuts:
+        together = len(policies) * num_ticks
+        if together < (1 << self.w) >> _LONG_RUN_SHIFT or not self.cuts:
             return
         if self._held is not None:
             limit = _PROBE_TICKS_PER_BIT * self.w
@@ -924,16 +899,16 @@ class Machine:
         the moves of its transient, ``first`` ticks, and of one cycle.
 
         Climbs the ladder.  An unregulated orbit takes the scalar walk for
-        4w ticks first, and past them, on an affine machine, the affine
-        rung: the transient and cycle from the algebra
+        4w ticks first, a regulated one for ``_scalar_budget(w)`` ticks.
+        Past them, an unregulated orbit on an affine machine takes the
+        affine rung: the transient and cycle from the algebra
         (:func:`affine_orbit`) and their moves by lag doubling
         (:func:`affine_moves`), with no table; the machine holds that
-        orbit, read-only, for the cut state to start from.  Any other
-        orbit takes the scalar walk for ``_scalar_budget(w)`` ticks, then
-        the step table walked directly: on a bijective affine machine up
-        to 2**w >> ``_DIRECT_VISIT_SHIFT`` ticks, and then a cut (see
-        :meth:`_cut_run`), and on any other machine up to 2**w ticks, within
-        which every orbit closes.
+        orbit, read-only, for the cut state to start from.  Any other orbit
+        goes on with the same walk: on a bijective affine machine up to
+        2**w >> ``_CUT_AFTER_SHIFT`` ticks, and then a cut (see
+        :meth:`_cut_run`), and on any other machine up to 2**w ticks,
+        within which every orbit closes.
         """
         none = policy.regime == "none"
         budget = _scalar_budget(self.w)
@@ -945,13 +920,10 @@ class Machine:
             moves.setflags(write=False)
             self._held = transient, moves
             return self._held
-        if first is None and probe < budget:
-            first, windows = walk_scalar(self.rule, self.w, policy, start, budget)
         if first is None:
-            step = self.step(policy)
-            limit = step.size >> _DIRECT_VISIT_SHIFT if self.cuts else step.size
-            first, windows = walk_direct(step, windows, limit)
-            del step
+            size = 1 << self.w
+            limit = max(budget, size >> _CUT_AFTER_SHIFT) if self.cuts else size
+            first, windows = walk_scalar(self.rule, self.w, policy, start, limit, windows)
             if first is None:
                 return self._cut_run(policy, start)
         return first, walk_moves(windows)
@@ -964,24 +936,25 @@ class Machine:
         A span the caller gives: a default one, transient + one cycle, is
         the orbit of :meth:`orbit`, tiled.  Every run takes the scalar
         walk first, for as many of its ticks as ``_scalar_budget(w)``
-        allows, except a run of 2**w >> ``_DIRECT_EMIT_SHIFT`` ticks or
-        more that is unregulated on an affine machine, or regulated on a
-        machine whose cut state is built, which probes 4w ticks.  If the
-        walk closes the orbit or runs out of ticks first, its cycle is
-        tiled over the ticks left and no table is built.  Otherwise a long
-        unregulated run on an affine machine is written by lag doubling
-        (:func:`affine_moves`); a long regulated run on a bijective affine
-        machine is a cut of its cycles (see :meth:`_cut_run`), which builds
-        their cut state if no run has yet; and any other run walks the
-        step table directly for at most its ticks, or 2**w, within which
+        allows, except a run of 2**w >> ``_LONG_RUN_SHIFT`` ticks or more
+        that is unregulated on an affine machine, and a regulated run of
+        any length on a machine whose cut state is built, which probe 4w
+        ticks.  If the walk closes the orbit or runs out of ticks first,
+        its cycle is tiled over the ticks left and no table is built.
+        Otherwise a long unregulated run on an affine machine is written by
+        lag doubling (:func:`affine_moves`); a regulated run on a machine
+        whose cut state is built, or a long one on any other bijective
+        affine machine, is a cut of its cycles (see :meth:`_cut_run`),
+        which builds their cut state if no run has yet; and any other run
+        goes on with the walk for at most its ticks, or 2**w, within which
         its orbit closes, and its moves are tiled over the run's ticks.
         """
-        long = num_ticks >= (1 << self.w) >> _DIRECT_EMIT_SHIFT
+        long = num_ticks >= (1 << self.w) >> _LONG_RUN_SHIFT
         none = policy.regime == "none"
         affine = long and none and self.affine is not None
         # a machine that holds a cut state cuts; whether one without it
         # would is asked only of a run that outlasts the scalar walk
-        if affine or (long and not none and self._cut is not None):
+        if affine or (not none and self._cut is not None):
             budget = _PROBE_TICKS_PER_BIT * self.w
         else:
             budget = _scalar_budget(self.w)
@@ -991,10 +964,10 @@ class Machine:
             return tile(first, walk_moves(windows), num_ticks)
         if affine:
             return affine_moves(*self.affine, self.w, start, num_ticks)
-        if long and not none and self.cuts:
+        if not none and (self._cut is not None or (long and self.cuts)):
             return self._cut_run(policy, start, num_ticks)
         limit = min(num_ticks, 1 << self.w)
-        first, windows = walk_direct(self.step(policy), windows, limit)
+        first, windows = walk_scalar(self.rule, self.w, policy, start, limit, windows)
         return tile(first, walk_moves(windows), num_ticks)
 
 

@@ -1,18 +1,24 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is deliberately naive: plain Python loops, windows as
-tuples, per-window recomputation from the raw definitions.  These paths
-share no code with the vectorized production implementations they check.
+tuples, per-window recomputation from the raw definitions, and where
+every window of a width is needed, one numpy pass of the same automaton
+over all of them.  These paths share no code with the vectorized
+production implementations they check.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ifamarket.ifa import IfaRule
 from ifamarket.regulation import RegulationPolicy
+
+# The 10 non-constant affine machines, by their smallest rule numbers
+AFFINE_MACHINES = (16, 39, 45, 54, 60, 64, 99, 105, 114, 120)
 
 
 def decide(rule: IfaRule, window: Sequence[int], initial_state: int = 0) -> int:
@@ -221,13 +227,32 @@ def order_of_t(q: int) -> int:
     return n
 
 
+def decisions(rule: IfaRule, w: int) -> np.ndarray:
+    """The reference decision of every w-bit window x (bit 0 the newest
+    move), as :func:`decide` reads it: one pass of the automaton over all
+    2**w windows at once, newest bit first, from state 0."""
+    windows = np.arange(1 << w, dtype=np.uint32)
+    # the automaton's next states and outputs, indexed by 2 * state + symbol
+    nexts, outputs = (
+        np.array([rule.table[s][b][k] for s in (0, 1) for b in (0, 1)], dtype=np.uint8)
+        for k in (0, 1)
+    )
+    state = np.zeros(1 << w, dtype=np.uint8)
+    for age in range(w):
+        pair = 2 * state + (windows >> age & 1).astype(np.uint8)
+        state, out = nexts[pair], outputs[pair]
+    return out
+
+
 def affine_form(rule: IfaRule, w: int) -> Optional[tuple[int, int]]:
     """``(c, a)`` such that ``rule`` decides every w-bit window x (bit 0 the
     newest move) as c ^ parity(a & x), or None if it does not.
 
     An affine map is fixed by its values on the zero window, which give c,
-    and on the w unit windows, which give the bits of a.  The form is then
-    checked on every window for w <= 12 and on 256 random ones above.
+    and on the w unit windows, which give the bits of a.  Up to w = 20 the
+    form is then checked on every window, by :func:`decisions`.  Above
+    w = 20 it is not checked: (c, a) is only read, and only for the rule
+    numbers of :data:`AFFINE_MACHINES`, which this asserts.
     """
 
     def decision(x: int) -> int:
@@ -235,9 +260,11 @@ def affine_form(rule: IfaRule, w: int) -> Optional[tuple[int, int]]:
 
     c = decision(0)
     a = sum((decision(1 << i) ^ c) << i for i in range(w))
-    draws = random.Random(w)
-    windows = range(1 << w) if w <= 12 else [draws.getrandbits(w) for _ in range(256)]
-    if all(decision(x) == c ^ (a & x).bit_count() & 1 for x in windows):
+    if w > 20:
+        assert rule.rule_number in AFFINE_MACHINES, (rule, w)
+        return c, a
+    parity = np.bitwise_count(np.arange(1 << w, dtype=np.uint32) & a) & 1
+    if np.array_equal(decisions(rule, w), c ^ parity):
         return c, a
     return None
 

@@ -289,13 +289,12 @@ def test_table1_builds_no_table_where_every_orbit_closes_within_4w_ticks(monkeyp
 def test_table1_rows_that_close_within_the_scalar_budget_build_no_table(
     monkeypatch, number, outlast, longest
 ):
-    # each row takes the scalar walk for the whole budget (512 ticks at
-    # w = 16) before it builds a table: rule 35 is not bijective and rule
-    # 97 is, but neither is affine, so neither has a cut state.  From
-    # all-UP, some regulated orbits outlast the 4w-tick probe, and all
-    # close within the budget, so no row builds a decision table; with
-    # the budget forced down to 4w those rows walk the step table
-    # directly, to the same rows
+    # rule 35 is not bijective and rule 97 is, but neither is affine, so
+    # neither cuts and no row builds a table.  From all-UP, some regulated
+    # orbits, the oracle's, outlast the 4w-tick probe, and all close
+    # within the scalar budget (512 ticks at w = 16); with the budget
+    # forced down to 4w those rows walk on past it with the seen bitmap,
+    # to the same rows
     from ifamarket import _engine
     from ifamarket.market import find_cycle
 
@@ -306,25 +305,66 @@ def test_table1_rows_that_close_within_the_scalar_budget_build_no_table(
     assert bool((decisions[:half] != decisions[half:]).all()) == (number == 97)
     assert not _engine.Machine(rule, w).cuts
     assert _engine._scalar_budget(w) == 512
-    spans = [
-        sum(dataclasses.astuple(find_cycle(rule, w, init, RegulationPolicy(regime, n))))
-        for regime in ("both", "prick", "prop")
-        for n in range(2, 21)
+    policies = [
+        RegulationPolicy(regime, n) for regime in ("both", "prick", "prop") for n in range(2, 21)
     ]
+    spans = [sum(oracles.orbit(rule, oracles.window_moves(init), p)) for p in policies]
+    assert spans == [sum(dataclasses.astuple(find_cycle(rule, w, init, p))) for p in policies]
     assert sum(span > 4 * w for span in spans) == outlast and max(spans) == longest
-    built = []
-    decision_table = _engine.decision_table
 
-    def counting(*args):
-        built.append(args)
-        return decision_table(*args)
+    def no_table(*args):
+        pytest.fail("a decision table was built")
 
-    monkeypatch.setattr(_engine, "decision_table", counting)
+    walked, walk_scalar = [], _engine.walk_scalar
+
+    def listed_walk(*args):
+        walk = walk_scalar(*args)
+        walked.append(len(walk[1]) - 1)
+        return walk
+
+    monkeypatch.setattr(_engine, "decision_table", no_table)
     rows = table1(rule, w, init, include_both=True, workers=1)
-    assert len(rows) == 58 and not built
+    assert len(rows) == 58
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 4 * w)
+    monkeypatch.setattr(_engine, "walk_scalar", listed_walk)
     assert table1(rule, w, init, include_both=True, workers=1) == rows
-    assert built
+    assert max(walked) > 4 * w
+
+
+def test_table1_rows_share_one_cut_state_when_together_they_are_long(monkeypatch):
+    # rule 54 at w = 14 over 2,000 ticks: past the scalar budget (147
+    # ticks) and short of 2**w / 8 (2,048), so no row is a long run alone,
+    # but the 38 regulated rows together are.  table1 builds one cut state
+    # and cuts every row whose orbit, the oracle's, outlasts the 4w-tick
+    # probe, with the oracle's moves; the others close in the probe
+    from ifamarket import _engine
+
+    rule, w, ticks = decode_rule(54), 14, 2000
+    init = window_from_literal("alternating_up_first", w)
+    init_moves = oracles.window_moves(init)
+    assert _engine._scalar_budget(w) < ticks < (1 << w) >> 3
+    builds, cuts = [], []
+    cut_state, cut_run = _engine.Machine._cut_state, _engine.Machine._cut_run
+
+    def counted_build(self):
+        builds.append(self._cut is None)
+        return cut_state(self)
+
+    def counted_cut(self, policy, start, num_ticks=None):
+        moves = cut_run(self, policy, start, num_ticks)
+        assert moves.tolist() == oracles.simulate(rule, init_moves, policy, num_ticks)
+        cuts.append(policy)
+        return moves
+
+    monkeypatch.setattr(_engine.Machine, "_cut_state", counted_build)
+    monkeypatch.setattr(_engine.Machine, "_cut_run", counted_cut)
+    small = dict(ticks_per_day=10, window_days=8)
+    rows = table1(rule, w, init, ticks=ticks, workers=1, **small)
+    assert len(rows) == 39 and {row.ticks for row in rows} == {ticks}
+    assert builds.count(True) == 1
+    policies = [RegulationPolicy.parse(row.policy) for row in rows[1:]]
+    outlast = [p for p in policies if sum(oracles.orbit(rule, init_moves, p)) > 4 * w]
+    assert cuts == outlast and 0 < len(outlast) < len(policies)
 
 
 def test_table1_rows_without_a_defined_window_report_nan_shapes():
@@ -389,7 +429,7 @@ def test_table1_rows_come_in_policy_order(workers):
 
 
 def test_rows_leave_the_machine_unregulated(monkeypatch):
-    # after every row's walk, direct or cut, the machine's held orbit and
+    # after every row's walk, scalar or cut, the machine's held orbit and
     # cut state are the ones it held before, also when a cut raises, and
     # the cut's marks are clear
     from ifamarket import _engine

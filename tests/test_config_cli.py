@@ -378,31 +378,34 @@ def test_memory_error_exits_cleanly(monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 4.00 GiB")
 
-    # prop:8 at w = 12 closes after 2,441 ticks, past the scalar walk
+    # prop:8 at w = 12 closes after 2,441 ticks, past the scalar walk, so
+    # its orbit search cuts rule 54's cycles, whose cut state starts with
+    # the decision table
     argv = ["cycle", "--w", "12", "--policy", "prop:8"]
-    monkeypatch.setattr(_engine, "step_table", out_of_memory)
+    monkeypatch.setattr(_engine, "decision_table", out_of_memory)
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ifamarket: error: Unable to allocate 4.00 GiB\n"
     def bare(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(_engine, "step_table", bare)
+    monkeypatch.setattr(_engine, "decision_table", bare)
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ifamarket: error: MemoryError\n"
 
 
 def test_table_memory_checked_before_allocating(monkeypatch, capsys):
-    # rule 54's w = 22 orbit under prick:7 outlasts the scalar walk, and
-    # its tables do not fit in the 50 MiB the probe reports: exit 2
-    # before any table
+    # rule 54's w = 22 orbit under prick:16 outlasts the scalar walk of
+    # 2**w >> 6 ticks, and the tables of its cut do not fit in the 50 MiB
+    # the probe reports: exit 2 before the cut state takes a cycle
     from ifamarket import _engine
 
-    def no_step_table(*args, **kwargs):
-        pytest.fail("step_table was reached")
+    def no_cut_state(*args, **kwargs):
+        pytest.fail("the cut state was reached")
 
     monkeypatch.setattr(_engine, "available_memory", lambda: 50 << 20)
-    monkeypatch.setattr(_engine, "step_table", no_step_table)
-    assert run_cli(["cycle", "--w", "22", "--policy", "prick:7"]) == 2
+    for name in ("affine_orbit", "_cycle_windows"):
+        monkeypatch.setattr(_engine, name, no_cut_state)
+    assert run_cli(["cycle", "--w", "22", "--policy", "prick:16"]) == 2
     assert capsys.readouterr().err == (
         "ifamarket: error: the tables for w = 22 need up to 80 MiB "
         "(decision 4 MiB, the windows of every cycle 16 MiB, "
@@ -465,11 +468,13 @@ def test_cycle_of_a_machine_that_is_not_affine_at_w30_needs_the_tables(
     monkeypatch, capsys
 ):
     # a regulated machine is not affine: rule 54 under prick:7 at w = 30
-    # outlasts the scalar walk, cut here to the 4w probe so that it ends
-    # within milliseconds, and its tables do not fit in 7 GiB
+    # outlasts the scalar walk, cut here to the 4w probe, with the orbit
+    # search's 2**w >> 6 ticks off, so that it ends within milliseconds,
+    # and the tables of its cut do not fit in 7 GiB
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 4 * w)
+    monkeypatch.setattr(_engine, "_CUT_AFTER_SHIFT", 64)
     monkeypatch.setattr(_engine, "available_memory", lambda: 7 << 30)
     assert run_cli(["cycle", "--rule", "54", "--w", "30", "--policy", "prick:7"]) == 2
     captured = capsys.readouterr()
@@ -506,8 +511,8 @@ def test_scalar_orbit_needs_no_table_memory(monkeypatch, capsys):
 
 def test_default_span_walks_the_orbit_once(monkeypatch, capsys):
     # prop:8 at w = 12 from alternating closes after 2,441 ticks, past the
-    # direct walk's cap, so its orbit search cuts rule 54's cycles; that one
-    # cut also gives the span and its moves, so nothing cuts again
+    # orbit search's scalar walk of 64 ticks, so it cuts rule 54's cycles;
+    # that one cut also gives the span and its moves, so nothing cuts again
     from ifamarket import _engine
 
     cuts = []

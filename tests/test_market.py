@@ -155,7 +155,7 @@ def test_find_cycle_matches_reference(k, w, init_bits, regime, data):
     w=st.integers(min_value=1, max_value=9),
     init_bits=st.integers(min_value=0, max_value=(1 << 9) - 1),
     regime=st.sampled_from(["prick", "prop", "both"]),
-    path=st.sampled_from(["auto", "scalar", "direct", "cap", "long"]),
+    path=st.sampled_from(["auto", "scalar", "bitmap", "cap", "long"]),
     cut=st.booleans(),
     ticks=st.integers(min_value=0, max_value=120),
     data=st.data(),
@@ -165,12 +165,12 @@ def test_trend_longer_than_window_matches_reference(
 ):
     # n > w: the clamped machine stretched at its held windows, on every
     # engine path, against the oracles that track the whole history.
-    # "direct" finds every orbit by the direct walk on the step table,
-    # "cap" and "long" cap that walk at 0 ticks, so that a bijective
-    # affine machine cuts every orbit; all but "scalar" switch off the
-    # scalar budget and the 4w-tick probe.  With ``cut`` the rule is a
-    # bijective affine one and its machine holds the cut state, so that
-    # its long runs ("long" makes every run long) are cuts
+    # "bitmap" walks every orbit up to 2**w ticks, all but its first
+    # window past the scalar budget, "cap" and "long" cap that walk at
+    # 0 ticks, so that a bijective affine machine cuts every orbit; all
+    # but "scalar" switch off the scalar budget and the 4w-tick probe.
+    # With ``cut`` the rule is a bijective affine one and its machine
+    # holds the cut state, so that its regulated runs are cuts
     from ifamarket import _engine
 
     machine = None
@@ -189,12 +189,12 @@ def test_trend_longer_than_window_matches_reference(
             mp.setattr(_engine, "_scalar_budget", lambda w: budget)
             if budget == 0:
                 mp.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
-        if path == "direct":
-            mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 0)
+        if path == "bitmap":
+            mp.setattr(_engine, "_CUT_AFTER_SHIFT", 0)
         if path in ("cap", "long"):
-            mp.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
+            mp.setattr(_engine, "_CUT_AFTER_SHIFT", 64)
         if path == "long":
-            mp.setattr(_engine, "_DIRECT_EMIT_SHIFT", 64)
+            mp.setattr(_engine, "_LONG_RUN_SHIFT", 64)
         series = simulate(decode_rule(k), w, init, policy, ticks, machine=machine)
         report = find_cycle(decode_rule(k), w, init, policy, machine=machine)
     assert series.moves.tolist() == oracles.simulate(
@@ -320,11 +320,11 @@ def test_every_rung_matches_the_oracles(monkeypatch):
     # the orbit engine against the brute-force oracles, first with its own
     # limits, then forced onto each path: the scalar walk alone (an
     # unbounded budget, which runs on a machine with no cut state take
-    # whatever their length), the tables walked tick by tick
-    # up to 2**w ticks (budget 0, emit shift 0), and every run long
-    # (budget 0, emit shift 64), so that the regulated runs of rule 54, a
-    # bijective affine machine, are cuts and the rest walk direct up to
-    # 2**w ticks; budget 0 also switches the probe off
+    # whatever their length), the walk past the budget with its seen
+    # bitmap, runs of 2**w ticks or more long (budget 0, long-run shift
+    # 0), and every run long (budget 0, long-run shift 64), so that the
+    # regulated runs of rule 54, a bijective affine machine, are cuts and
+    # the rest walk up to 2**w ticks; budget 0 also switches the probe off
     from ifamarket import _engine
 
     w = 10
@@ -347,7 +347,7 @@ def test_every_rung_matches_the_oracles(monkeypatch):
             if budget == 0:
                 monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
         if shift is not None:
-            monkeypatch.setattr(_engine, "_DIRECT_EMIT_SHIFT", shift)
+            monkeypatch.setattr(_engine, "_LONG_RUN_SHIFT", shift)
         for k, kind, ticks, policy in cases:
             rule = decode_rule(k)
             init = window_from_literal(kind, w)
@@ -407,7 +407,7 @@ def test_scalar_decision_matches_decision_table_and_oracle():
 
 def test_decision_table_matches_the_oracle():
     # every window of every rule at w = 1..10, read by the oracle's own
-    # automaton pass
+    # automaton pass, window by window and over all windows at once
     from ifamarket import _engine
 
     for k in range(256):
@@ -418,6 +418,7 @@ def test_decision_table_matches_the_oracle():
             windows = (_oldest_first(x, w) for x in range(1 << w))
             expected = [oracles.decide(rule, window) for window in windows]
             assert table.tolist() == expected, (k, w)
+            assert oracles.decisions(rule, w).tolist() == expected, (k, w)
 
 
 def test_scalar_decision_matches_on_random_wide_windows():
@@ -484,9 +485,25 @@ def test_scalar_walk_stops_at_budget_or_first_repeat():
     assert len(set(windows)) == transient + cycle
 
 
-def test_direct_walk_continues_the_scalar_walk():
-    # the direct walk picks up where the scalar walk's budget ran out and
-    # stops at the first repeat, or gives first None past its limit
+def _oracle_windows(rule, w, policy, start, ticks):
+    """The windows, as ints, of the oracle's first ``ticks`` ticks from
+    ``start`` on the machine clamped to n <= w, ``start`` first."""
+    if policy.regime != "none":
+        policy = RegulationPolicy(policy.regime, min(policy.trend_length, w))
+    history = _oldest_first(start, w)
+    history += oracles.simulate(rule, history, policy, ticks)
+    return [
+        sum(bit << age for age, bit in enumerate(reversed(history[t : t + w])))
+        for t in range(ticks + 1)
+    ]
+
+
+def test_scalar_walk_continues_an_earlier_walk():
+    # a walk that goes on from the windows an earlier walk left, within
+    # the scalar budget's dict (1 and 7 windows) and past it with the seen
+    # bitmap (transient + cycle windows, 128 against a budget of 40),
+    # stops at the first repeat, or gives first None past its limit, with
+    # the oracle's windows either way
     from ifamarket import _engine
 
     w = 10
@@ -494,18 +511,21 @@ def test_direct_walk_continues_the_scalar_walk():
     policy = RegulationPolicy("prick", 3)
     start = window_from_literal("all_up", w).bits
     transient, cycle = oracles.orbit(rule, _oldest_first(start, w), policy)
-    step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
-    whole = _engine.walk_scalar(rule, w, policy, start, transient + cycle)[1]
+    whole = _oracle_windows(rule, w, policy, start, transient + cycle)
+    assert _engine._scalar_budget(w) == 40 < transient + cycle
     for known in (1, 7, transient + cycle):
         first, walked = _engine.walk_scalar(rule, w, policy, start, known - 1)
-        assert first is None and len(walked) == known
-        first, windows = _engine.walk_direct(step, walked, transient + cycle)
+        assert first is None and list(walked) == whole[:known]
+        first, windows = _engine.walk_scalar(
+            rule, w, policy, start, transient + cycle, walked
+        )
         assert (first, len(windows)) == (transient, transient + cycle + 1)
-        assert windows.tolist() == whole
-        first, windows = _engine.walk_direct(step, walked, transient + cycle - 1)
-        assert first is None and windows.tolist() == whole[:-1]
-        first, windows = _engine.walk_direct(step, walked, 0)
-        assert first is None and windows.tolist() == [start]
+        assert list(windows) == whole
+        limit = transient + cycle - 1
+        first, windows = _engine.walk_scalar(rule, w, policy, start, limit, walked)
+        assert first is None and list(windows) == whole[:-1]
+    first, windows = _engine.walk_scalar(rule, w, policy, start, 0)
+    assert first is None and list(windows) == [start]
 
 
 @settings(max_examples=150, deadline=None)
@@ -518,20 +538,31 @@ def test_direct_walk_continues_the_scalar_walk():
     data=st.data(),
 )
 def test_walks_share_one_contract(k, w, start, regime, limit, data):
-    # the scalar and direct walks give the same (first, windows) from the
-    # same start and limit; with a limit of 2**w ticks or more every orbit
-    # closes, and a regulated orbit cut on a bijective affine machine has
-    # the moves of the closed walk
+    # the scalar walk gives the oracle's (first, windows) of the machine
+    # clamped to n <= w from any start and limit, with the windows of its
+    # budget in a dict and with all but the first in its seen bitmap; with
+    # a limit of 2**w ticks or more every orbit closes, and a regulated
+    # orbit cut on a bijective affine machine has the moves of the closed
+    # walk
     from ifamarket import _engine
 
     rule = decode_rule(k)
     n = data.draw(st.integers(min_value=1, max_value=w + 3), label="n")
     policy = NONE if regime == "none" else RegulationPolicy(regime, n)
     start &= (1 << w) - 1
-    step = _engine.step_table(_engine.decision_table(rule, w), w, policy)
+    clamped = NONE if regime == "none" else RegulationPolicy(regime, min(n, w))
+    transient, cycle = oracles.orbit(rule, _oldest_first(start, w), clamped)
+    closes = transient + cycle <= limit
+    expected = (
+        transient if closes else None,
+        _oracle_windows(rule, w, policy, start, min(limit, transient + cycle)),
+    )
     first, windows = _engine.walk_scalar(rule, w, policy, start, limit)
-    direct = _engine.walk_direct(step, [start], limit)
-    assert (direct[0], direct[1].tolist()) == (first, windows)
+    assert (first, list(windows)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_scalar_budget", lambda w: 0)
+        past = _engine.walk_scalar(rule, w, policy, start, limit)
+    assert (past[0], list(past[1])) == expected
     assert first is not None or len(windows) == limit + 1
     assert first is not None or limit < 1 << w
     if first is not None:
@@ -562,7 +593,7 @@ def test_short_run_closed_by_the_scalar_walk_builds_no_table(monkeypatch):
 
 def test_short_run_past_the_scalar_budget_continues_directly():
     # prop:2 at the same size has a cycle of 14,691 ticks: the scalar walk
-    # runs out at 512 ticks and the direct walk takes the run to 4,000
+    # keeps its dict for 512 ticks and its seen bitmap takes the run to 4,000
     w, ticks, policy = 16, 4000, RegulationPolicy("prop", 2)
     init = window_from_literal("alternating_up_first", w)
     series = simulate(decode_rule(54), w, init, policy, ticks)
@@ -676,7 +707,7 @@ def test_simulate_finds_the_held_moves_once(monkeypatch, ticks):
 
 def test_orbits_just_past_the_scalar_budget_are_found_directly(monkeypatch):
     # rule 54 at w = 22 under prick:7..10 closes in 43,818 to 61,499
-    # ticks: past the scalar budget, within the direct walk, so no cut
+    # ticks: past the scalar budget, within 2**w >> 6, so no cut
     from ifamarket import _engine
 
     def no_cut(*args):
@@ -747,11 +778,11 @@ def _window_at(machine, p):
 
 
 def _run_walks(monkeypatch):
-    """A list to which each direct walk that ``Machine.run`` takes appends
-    its arguments; orbit searches still walk unlisted."""
+    """A list to which each scalar walk that ``Machine.run`` takes appends
+    its limit; orbit searches and ``share`` still walk unlisted."""
     from ifamarket import _engine
 
-    run, walk_direct = _engine.Machine.run, _engine.walk_direct
+    run, walk_scalar = _engine.Machine.run, _engine.walk_scalar
     running, walks = [], []
 
     def listed_run(*args):
@@ -763,11 +794,11 @@ def _run_walks(monkeypatch):
 
     def listed_walk(*args):
         if running:
-            walks.append(args)
-        return walk_direct(*args)
+            walks.append(args[4])
+        return walk_scalar(*args)
 
     monkeypatch.setattr(_engine.Machine, "run", listed_run)
-    monkeypatch.setattr(_engine, "walk_direct", listed_walk)
+    monkeypatch.setattr(_engine, "walk_scalar", listed_walk)
     return walks
 
 
@@ -794,15 +825,15 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
     # has built them, against the oracles.  At w = 6 and 7, x^w + x + 1 is
     # primitive and rule 54's held cycle holds every nonzero window; at
     # w = 8, 9 and 14 it is one of several, and runs that leave it cut
-    # another.  With the probe and the direct walk's cap off, every orbit
+    # another.  With the probe and the orbit search's walk off, every orbit
     # and every run of 54 and 201 is a cut, also one whose orbit closes
-    # within 4w ticks, and none walks direct; rule 52 builds no cut state,
-    # and its runs walk direct
+    # within 4w ticks, and no run walks a tick first; rule 52 builds no
+    # cut state, and each of its runs goes on past the scalar budget
     from ifamarket import _engine
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
-    monkeypatch.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
+    monkeypatch.setattr(_engine, "_CUT_AFTER_SHIFT", 64)
     cuts = _counted_cuts(monkeypatch)
     walks = _run_walks(monkeypatch)
     groups = [(54, 201)] + ([(52,)] if w <= 12 else [])
@@ -838,12 +869,13 @@ def test_cut_rung_matches_the_oracles(monkeypatch, w):
                     assert machine.run(policy, init.bits, ticks).tolist() == moves
     orbits = 2 * 3 * w * 2
     assert (cuts.count(None), len(cuts) - cuts.count(None)) == (orbits, orbits)
-    assert len(walks) == (2 * 3 * w if w <= 12 else 0)
+    rule52 = 2 * 3 * w if w <= 12 else 0
+    assert (walks.count(0), len(walks) - walks.count(0)) == (orbits + rule52, rule52)
 
 
 @pytest.mark.parametrize("w", range(6, 15))
 def test_orbit_searches_through_the_cut_match_the_oracles(monkeypatch, w):
-    # with the scalar budget, the probe and the direct walk's cap off,
+    # with the scalar budget, the probe and the orbit search's walk off,
     # every regulated orbit search of rule 54 and its relabelling 201 is a
     # cut: from both standard starts and two drawn ones, under every
     # policy with n <= w + 3, find_cycle and the default span of simulate
@@ -857,7 +889,7 @@ def test_orbit_searches_through_the_cut_match_the_oracles(monkeypatch, w):
 
     monkeypatch.setattr(_engine, "_scalar_budget", lambda w: 0)
     monkeypatch.setattr(_engine, "_PROBE_TICKS_PER_BIT", 0)
-    monkeypatch.setattr(_engine, "_DIRECT_VISIT_SHIFT", 64)
+    monkeypatch.setattr(_engine, "_CUT_AFTER_SHIFT", 64)
     cuts = _counted_cuts(monkeypatch)
     rule = decode_rule(54)
     for x in range(1 << w):
@@ -981,10 +1013,10 @@ def test_cut_runs_from_the_end_of_every_cycle_match_the_oracle(number, w, text):
 def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     # a default span of an orbit past the scalar probe tiles the moves of
     # that one orbit search, which the machine then holds: no cut state,
-    # and no run walks direct.  Once share builds the cut state, which starts
-    # with the held cycle, its windows rebuilt from the held moves, a cut
-    # from another window of the cycle has no firing window, and gives
-    # the moves of the unregulated run from there
+    # and no run walks past its probe.  Once share builds the cut state,
+    # which starts with the held cycle, its windows rebuilt from the held
+    # moves, a cut from another window of the cycle has no firing window,
+    # and gives the moves of the unregulated run from there
     from ifamarket import _engine
 
     w, rule = 12, decode_rule(54)
@@ -1008,7 +1040,7 @@ def test_unregulated_runs_from_the_held_start_tile_the_held_orbit(monkeypatch):
     expected = oracles.simulate(rule, _oldest_first(other, w), NONE, 5000)
     assert machine._cut_run(NONE, other, 5000).tolist() == expected
     assert machine.run(NONE, other, 5000).tolist() == expected
-    assert walks == [], "the run walked direct"
+    assert walks == [4 * w], "the run walked past its probe"
 
 
 def test_cycle_moves_follow_the_held_orbit():
@@ -1126,16 +1158,18 @@ def test_affine_machines_cycle_as_their_algebra_says():
     assert [oracles.order_of_x(w) for w in (8, 9, 16, 17)] == [63, 73, 255, 273]
 
 
-AFFINE_MACHINES = (16, 39, 45, 54, 60, 64, 99, 105, 114, 120)
+AFFINE_MACHINES = oracles.AFFINE_MACHINES
 
 
 def test_affine_form_matches_the_oracle():
     # the O(w) affinity test, which builds no table, against the oracle's
-    # check of every window, for every rule at w = 1..12: the (c, a) it
-    # returns and the rules it finds not affine
+    # check of every window, for every rule at w = 1..16: the (c, a) it
+    # returns and the rules it finds not affine.  Among those are 12 rule
+    # numbers that a check of 256 sampled windows calls affine at
+    # w = 13..16 (rule 158 at w = 13 misses its form on 2 of 8,192)
     from ifamarket import _engine
 
-    for w in range(1, 13):
+    for w in range(1, 17):
         for k in range(256):
             rule = decode_rule(k)
             assert _engine.affine_form(rule, w) == oracles.affine_form(rule, w), (k, w)
@@ -1177,19 +1211,24 @@ def test_affine_rung_gives_the_moves_of_the_tables(monkeypatch, number):
     # the affine machines whose unregulated orbits outlast the 4w probe:
     # with no table, find_cycle gives the algebra's orbit at w = 3..22, an
     # orbit search's moves begin as the oracle's and a long run's are the
-    # oracle's up to w = 12, and at w <= 16 both are the moves of the direct
-    # walk through a step table built here before the tables are switched
-    # off.
-    # The orbit from alternating outlasts the probe from w = 5 on
+    # oracle's up to w = 12, and at w <= 16 both are the moves of the
+    # oracle's decisions of every window, walked here a window at a time.
+    # 201 and 156 decide as 54 and 99 do, whose forms the oracle reads
+    # past w = 20.  The orbit from alternating outlasts the probe from
+    # w = 5 on
     from ifamarket import _engine
 
     rule, walks = decode_rule(number), {}
+    machine_number = {201: 54, 156: 99}.get(number, number)
     for w in range(3, 17):
-        step = _engine.step_table(_engine.decision_table(rule, w), w, NONE)
+        decisions, mask = oracles.decisions(rule, w).tolist(), (1 << w) - 1
         for kind in ("alternating_up_first", "all_up"):
-            start = window_from_literal(kind, w).bits
-            first, windows = _engine.walk_direct(step, [start], step.size)
-            walks[w, kind] = first, _engine.walk_moves(windows)
+            seen, x = {}, window_from_literal(kind, w).bits
+            while x not in seen:
+                seen[x] = len(seen)
+                x = (x << 1 & mask) | decisions[x]
+            moves = [y & 1 for y in [*seen, x][1:]]
+            walks[w, kind] = seen[x], np.array(moves, dtype=np.uint8)
 
     def no_table(*args):
         pytest.fail("a decision table was built")
@@ -1197,7 +1236,9 @@ def test_affine_rung_gives_the_moves_of_the_tables(monkeypatch, number):
     monkeypatch.setattr(_engine, "decision_table", no_table)
     rung = 0
     for w in range(3, 23):
-        form = oracles.affine_form(rule, w)
+        form = oracles.affine_form(decode_rule(machine_number), w)
+        if w <= 20:
+            assert oracles.affine_form(rule, w) == form
         for kind in ("alternating_up_first", "all_up"):
             init = window_from_literal(kind, w)
             transient, cycle = oracles.affine_orbit(*form, w, init.bits)
@@ -1246,15 +1287,14 @@ def test_short_affine_orbits_close_in_the_probe(monkeypatch):
 
 def test_anchor_default_span_builds_no_table(monkeypatch):
     # rule 54 from alternating at w = 22 takes the affine rung: no
-    # decision table or step table.  Its cycle is an m-sequence
-    # of 2**22 - 1 ticks, with 2**21 UPs, which repeats past its end
+    # decision table.  Its cycle is an m-sequence of 2**22 - 1 ticks, with
+    # 2**21 UPs, which repeats past its end
     from ifamarket import _engine
 
     def no_table(*args):
         pytest.fail("a table was built")
 
-    for name in ("decision_table", "step_table"):
-        monkeypatch.setattr(_engine, name, no_table)
+    monkeypatch.setattr(_engine, "decision_table", no_table)
     rule, w = decode_rule(54), 22
     init = window_from_literal("alternating", w)
     series = simulate(rule, w, init, NONE)
@@ -1273,14 +1313,10 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
     # ticks is the XOR of the windows after i < 22 ticks over the powers
     # x^i in x^k mod that trinomial.  The trinomial is primitive, so the
     # cut state at w = 22 is the held cycle of every nonzero window, then
-    # the fixed point 0, which the cycle walk places: no step table is
-    # built.  Sampled positions and moves of the held cycle
-    # are checked against the identity, with the first 22 windows from
-    # the reference decision alone
+    # the fixed point 0, which the cycle walk places.  Sampled positions
+    # and moves of the held cycle are checked against the identity, with
+    # the first 22 windows from the reference decision alone
     from ifamarket import _engine
-
-    def no_table(*args):
-        pytest.fail("a step table was built")
 
     w, rule = 22, decode_rule(54)
     modulus = (1 << w) | 0b11
@@ -1290,10 +1326,8 @@ def test_rule54_cut_state_at_w22_follows_the_jump_ahead_identity():
         basis.append(sum(bit << age for age, bit in enumerate(reversed(history))))
         history = history[1:] + [oracles.decide(rule, history)]
     machine = _engine.Machine(rule, w)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_engine, "step_table", no_table)
-        machine.orbit(NONE, basis[0])
-        pos, moves, windows, starts, _ = machine._cut_state()
+    machine.orbit(NONE, basis[0])
+    pos, moves, windows, starts, _ = machine._cut_state()
     assert np.array_equal(moves[:-1], machine._held[1])
     assert starts == [0, (1 << w) - 1, 1 << w] and windows[-1] == 0
     assert pos[0] == (1 << w) - 1 and moves[-1] == 0
@@ -1365,16 +1399,13 @@ def _worker_threads(item):
 
 def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
     # rule 54 at w = 14 from the alternating window, in pieces of 1,000
-    # entries: 17 pieces of a table, the last of 384, and in the cut state
-    # 12 of the rows of its held cycle's windows rebuilt from its moves,
-    # 12 of that cycle of 11,811 and 5 of the 4,573 windows of the other
-    # cycles; each pass of every core count gives the arrays of one core,
-    # and leaves no thread alive
+    # entries: in the cut state 12 of the rows of its held cycle's
+    # windows rebuilt from its moves, 12 of that cycle of 11,811 and 5 of
+    # the 4,573 windows of the other cycles; each pass of every core count
+    # gives the arrays of one core, and leaves no thread alive
     from ifamarket import _engine
 
     w, rule = 14, decode_rule(54)
-    start = window_from_literal("alternating_up_first", w).bits
-    policy = RegulationPolicy("prick", 5)
     made = []
 
     class Spy(_engine.Thread):
@@ -1389,19 +1420,17 @@ def test_table_passes_on_any_core_count_match_one_core(monkeypatch):
     def tables(cores):
         _set_cores(monkeypatch, cores)
         made.clear()
-        decisions = _engine.decision_table(rule, w)
-        step = _engine.step_table(decisions, w, policy)
         machine = _cutting_machine(rule, w, window_from_literal("alternating_up_first", w))
         first, held = machine._held
         windows = _engine._cycle_windows(held[first:], w)
         pos, moves, cycles, starts, _ = machine._cut_state()
-        out = [step, windows, pos, moves, cycles, np.array(starts)]
+        out = [windows, pos, moves, cycles, np.array(starts)]
         assert len(made) == 0 if cores == 1 else len(made) > 0
         assert not any(thread.is_alive() for thread in made)
         return first, out
 
     first, expected = tables(1)
-    assert first == 0 and expected[1].size == 11811
+    assert first == 0 and expected[0].size == 11811
     # threads switched as often as the interpreter allows, three of them
     # on a host that may have fewer cores
     interval = sys.getswitchinterval()

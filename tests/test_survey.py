@@ -158,18 +158,13 @@ def test_survey_builds_tables_only_for_orbits_past_the_budget(monkeypatch):
     from ifamarket import _engine
 
     built = []
-    decision_table, step_table = _engine.decision_table, _engine.step_table
+    decision_table = _engine.decision_table
 
     def counting_decision_table(rule, w, *args):
         built.append(rule.rule_number)
         return decision_table(rule, w, *args)
 
-    def counting_step_table(*args):
-        built.append("step")
-        return step_table(*args)
-
     monkeypatch.setattr(_engine, "decision_table", counting_decision_table)
-    monkeypatch.setattr(_engine, "step_table", counting_step_table)
     rows = survey_rules(22, window_from_literal("all_up", 22))
     assert built == []
     long_orbits = [
